@@ -8,6 +8,7 @@ unless wall_clock is requested; real wall time always lands in the summary.
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -72,6 +73,34 @@ def _check_keys(d, allowed, where):
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
+def _coerce(value, kind, name):
+    """A JSON value as kind (int, float or bool), or ConfigError.
+
+    Strings and booleans are never read as numbers, numbers never as
+    booleans, and an int field takes a float only when it is integral.
+    """
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if kind is float:
+        return float(value)
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if not float(value).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _seed(value, name):
+    seed = _coerce(value, int, name)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{name} must be in [0, 2**64), got {seed}")
+    return seed
+
+
 @dataclass
 class ExperimentConfig:
     objective: dict
@@ -107,9 +136,10 @@ class ExperimentConfig:
             if "d" not in obj:
                 raise ConfigError("quadratic objective requires d")
             obj.setdefault("regime", "heterogeneous")
-            obj.setdefault("seed", 0)
-            obj.setdefault("sigma", 0.0)
-            obj.setdefault("noise_seed", 0)
+            obj["d"] = _coerce(obj["d"], int, "objective.d")
+            obj["seed"] = _seed(obj.get("seed", 0), "objective.seed")
+            obj["sigma"] = _coerce(obj.get("sigma", 0.0), float, "objective.sigma")
+            obj["noise_seed"] = _seed(obj.get("noise_seed", 0), "objective.noise_seed")
             if obj["sigma"] < 0:
                 raise ConfigError(f"sigma must be >= 0, got {obj['sigma']}")
         elif kind == "chain":
@@ -117,7 +147,13 @@ class ExperimentConfig:
             for key in ("p", "widths"):
                 if key not in obj:
                     raise ConfigError(f"chain objective requires {key!r}")
-            obj.setdefault("seed", 0)
+            obj["p"] = _coerce(obj["p"], int, "objective.p")
+            widths = obj["widths"]
+            if isinstance(widths, list):
+                obj["widths"] = [_coerce(w, int, "objective.widths entry") for w in widths]
+            else:
+                obj["widths"] = _coerce(widths, int, "objective.widths")
+            obj["seed"] = _seed(obj.get("seed", 0), "objective.seed")
         else:
             raise ConfigError(f"objective.kind must be 'quadratic' or 'chain', got {kind!r}")
 
@@ -128,14 +164,15 @@ class ExperimentConfig:
         _check_keys(opt, _OPT_KEYS[name], "optimizer")
 
         seeds = raw.get("seeds", 1)
-        if isinstance(seeds, int):
+        if isinstance(seeds, (list, tuple)):
+            seeds = tuple(_seed(s, "seeds entry") for s in seeds)
+            if not seeds:
+                raise ConfigError("seeds list must be non-empty")
+        else:
+            seeds = _coerce(seeds, int, "seeds")
             if seeds < 1:
                 raise ConfigError(f"seeds must be >= 1, got {seeds}")
             seeds = tuple(range(seeds))
-        else:
-            seeds = tuple(int(s) for s in seeds)
-            if not seeds:
-                raise ConfigError("seeds list must be non-empty")
 
         x0 = dict(raw.get("x0", {"mode": "gaussian", "scale": 0.1}))
         _check_keys(x0, _X0_KEYS, "x0")
@@ -150,24 +187,33 @@ class ExperimentConfig:
                 raise ConfigError("equal_energy x0 requires a quadratic objective")
         else:
             raise ConfigError(f"x0.mode must be 'gaussian' or 'equal_energy', got {mode!r}")
+        for key in ("scale", "norm", "f0"):
+            if key in x0:
+                x0[key] = _coerce(x0[key], float, f"x0.{key}")
+
+        grid = raw.get("coarse_grid")
+        if grid:
+            if not isinstance(grid, (list, tuple)):
+                raise ConfigError(f"coarse_grid must be a list of step sizes, got {grid!r}")
+            grid = tuple(_coerce(g, float, "coarse_grid entry") for g in grid)
 
         cfg = cls(
             objective=obj,
             optimizer=opt,
-            T=int(raw["T"]),
-            q=int(raw.get("q", 1)),
-            epsilon=float(raw.get("epsilon", 1e-6)),
+            T=_coerce(raw["T"], int, "T"),
+            q=_coerce(raw.get("q", 1), int, "q"),
+            epsilon=_coerce(raw.get("epsilon", 1e-6), float, "epsilon"),
             distribution=raw.get("distribution", "gaussian"),
             partition=raw.get("partition"),
             seeds=seeds,
-            eval_every=int(raw.get("eval_every", 1)),
-            threshold=float(raw.get("threshold", 1e-3)),
-            stop_at_threshold=bool(raw.get("stop_at_threshold", False)),
+            eval_every=_coerce(raw.get("eval_every", 1), int, "eval_every"),
+            threshold=_coerce(raw.get("threshold", 1e-3), float, "threshold"),
+            stop_at_threshold=_coerce(raw.get("stop_at_threshold", False), bool, "stop_at_threshold"),
             x0=x0,
-            wall_clock=bool(raw.get("wall_clock", False)),
+            wall_clock=_coerce(raw.get("wall_clock", False), bool, "wall_clock"),
             grouped_eval=raw.get("grouped_eval", "naive"),
             metric=raw.get("metric", "final"),
-            coarse_grid=tuple(raw["coarse_grid"]) if raw.get("coarse_grid") else None,
+            coarse_grid=grid or None,
         )
         cfg.validate()
         return cfg
@@ -208,7 +254,8 @@ class ExperimentConfig:
                 raise ConfigError("efficient grouped evaluation requires partition 'layers:p'")
         if self.partition is not None:
             if isinstance(self.partition, str):
-                if not self.partition.startswith("layers:"):
+                prefix, _, p = self.partition.partition(":")
+                if prefix != "layers" or not p.isdecimal():
                     raise ConfigError(
                         f"string partition must look like 'layers:p', got {self.partition!r}"
                     )
@@ -233,9 +280,12 @@ def load_config(path):
 
 
 def make_objective(obj):
-    if obj["kind"] == "quadratic":
-        return BlockQuadratic(d=obj["d"], regime=obj["regime"], seed=obj["seed"])
-    return LayeredChain(p=obj["p"], widths=obj["widths"], seed=obj["seed"])
+    try:
+        if obj["kind"] == "quadratic":
+            return BlockQuadratic(d=obj["d"], regime=obj["regime"], seed=obj["seed"])
+        return LayeredChain(p=obj["p"], widths=obj["widths"], seed=obj["seed"])
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"invalid objective: {exc}") from exc
 
 
 def resolve_partition(partition, objective):
@@ -252,7 +302,7 @@ def resolve_partition(partition, objective):
         return Partition.from_ranges(d, list(objective.slices))
     try:
         return Partition.from_ranges(d, [(int(a), int(b)) for a, b in partition])
-    except InvalidArgumentError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid partition: {exc}") from exc
 
 
@@ -325,28 +375,35 @@ def _make_state(cfg, spec, d, p):
     name = opt["name"]
     if "eta" not in opt:
         raise ConfigError("optimizer.eta is required to run")
-    eta = float(opt["eta"])
+    eta = _coerce(opt["eta"], float, "optimizer.eta")
+
+    def real(key, default):
+        return _coerce(opt.get(key, default), float, f"optimizer.{key}")
+
     if name == "zo-sgd":
         if not eta > 0:
             raise ConfigError(f"eta must be > 0, got {eta}")
         return None, eta
-    if name in ("zo-adam", "radazo"):
-        state = AdamState(
-            dim=d,
-            eta=eta,
-            beta1=opt.get("beta1", 0.9),
-            beta2=opt.get("beta2", 0.999),
-            zeta=opt.get("zeta", 1e-8),
-        )
-        return state, eta
-    if name == "meazo":
-        return MeazoState(eta=eta, beta=opt.get("beta", 0.999), zeta=opt.get("zeta", 1e-8)), eta
-    if name == "meazo-grouped":
-        state = GroupedMeazoState(
-            p=p, eta=eta, beta=opt.get("beta", 0.999), zeta=opt.get("zeta", 1e-8)
-        )
-        return state, eta
-    return FzooState(eta=eta, spec=spec, q=cfg.q), eta
+    try:
+        if name in ("zo-adam", "radazo"):
+            state = AdamState(
+                dim=d,
+                eta=eta,
+                beta1=real("beta1", 0.9),
+                beta2=real("beta2", 0.999),
+                zeta=real("zeta", 1e-8),
+            )
+        elif name == "meazo":
+            state = MeazoState(eta=eta, beta=real("beta", 0.999), zeta=real("zeta", 1e-8))
+        elif name == "meazo-grouped":
+            state = GroupedMeazoState(
+                p=p, eta=eta, beta=real("beta", 0.999), zeta=real("zeta", 1e-8)
+            )
+        else:
+            state = FzooState(eta=eta, spec=spec, q=cfg.q)
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"invalid optimizer: {exc}") from exc
+    return state, eta
 
 
 def _run_seed(cfg, base, partition, seed):

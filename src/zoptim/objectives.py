@@ -69,7 +69,11 @@ class BlockQuadratic:
         else:
             jitter = np.linspace(0.9, 1.1, self.block_size)
 
-        hessian = np.zeros((d, d))
+        # Only the diagonal blocks are stored: an (n_blocks, b, b) stack of
+        # d*sqrt(d) reals. Each block is 0.5 * (B + B^T), exactly symmetric,
+        # so x_k^T H_k equals (H_k x_k)^T and one batched row-times-block
+        # product serves both oracles.
+        stack = np.empty((self.n_blocks, self.block_size, self.block_size))
         eigenvalues = np.empty(d)
         bases = []
         blocks = []
@@ -80,12 +84,12 @@ class BlockQuadratic:
             q = _orthogonal(rng, self.block_size)
             eigs = centers[b] * jitter
             block = (q * eigs) @ q.T
-            hessian[start:stop, start:stop] = 0.5 * (block + block.T)
+            stack[b] = 0.5 * (block + block.T)
             eigenvalues[start:stop] = eigs
             bases.append(q)
             blocks.append((start, stop))
 
-        self.hessian = hessian
+        self.stack = stack
         self.eigenvalues = eigenvalues
         self.bases = bases
         self.blocks = blocks
@@ -93,15 +97,25 @@ class BlockQuadratic:
         self.smoothness = float(eigenvalues.max())
         self.f_star = 0.0
 
+    @property
+    def hessian(self):
+        """Dense d x d Hessian, assembled on demand (O(d^2) memory); no oracle uses it."""
+        dense = np.zeros((self.d, self.d))
+        for (start, stop), block in zip(self.blocks, self.stack):
+            dense[start:stop, start:stop] = block
+        return dense
+
+    def _rows(self, x):
+        return np.asarray(x, dtype=np.float64).reshape(self.n_blocks, 1, self.block_size)
+
     def value(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return float(0.5 * x @ (self.hessian @ x))
+        xb = self._rows(x)
+        return 0.5 * float(np.vdot(xb, xb @ self.stack))
 
     __call__ = value
 
     def gradient(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return self.hessian @ x
+        return (self._rows(x) @ self.stack).reshape(self.d)
 
 
 def make_block_quadratic(d, regime, seed):
@@ -300,11 +314,6 @@ class LayeredChain:
 def make_chain(p, widths, seed):
     """Layered tanh chain objective exposing per-block sequential structure."""
     return LayeredChain(p, widths, seed)
-
-
-def chain_eval(chain, x, prefix=None):
-    """Evaluate a LayeredChain, resuming from a cached prefix when given."""
-    return chain.forward(x, prefix)
 
 
 def equal_energy_point(quad, f0, seed):

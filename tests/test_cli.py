@@ -248,3 +248,31 @@ def test_fig2_writes_rows_and_series(tmp_path):
         assert len(lines) == 61
     bad = write_cfg(tmp_path, {"dims": [4], "whoops": True}, name="bad.json")
     assert main(["fig2", "--config", bad, "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"objective": {"kind": "quadratic", "d": 8}},
+        {"seeds": [-1]},
+        {"seeds": [2**64]},
+        {"optimizer": {"name": "meazo", "eta": 1e-3, "beta": 1.5}},
+        {"optimizer": {"name": "zo-adam", "eta": 1e-3, "beta1": 1.5}},
+        {"T": "abc"},
+        {"T": 2.5},
+        {"q": "abc"},
+        {"eval_every": "abc"},
+        {"epsilon": "abc"},
+        {"threshold": "abc"},
+        {"stop_at_threshold": "false"},
+        {"wall_clock": 1},
+        {"coarse_grid": ["a", "b"]},
+        {"partition": [["a", 2], [2, 4]], "optimizer": {"name": "meazo-grouped", "eta": 1e-3}},
+        {"objective": {"kind": "chain", "p": 2, "widths": "abc"}},
+    ],
+)
+def test_out_of_domain_and_mistyped_fields_exit_two(tmp_path, over):
+    cfg = write_cfg(tmp_path, run_cfg(**over))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()

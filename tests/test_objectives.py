@@ -51,6 +51,42 @@ def test_quadratic_value_and_gradient_are_consistent():
     assert quad(x) == quad.value(x)
 
 
+def _dense_reference(quad):
+    """H = blockdiag(Q_k diag(lambda_k) Q_k^T), built from the bases and spectrum."""
+    h = np.zeros((quad.d, quad.d))
+    for (start, stop), basis in zip(quad.blocks, quad.bases):
+        h[start:stop, start:stop] = (basis * quad.eigenvalues[start:stop]) @ basis.T
+    return h
+
+
+@pytest.mark.parametrize("d", [1, 9, 100, 1024])
+def test_block_stack_oracles_match_a_dense_reference(d):
+    quad = make_block_quadratic(d, regime="heterogeneous", seed=5)
+    ref = _dense_reference(quad)
+    x = np.random.default_rng(d).standard_normal(d)
+
+    assert quad.value(x) == pytest.approx(0.5 * x @ (ref @ x), rel=1e-12)
+    np.testing.assert_allclose(quad.gradient(x), ref @ x, rtol=1e-12)
+
+    assert quad.stack.shape == (quad.n_blocks, quad.block_size, quad.block_size)
+    for block in quad.stack:
+        assert np.array_equal(block, block.T)
+
+    dense = quad.hessian
+    off_block = np.ones((d, d), dtype=bool)
+    for start, stop in quad.blocks:
+        off_block[start:stop, start:stop] = False
+    assert np.all(dense[off_block] == 0.0)
+    # Symmetrizing moves an entry by up to an ulp of its block's scale, which
+    # is far more than 1e-12 of an entry near zero.
+    np.testing.assert_allclose(dense, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    for name, attr in vars(quad).items():
+        if isinstance(attr, np.ndarray):
+            assert attr.shape != (d, d), name
+            assert attr.size <= d * quad.block_size, name
+
+
 def test_quadratic_rejects_non_square_dimension_and_bad_regime():
     with pytest.raises(InvalidArgumentError):
         make_block_quadratic(8, regime="heterogeneous", seed=0)
