@@ -13,6 +13,10 @@ and quartiles over the pairs, the pairs the change won (ties count for
 neither side), and the failed checks. The per-pair values are kept too.
 The result goes under ``perfbench.<workload>`` in the output file; other
 keys already in it are kept.
+
+With ``--traced`` it instead runs ``--trace 1`` once per side (parent first)
+with seed ``--seed`` and stores both sides' per-layer metrics under
+``perfbench_traced.<workload>``.
 """
 
 import argparse
@@ -23,9 +27,9 @@ import subprocess
 import sys
 
 
-def run_side(cwd, workload, seed, seconds):
+def run_side(cwd, workload, seed, seconds, trace=0):
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=cwd, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {"failed": result["failed"], "attempted": result["attempted"],
@@ -73,11 +77,22 @@ def main():
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--seconds", type=float, default=22)
     parser.add_argument("--out", default="BENCH_2.json")
+    parser.add_argument("--traced", action="store_true",
+                        help="one --trace 1 run per side instead of --trace 0 pairs")
     args = parser.parse_args()
 
     with open("BENCHMARK.json") as fh:
         metrics = json.load(fh)["end_to_end"]
     sides = {"parent": os.path.abspath(args.parent), "change": os.getcwd()}
+    if args.traced:
+        store(args.out, "perfbench_traced", args.workload, {
+            "command": f"perfbench/run.py --workload {args.workload} --seed {args.seed} "
+                       f"--seconds {args.seconds} --trace 1",
+            **{side: run_side(root, args.workload, args.seed, args.seconds, trace=1)
+               for side, root in sides.items()},
+        })
+        return
+
     runs = []
     for i in range(args.pairs):
         seed = args.seed + i
@@ -89,19 +104,24 @@ def main():
         print(f"pair {i} seed {seed}: wall_s parent {pair['parent']['wall_s']:.4g} "
               f"change {pair['change']['wall_s']:.4g}", file=sys.stderr, flush=True)
 
-    payload = {}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            payload = json.load(fh)
-    payload.setdefault("perfbench", {})[args.workload] = {
+    store(args.out, "perfbench", args.workload, {
         "command": f"perfbench/run.py --workload {args.workload} --seconds {args.seconds} "
                    "--trace 0",
         "seeds": [r["seed"] for r in runs],
         "failed": {side: sum(r[side]["failed"] for r in runs) for side in sides},
         "summary": summarise(runs, metrics),
         "pairs": runs,
-    }
-    with open(args.out, "w") as fh:
+    })
+
+
+def store(path, key, workload, result):
+    """Put result under key.workload in the JSON file at path, keeping other keys."""
+    payload = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            payload = json.load(fh)
+    payload.setdefault(key, {})[workload] = result
+    with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, PreconditionError
-from .estimators import projected_gradient, zo_gradient
+from .estimators import zo_gradient
 from .objectives import (
     BlockQuadratic,
     sample_noisy,
@@ -27,7 +27,7 @@ from .perturb import (
     PerturbationSpec,
     batch_directions,
     keyed_generator,
-    replay_directions,
+    step_directions,
 )
 
 _MC_BATCH = 32768
@@ -298,14 +298,13 @@ def _run_one(objective, grad, optimizer, d, eta, q, epsilon, distribution, beta1
 
         if optimizer == "fo-adam":
             x = zo_adam_step(state, x, gvec)
-        elif optimizer == "zo-adam":
-            est, _ = zo_gradient(objective, x, spec, q, t)
-            x = zo_adam_step(state, x, est)
         else:
-            scalars = np.empty(q)
-            for i, u in enumerate(replay_directions(spec, t, q, d)):
-                scalars[i] = projected_gradient(objective, x, u, epsilon)
-            x = meazo_step(state, x, scalars, replay_directions(spec, t, q, d))
+            dirs = step_directions(spec, t, q, d)
+            est, scalars = zo_gradient(objective, x, spec, q, t, None, dirs)
+            if optimizer == "zo-adam":
+                x = zo_adam_step(state, x, est)
+            else:
+                x = meazo_step(state, x, scalars, dirs)
 
         if optimizer == "meazo":
             vhat = np.array([state.v / (1.0 - state.beta**state.t)])
@@ -396,13 +395,11 @@ def bound_check_run(quad, optimizer, eta, q, epsilon, distribution, sigma, noise
         total += float(g @ g)
         max_norm = max(max_norm, float(np.linalg.norm(x)))
         fn = noisy.objective_at(t) if noisy is not None else quad.value
+        dirs = step_directions(spec, t, q, d)
+        est, scalars = zo_gradient(fn, x, spec, q, t, None, dirs)
         if optimizer == "meazo":
-            scalars = np.empty(q)
-            for i, u in enumerate(replay_directions(spec, t, q, d)):
-                scalars[i] = projected_gradient(fn, x, u, epsilon)
-            x = meazo_step(state, x, scalars, replay_directions(spec, t, q, d))
+            x = meazo_step(state, x, scalars, dirs)
         else:
-            est, _ = zo_gradient(fn, x, spec, q, t)
             x = x - eta * est
         if not np.all(np.isfinite(x)):
             return {"avg_grad_norm_sq": math.inf, "max_point_norm": math.inf, "diverged": True}

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import analysis, harness
-from .errors import ConfigError, PreconditionError, ZoptimError
+from .errors import ConfigError, InvalidArgumentError, PreconditionError, ZoptimError
 from .objectives import BlockQuadratic, equal_energy_point
 from .perturb import DISTRIBUTIONS
 
@@ -28,6 +28,37 @@ def _load_json(path):
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+
+
+_REQUIRED = object()
+
+
+def _mapping(value, name):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
+def _field(raw, key, kind, default=_REQUIRED, where=""):
+    """raw[key] read as kind (int, float, bool or harness._seed), or ConfigError.
+
+    Fields are checked as in the experiment config; a missing field takes
+    default, or is an error when there is none.
+    """
+    name = f"{where}{key}"
+    if key not in raw:
+        if default is _REQUIRED:
+            raise ConfigError(f"config requires {name!r}")
+        return default
+    if kind is harness._seed:
+        return harness._seed(raw[key], name)
+    return harness._coerce(raw[key], kind, name)
+
+
+def _numbers(value, kind, name):
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return [harness._coerce(v, kind, f"{name} entry") for v in value]
 
 
 def _write_json(payload, out_dir, name):
@@ -92,38 +123,42 @@ def cmd_robustness(args):
 
 
 def cmd_verify_moments(args):
-    raw = _load_json(args.config)
+    raw = _mapping(_load_json(args.config), "config")
     unknown = set(raw) - {"cases"}
     if unknown:
         raise ConfigError(f"unknown verify-moments keys: {sorted(unknown)}")
     if "cases" not in raw or not raw["cases"]:
         raise ConfigError("verify-moments config requires a non-empty 'cases' list")
+    if not isinstance(raw["cases"], list):
+        raise ConfigError("verify-moments 'cases' must be a list")
     results = []
     ok = True
     for case in raw["cases"]:
+        _mapping(case, "moment case")
         allowed = {"g", "q", "distribution", "n", "tol", "seed"}
         unknown = set(case) - allowed
         if unknown:
             raise ConfigError(f"unknown moment-case keys: {sorted(unknown)}")
         if "g" not in case:
             raise ConfigError("each moment case requires g")
+        g = _numbers(case["g"], float, "g")
         dist = case.get("distribution", "gaussian")
         if dist not in DISTRIBUTIONS:
             raise ConfigError(f"distribution must be one of {DISTRIBUTIONS}, got {dist!r}")
-        report = analysis.moment_report(
-            np.asarray(case["g"], dtype=np.float64),
-            int(case.get("q", 1)),
-            dist,
-            int(case.get("n", 200_000)),
-            seed=int(case.get("seed", 0)),
-        )
-        tol = float(case.get("tol", 0.05))
+        q = _field(case, "q", int, 1)
+        n = _field(case, "n", int, 200_000)
+        seed = _field(case, "seed", harness._seed, 0)
+        tol = _field(case, "tol", float, 0.05)
+        try:
+            report = analysis.moment_report(np.asarray(g), q, dist, n, seed=seed)
+        except InvalidArgumentError as exc:
+            raise ConfigError(f"invalid moment case: {exc}") from exc
         passed = report.max_rel_err <= tol
         ok = ok and passed
         results.append(
             {
-                "g": list(map(float, case["g"])),
-                "q": int(case.get("q", 1)),
+                "g": g,
+                "q": q,
                 "distribution": dist,
                 "n": report.n_trials,
                 "predicted": report.predicted.tolist(),
@@ -141,40 +176,45 @@ def cmd_verify_moments(args):
     return 0
 
 
-def _bound_side(raw, quad, side, label):
+def _bound_side(raw, quad, key, label):
     d = quad.d
-    q = int(raw.get("q", 10))
-    epsilon = float(raw.get("epsilon", 1e-6))
+    q = _field(raw, "q", int, 10)
+    epsilon = _field(raw, "epsilon", float, 1e-6)
     distribution = raw.get("distribution", "gaussian")
-    sigma = float(raw.get("sigma", 0.0))
-    noise_seed = int(raw.get("noise_seed", 0))
-    f0 = float(raw["f0"])
-    radius = float(raw["radius"])
-    n_seeds = int(raw.get("seeds", 10))
+    sigma = _field(raw, "sigma", float, 0.0)
+    noise_seed = _field(raw, "noise_seed", harness._seed, 0)
+    f0 = _field(raw, "f0", float)
+    radius = _field(raw, "radius", float)
+    n_seeds = _field(raw, "seeds", int, 10)
     G = quad.smoothness * radius
-    eta = float(side["eta"])
-    T = int(side["T"])
+    side = _mapping(raw[key], key)
+    where = f"{key}."
+    eta = _field(side, "eta", float, where=where)
+    T = _field(side, "T", int, where=where)
+    beta = _field(side, "beta", float, 0.999, where=where)
+    zeta = _field(side, "zeta", float, 1.0, where=where)
+    if T < 1 or n_seeds < 1:
+        raise ConfigError(f"{key}.T and seeds must be >= 1, got T={T}, seeds={n_seeds}")
 
     runs = []
-    for seed in range(n_seeds):
-        x0 = equal_energy_point(quad, f0, seed)
-        runs.append(
-            analysis.bound_check_run(
-                quad, label, eta, q, epsilon, distribution, sigma, noise_seed,
-                x0, T, seed,
-                beta=float(side.get("beta", 0.999)),
-                zeta=float(side.get("zeta", 1.0)),
-                radius=radius,
+    try:
+        for seed in range(n_seeds):
+            x0 = equal_energy_point(quad, f0, seed)
+            runs.append(
+                analysis.bound_check_run(
+                    quad, label, eta, q, epsilon, distribution, sigma, noise_seed,
+                    x0, T, seed, beta=beta, zeta=zeta, radius=radius,
+                )
             )
-        )
-    if label == "meazo":
-        constants = analysis.theorem_constants(
-            d, q, epsilon, quad.smoothness, sigma, G,
-            float(side.get("beta", 0.999)), float(side.get("zeta", 1.0)),
-        )
-        bound = analysis.meazo_bound(constants, f0, eta, T, epsilon, quad.smoothness)
-    else:
-        bound = analysis.zosgd_bound(d, q, epsilon, quad.smoothness, sigma, eta, T, f0)
+        if label == "meazo":
+            constants = analysis.theorem_constants(
+                d, q, epsilon, quad.smoothness, sigma, G, beta, zeta,
+            )
+            bound = analysis.meazo_bound(constants, f0, eta, T, epsilon, quad.smoothness)
+        else:
+            bound = analysis.zosgd_bound(d, q, epsilon, quad.smoothness, sigma, eta, T, f0)
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"invalid {label} bound setup: {exc}") from exc
     empirical = float(np.mean([r["avg_grad_norm_sq"] for r in runs]))
     within = all(r.get("within_radius", False) and not r["diverged"] for r in runs)
     passed = within and math.isfinite(empirical) and empirical <= bound
@@ -192,7 +232,7 @@ def _bound_side(raw, quad, side, label):
 
 
 def cmd_verify_bounds(args):
-    raw = _load_json(args.config)
+    raw = _mapping(_load_json(args.config), "config")
     allowed = {
         "d", "regime", "quad_seed", "q", "epsilon", "distribution", "sigma",
         "noise_seed", "f0", "radius", "seeds", "meazo", "zosgd", "reduction",
@@ -203,28 +243,35 @@ def cmd_verify_bounds(args):
     for key in ("d", "f0", "radius", "meazo", "zosgd", "reduction"):
         if key not in raw:
             raise ConfigError(f"verify-bounds config requires {key!r}")
-    quad = BlockQuadratic(
-        d=int(raw["d"]),
-        regime=raw.get("regime", "heterogeneous"),
-        seed=int(raw.get("quad_seed", 0)),
-    )
+    try:
+        quad = BlockQuadratic(
+            d=_field(raw, "d", int),
+            regime=raw.get("regime", "heterogeneous"),
+            seed=_field(raw, "quad_seed", harness._seed, 0),
+        )
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"invalid quadratic: {exc}") from exc
 
     sides = [
-        _bound_side(raw, quad, raw["meazo"], "meazo"),
-        _bound_side(raw, quad, raw["zosgd"], "zo-sgd"),
+        _bound_side(raw, quad, "meazo", "meazo"),
+        _bound_side(raw, quad, "zosgd", "zo-sgd"),
     ]
 
-    red = raw["reduction"]
-    zb = analysis.zosgd_bound(
-        int(red["d"]), float(red["q"]), float(red["epsilon"]), float(red["L"]),
-        float(red["sigma"]), float(red["eta"]), int(red["T"]), float(red["f0"]),
-    )
-    cb = analysis.classical_sgd_bound(
-        float(red["L"]), float(red["sigma"]), float(red["eta"]), int(red["T"]),
-        float(red["f0"]),
-    )
-    rel = abs(zb - cb) / cb
-    red_pass = rel <= float(red.get("tol", 1e-6))
+    red = _mapping(raw["reduction"], "reduction")
+    r = {
+        k: _field(red, k, kind, where="reduction.")
+        for k, kind in (("d", int), ("q", float), ("epsilon", float), ("L", float),
+                        ("sigma", float), ("eta", float), ("T", int), ("f0", float))
+    }
+    try:
+        zb = analysis.zosgd_bound(
+            r["d"], r["q"], r["epsilon"], r["L"], r["sigma"], r["eta"], r["T"], r["f0"]
+        )
+        cb = analysis.classical_sgd_bound(r["L"], r["sigma"], r["eta"], r["T"], r["f0"])
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"invalid reduction setup: {exc}") from exc
+    rel = abs(zb - cb) / cb if cb else math.inf
+    red_pass = rel <= _field(red, "tol", float, 1e-6, where="reduction.")
     ok = red_pass and all(s["pass"] for s in sides)
 
     os.makedirs(args.out, exist_ok=True)
@@ -249,7 +296,7 @@ def cmd_verify_bounds(args):
 
 
 def cmd_fig2(args):
-    raw = _load_json(args.config)
+    raw = _mapping(_load_json(args.config), "config")
     allowed = {
         "dims", "optimizers", "eta", "q", "threshold", "max_steps", "x0_norm",
         "seed", "regime", "quad_seed", "tail", "epsilon", "beta1", "beta2",
@@ -258,24 +305,32 @@ def cmd_fig2(args):
     unknown = set(raw) - allowed
     if unknown:
         raise ConfigError(f"unknown fig2 keys: {sorted(unknown)}")
-    results = analysis.collapse_study(
-        dims=tuple(raw.get("dims", (9, 25, 49, 100, 1024))),
-        optimizers=tuple(raw.get("optimizers", ("fo-adam", "zo-adam", "meazo"))),
-        eta=float(raw.get("eta", 1e-4)),
-        q=int(raw.get("q", 10)),
-        threshold=float(raw.get("threshold", 1e-3)),
-        beta1=float(raw.get("beta1", 0.9)),
-        beta2=float(raw.get("beta2", 0.999)),
-        zeta=float(raw.get("zeta", 1e-8)),
-        epsilon=float(raw.get("epsilon", 1e-6)),
-        distribution=raw.get("distribution", "gaussian"),
-        x0_norm=float(raw.get("x0_norm", 0.3)),
-        seed=int(raw.get("seed", 0)),
-        max_steps=int(raw.get("max_steps", 200_000)),
-        tail=int(raw.get("tail", 100)),
-        regime=raw.get("regime", "heterogeneous"),
-        quad_seed=int(raw.get("quad_seed", 0)),
-    )
+    dims = raw.get("dims", [9, 25, 49, 100, 1024])
+    optimizers = raw.get("optimizers", ["fo-adam", "zo-adam", "meazo"])
+    if not isinstance(optimizers, list):
+        raise ConfigError(f"optimizers must be a list, got {optimizers!r}")
+    series = _field(raw, "series", bool, False)
+    try:
+        results = analysis.collapse_study(
+            dims=tuple(_numbers(dims, int, "dims")),
+            optimizers=tuple(optimizers),
+            eta=_field(raw, "eta", float, 1e-4),
+            q=_field(raw, "q", int, 10),
+            threshold=_field(raw, "threshold", float, 1e-3),
+            beta1=_field(raw, "beta1", float, 0.9),
+            beta2=_field(raw, "beta2", float, 0.999),
+            zeta=_field(raw, "zeta", float, 1e-8),
+            epsilon=_field(raw, "epsilon", float, 1e-6),
+            distribution=raw.get("distribution", "gaussian"),
+            x0_norm=_field(raw, "x0_norm", float, 0.3),
+            seed=_field(raw, "seed", harness._seed, 0),
+            max_steps=_field(raw, "max_steps", int, 200_000),
+            tail=_field(raw, "tail", int, 100),
+            regime=raw.get("regime", "heterogeneous"),
+            quad_seed=_field(raw, "quad_seed", harness._seed, 0),
+        )
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"invalid collapse study: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for res in results:
@@ -293,7 +348,7 @@ def cmd_fig2(args):
                 "vhat_mean": float(np.mean(vhat)),
             }
         )
-        if raw.get("series"):
+        if series:
             path = os.path.join(args.out, f"fig2_{res['optimizer']}_d{res['d']}.csv")
             with open(path, "w") as fh:
                 fh.write("step,loss,grad_norm_sq,spread\n")

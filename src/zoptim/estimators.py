@@ -3,7 +3,10 @@
 Central-difference projected gradients, the q-sample estimator (with the
 d-scaled uniform-sphere variant), the grouped/block estimator, and the
 prefix-caching grouped evaluation for layered objectives, with exact
-forward-call accounting.
+forward-call accounting. Each estimator takes the step's (q, d) direction
+block from step_directions, or draws it when none is given; a caller whose
+update needs the same directions passes the block, so each direction is
+drawn once per step and held for that step only.
 """
 
 from dataclasses import dataclass
@@ -11,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailureError
-from .perturb import UNIFORM, ReplayCoordinate, sample_direction
+from .perturb import UNIFORM, step_directions
+from .perturb import sample_direction  # noqa: F401  (still importable from this module)
 
 
 class Partition:
@@ -96,11 +100,23 @@ def projected_gradient(f, x, u, epsilon, counter=None):
     return (fp - fm) / (2.0 * epsilon)
 
 
-def zo_gradient(f, x, spec, q, step, counter=None):
+def _step_block(spec, step, q, d, directions):
+    """The step's (q, d) direction block: the one given, or drawn from (step, i)."""
+    if directions is None:
+        return step_directions(spec, step, q, d)
+    directions = np.asarray(directions, dtype=np.float64)
+    if directions.shape != (q, d):
+        raise InvalidArgumentError(f"directions must have shape ({q}, {d}), got {directions.shape}")
+    return directions
+
+
+def zo_gradient(f, x, spec, q, step, counter=None, directions=None):
     """q-sample estimator (1/q) sum_i pg_i u_i, d-scaled for uniform-sphere directions.
 
-    Directions are regenerated from replay keys (step, i); never stored.
-    Returns (estimate, the q projected-gradient scalars): downstream
+    directions is the step's (q, d) block from step_directions(spec, step,
+    q, d); when omitted it is drawn here. Pass it when the update needs the
+    same directions, so each is drawn once per step and never kept beyond
+    it. Returns (estimate, the q projected-gradient scalars): downstream
     optimizers need the scalars and recomputing them would double the
     evaluation cost.
     """
@@ -108,10 +124,10 @@ def zo_gradient(f, x, spec, q, step, counter=None):
         raise InvalidArgumentError(f"q must be >= 1, got {q}")
     x = np.asarray(x, dtype=np.float64)
     d = x.size
+    directions = _step_block(spec, step, q, d, directions)
     acc = np.zeros(d)
     scalars = np.empty(q)
-    for i in range(q):
-        u = sample_direction(spec, ReplayCoordinate(step, i, 0), d)
+    for i, u in enumerate(directions):
         s = projected_gradient(f, x, u, spec.epsilon, counter)
         scalars[i] = s
         acc += s * u
@@ -121,11 +137,12 @@ def zo_gradient(f, x, spec, q, step, counter=None):
     return est, scalars
 
 
-def grouped_zo_gradient(f, x, spec, q, partition, step, counter=None):
+def grouped_zo_gradient(f, x, spec, q, partition, step, counter=None, directions=None):
     """Block estimator (1/q) sum_i sum_j pg_{ij} (m_j * u_i).
 
     One direction per sample, masked per block, so p=1 is bit-identical to
     zo_gradient on the same replay stream (including the uniform d-scaling).
+    directions is the step's (q, d) block, drawn here when omitted.
     Returns (estimate, scalars of shape (q, p)).
     """
     if q < 1:
@@ -135,10 +152,10 @@ def grouped_zo_gradient(f, x, spec, q, partition, step, counter=None):
     if partition.d != d:
         raise InvalidArgumentError(f"partition is over {partition.d} coordinates, x has {d}")
     p = partition.p
+    directions = _step_block(spec, step, q, d, directions)
     acc = np.zeros(d)
     scalars = np.empty((q, p))
-    for i in range(q):
-        u = sample_direction(spec, ReplayCoordinate(step, i, 0), d)
+    for i, u in enumerate(directions):
         for j, idx in enumerate(partition.blocks):
             masked = np.zeros(d)
             masked[idx] = u[idx]
@@ -151,13 +168,14 @@ def grouped_zo_gradient(f, x, spec, q, partition, step, counter=None):
     return est, scalars
 
 
-def efficient_grouped_eval(chain, x, spec, q, step, counter=None):
+def efficient_grouped_eval(chain, x, spec, q, step, counter=None, directions=None):
     """Grouped estimator over a layered chain, reusing cached prefix activations.
 
     Perturbing block j leaves blocks 1..j-1 untouched, so their activations
     are computed once and each perturbed evaluation forwards only blocks
     j..p. Exactly p q (p+1) + p - 1 block forwards; the estimate matches
     grouped_zo_gradient on the same replay stream bit for bit.
+    directions is the step's (q, d) block, drawn here when omitted.
     Returns (estimate, scalars of shape (q, p), counter).
     """
     if q < 1:
@@ -172,14 +190,14 @@ def efficient_grouped_eval(chain, x, spec, q, step, counter=None):
         raise InvalidArgumentError(f"chain has {chain.d} parameters, x has {d}")
     p = chain.p
     epsilon = spec.epsilon
+    directions = _step_block(spec, step, q, d, directions)
 
     acts, forwarded = chain.forward_prefix(x, p - 1)
     counter.add_block(forwarded)
 
     acc = np.zeros(d)
     scalars = np.empty((q, p))
-    for i in range(q):
-        u = sample_direction(spec, ReplayCoordinate(step, i, 0), d)
+    for i, u in enumerate(directions):
         for j in range(1, p + 1):
             start, stop = chain.slices[j - 1]
             idx = np.arange(start, stop)

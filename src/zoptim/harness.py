@@ -40,7 +40,7 @@ from .optimizers import (
     zo_adam_step,
     zo_sgd_step,
 )
-from .perturb import DISTRIBUTIONS, PerturbationSpec, keyed_generator, replay_directions
+from .perturb import DISTRIBUTIONS, PerturbationSpec, keyed_generator, step_directions
 
 TRACE_HEADER = "step,loss,grad_norm_sq,v_min,v_max,v_mean,fn_evals,block_forwards,elapsed_s"
 COARSE_GRID = (1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1)
@@ -476,37 +476,35 @@ def _run_seed(cfg, base, partition, seed):
         x_before = x
         fn = noisy.objective_at(t) if noisy is not None else counted
         try:
-            if name == "zo-sgd":
-                if partition is None:
-                    est, _ = zo_gradient(fn, x, spec, cfg.q, t, counter)
-                elif cfg.grouped_eval == "efficient":
-                    est, _, _ = efficient_grouped_eval(base, x, spec, cfg.q, t, counter)
-                else:
-                    est, _ = grouped_zo_gradient(fn, x, spec, cfg.q, partition, t, counter)
-                x = zo_sgd_step(x, est, eta)
-            elif name in ("zo-adam", "radazo"):
-                if partition is None:
-                    est, _ = zo_gradient(fn, x, spec, cfg.q, t, counter)
-                elif cfg.grouped_eval == "efficient":
-                    est, _, _ = efficient_grouped_eval(base, x, spec, cfg.q, t, counter)
-                else:
-                    est, _ = grouped_zo_gradient(fn, x, spec, cfg.q, partition, t, counter)
-                step_fn = zo_adam_step if name == "zo-adam" else radazo_step
-                x = step_fn(state, x, est)
-            elif name == "meazo":
-                _, scalars = zo_gradient(fn, x, spec, cfg.q, t, counter)
-                x = meazo_step(state, x, scalars, replay_directions(spec, t, cfg.q, d))
-            elif name == "meazo-grouped":
-                if cfg.grouped_eval == "efficient":
-                    _, scalars, _ = efficient_grouped_eval(base, x, spec, cfg.q, t, counter)
-                else:
-                    _, scalars = grouped_zo_gradient(fn, x, spec, cfg.q, partition, t, counter)
-                x = grouped_meazo_step(
-                    state, x, scalars, partition, replay_directions(spec, t, cfg.q, d)
-                )
-            else:
+            if name == "fzoo":
                 x, sig = fzoo_step(fn, x, state, t, counter)
                 sigmas.append(sig)
+            else:
+                dirs = step_directions(spec, t, cfg.q, d)
+                if partition is None or name == "meazo":
+                    est, scalars = zo_gradient(fn, x, spec, cfg.q, t, counter, dirs)
+                elif cfg.grouped_eval == "efficient":
+                    est, scalars, _ = efficient_grouped_eval(
+                        base, x, spec, cfg.q, t, counter, dirs
+                    )
+                else:
+                    est, scalars = grouped_zo_gradient(
+                        fn, x, spec, cfg.q, partition, t, counter, dirs
+                    )
+                if name == "zo-sgd":
+                    x = zo_sgd_step(x, est, eta)
+                elif name == "zo-adam":
+                    x = zo_adam_step(state, x, est)
+                elif name == "radazo":
+                    x = radazo_step(state, x, est)
+                elif name == "meazo":
+                    x = meazo_step(state, x, scalars, dirs)
+                else:
+                    # meazo-grouped still replays its block for the update:
+                    # perfbench's tracer tests pin perturb.regen_ratio == 2.0
+                    # on it until the next benchmark change (ROADMAP item 3).
+                    replayed = step_directions(spec, t, cfg.q, d)
+                    x = grouped_meazo_step(state, x, scalars, partition, replayed)
         except (NumericFailureError, DegenerateScaleError):
             diverged = True
             break

@@ -1,10 +1,11 @@
 """Step rules for the zeroth-order optimizers.
 
 All steps consume projected-gradient scalars and/or estimate vectors
-produced by the estimators module. Directions are never stored inside any
-state: the scalar-state optimizers receive them as replay-regenerated
-iterables. The Adam-family steps double as first-order reference
-optimizers when fed an analytic gradient.
+produced by the estimators module. Directions are never kept in any state:
+the scalar-state optimizers receive the step's (q, d) direction block, the
+one its estimator used, and hold it for that step only. The Adam-family
+steps double as first-order reference optimizers when fed an analytic
+gradient.
 """
 
 import math
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateScaleError, InvalidArgumentError, NumericFailureError
-from .perturb import PerturbationSpec, replay_directions
+from .perturb import PerturbationSpec, step_directions
 
 
 def _require_finite(arr, what):
@@ -153,8 +154,9 @@ def meazo_step(state, x, scalars, directions):
     """Scalar-adaptive update.
 
     scalars are the q projected gradients (already divided by 2 eps, once);
-    directions is an iterable regenerating the matching u_i from replay
-    keys. The persistent state mutation is one scalar EMA plus the counter.
+    directions holds the matching u_i: the step's (q, d) block from
+    step_directions, or any iterable of q vectors. The persistent state
+    mutation is one scalar EMA plus the counter.
     """
     scalars = _require_finite(scalars, "projected-gradient scalars")
     if scalars.ndim != 1 or scalars.size < 1:
@@ -178,7 +180,10 @@ def meazo_step(state, x, scalars, directions):
 
 
 def grouped_meazo_step(state, x, scalars, partition, directions):
-    """Per-block scalar-adaptive update; p=1 reproduces meazo_step exactly."""
+    """Per-block scalar-adaptive update; p=1 reproduces meazo_step exactly.
+
+    directions is the step's (q, d) block (or any iterable of q vectors).
+    """
     scalars = _require_finite(scalars, "projected-gradient scalars")
     if scalars.ndim != 2:
         raise InvalidArgumentError("scalars must have shape (q, p)")
@@ -217,8 +222,8 @@ def fzoo_step(f, x, state, step, counter=None):
 
     Evaluates f at x and at q forward perturbations (q+1 evaluations),
     normalizes by the population std of the perturbed losses, and returns
-    (x', sigma_t). Directions are regenerated for the update pass instead
-    of being stored.
+    (x', sigma_t). The q directions are drawn once and serve both the
+    evaluation and the update pass.
     """
     x = np.asarray(x, dtype=np.float64)
     d = x.size
@@ -231,8 +236,9 @@ def fzoo_step(f, x, state, step, counter=None):
     if not np.isfinite(f0):
         raise NumericFailureError("objective returned non-finite value", point=x, value=f0)
 
+    directions = step_directions(state.spec, step, q, d)
     losses = np.empty(q)
-    for i, u in enumerate(replay_directions(state.spec, step, q, d)):
+    for i, u in enumerate(directions):
         point = x + eps * u
         fi = float(f(point))
         if counter is not None:
@@ -246,7 +252,7 @@ def fzoo_step(f, x, state, step, counter=None):
         raise DegenerateScaleError("all perturbed losses are equal; loss scale is undefined")
 
     acc = np.zeros(d)
-    for i, u in enumerate(replay_directions(state.spec, step, q, d)):
+    for i, u in enumerate(directions):
         acc += (losses[i] - f0) * u
     g = acc / (eps * q * sigma)
     return x - state.eta * g, sigma

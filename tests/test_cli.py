@@ -276,3 +276,33 @@ def test_out_of_domain_and_mistyped_fields_exit_two(tmp_path, over):
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("verify-bounds", bounds_cfg(d=8)),
+        ("verify-bounds", bounds_cfg(d="abc")),
+        ("verify-bounds", bounds_cfg(zosgd={"eta": "x", "T": 100})),
+        ("verify-bounds", bounds_cfg(meazo={"eta": 1e-4, "T": 0})),
+        ("verify-bounds", bounds_cfg(reduction={"d": 9})),
+        ("fig2", {"dims": [8], "max_steps": 5}),
+        ("fig2", {"dims": [4], "eta": "x", "max_steps": 5}),
+        ("fig2", {"dims": [4], "optimizers": ["sgd"], "max_steps": 5}),
+        ("fig2", {"dims": [4], "series": "false", "max_steps": 5}),
+        ("verify-moments", {"cases": [{"g": [1.0, 0.0], "q": "a", "n": 100}]}),
+        ("verify-moments", {"cases": [{"g": "abc", "n": 100}]}),
+        ("verify-moments", {"cases": [{"g": [1.0, 0.0], "q": 0, "n": 100}]}),
+    ],
+    ids=[
+        "bounds-nonsquare-d", "bounds-string-d", "bounds-string-eta", "bounds-zero-T",
+        "bounds-incomplete-reduction", "fig2-nonsquare-dims", "fig2-string-eta",
+        "fig2-unknown-optimizer", "fig2-string-series", "moments-string-q",
+        "moments-string-g", "moments-zero-q",
+    ],
+)
+def test_verification_configs_with_bad_fields_exit_two(tmp_path, command, payload):
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import zoptim.perturb
 from zoptim import (
     AdamState,
     DegenerateScaleError,
@@ -22,7 +23,7 @@ from zoptim import (
     make_block_quadratic,
     meazo_step,
     radazo_step,
-    replay_directions,
+    step_directions,
     zo_adam_step,
     zo_gradient,
     zo_sgd_step,
@@ -99,7 +100,7 @@ def test_scalar_adaptive_state_stays_one_scalar_for_any_dimension():
         x = np.full(quad.d, 0.1)
         for t in range(3):
             _, scalars = zo_gradient(quad.value, x, spec, 2, t)
-            x = meazo_step(state, x, scalars, replay_directions(spec, t, 2, quad.d))
+            x = meazo_step(state, x, scalars, step_directions(spec, t, 2, quad.d))
         assert isinstance(state.v, float)
 
 
@@ -131,11 +132,12 @@ def test_grouped_scalar_adaptive_with_one_block_is_bit_identical_to_ungrouped():
     x_plain = np.full(4, 0.2)
     x_grouped = x_plain.copy()
     for t in range(50):
-        _, s_plain = zo_gradient(quad.value, x_plain, spec, 2, t)
-        x_plain = meazo_step(plain, x_plain, s_plain, replay_directions(spec, t, 2, 4))
+        dirs = step_directions(spec, t, 2, 4)
+        _, s_plain = zo_gradient(quad.value, x_plain, spec, 2, t, None, dirs)
+        x_plain = meazo_step(plain, x_plain, s_plain, dirs)
         _, s_grouped = grouped_zo_gradient(quad.value, x_grouped, spec, 2, part, t)
         x_grouped = grouped_meazo_step(
-            grouped, x_grouped, s_grouped, part, replay_directions(spec, t, 2, 4)
+            grouped, x_grouped, s_grouped, part, step_directions(spec, t, 2, 4)
         )
         assert x_plain.tobytes() == x_grouped.tobytes()
     assert grouped.v[0] == plain.v
@@ -196,7 +198,7 @@ def test_forward_only_step_matches_hand_computation_on_affine():
     out, sigma = fzoo_step(f, x, state, step=6, counter=counter)
     assert counter.full_forward_calls == 4
 
-    dirs = list(replay_directions(spec, 6, 3, 2))
+    dirs = step_directions(spec, 6, 3, 2)
     losses = np.array([f(x + 1e-4 * u) for u in dirs])
     want_sigma = float(np.std(losses))
     assert sigma == pytest.approx(want_sigma, rel=1e-12)
@@ -216,3 +218,54 @@ def test_forward_only_step_raises_on_nonfinite_loss():
     state = FzooState(eta=0.1, spec=spec, q=2)
     with pytest.raises(NumericFailureError):
         fzoo_step(lambda x: float("inf"), np.zeros(2), state, step=0)
+
+
+@pytest.fixture
+def draw_count(monkeypatch):
+    """Counts sample_direction calls made through step_directions and the estimators."""
+    calls = []
+    original = zoptim.perturb.sample_direction
+
+    def counted(spec, coord, d):
+        calls.append((coord.step, coord.sample_index, coord.block_index))
+        return original(spec, coord, d)
+
+    monkeypatch.setattr(zoptim.perturb, "sample_direction", counted)
+    return calls
+
+
+def test_each_direction_is_drawn_once_per_step(draw_count):
+    quad = make_block_quadratic(9, regime="heterogeneous", seed=0)
+    spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-6, base_seed=3)
+    q, t = 3, 7
+    x = np.full(9, 0.1)
+    want = [(t, i, 0) for i in range(q)]
+
+    dirs = step_directions(spec, t, q, 9)
+    _, scalars = zo_gradient(quad.value, x, spec, q, t, None, dirs)
+    x_plain = meazo_step(MeazoState(eta=1e-3), x, scalars, dirs)
+    assert draw_count == want
+
+    draw_count.clear()
+    part = Partition(9, [np.arange(9)])
+    dirs = step_directions(spec, t, q, 9)
+    _, scalars = grouped_zo_gradient(quad.value, x, spec, q, part, t, None, dirs)
+    x_grouped = grouped_meazo_step(GroupedMeazoState(p=1, eta=1e-3), x, scalars, part, dirs)
+    assert draw_count == want
+    assert x_grouped.tobytes() == x_plain.tobytes()
+
+    draw_count.clear()
+    fzoo_step(quad.value, x, FzooState(eta=1e-3, spec=spec, q=q), t)
+    assert draw_count == want
+
+
+def test_a_given_direction_block_matches_the_self_drawn_one():
+    quad = make_block_quadratic(9, regime="heterogeneous", seed=0)
+    spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-6, base_seed=3)
+    x = np.full(9, 0.1)
+    est, scalars = zo_gradient(quad.value, x, spec, 3, 5)
+    est_b, scalars_b = zo_gradient(quad.value, x, spec, 3, 5, None, step_directions(spec, 5, 3, 9))
+    assert est.tobytes() == est_b.tobytes()
+    assert scalars.tobytes() == scalars_b.tobytes()
+    with pytest.raises(InvalidArgumentError):
+        zo_gradient(quad.value, x, spec, 3, 5, None, step_directions(spec, 5, 2, 9))

@@ -1,5 +1,8 @@
 """Replay-keyed direction sampling: determinism, laws, and validation."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,9 @@ from zoptim import (
     replay_directions,
     sample_direction,
     second_moment_scale,
+    step_directions,
 )
+from zoptim.perturb import _draw, _philox_key
 
 
 @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
@@ -126,3 +131,68 @@ def test_sample_direction_rejects_nonpositive_dimension():
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-6)
     with pytest.raises(InvalidArgumentError):
         sample_direction(spec, ReplayCoordinate(0), 0)
+
+
+@pytest.mark.parametrize("base_seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("step", [0, 1, 127, 128, 2**32 - 1])
+def test_bulk_philox_keys_equal_the_seed_sequence_keys(base_seed, step):
+    for sample_index in (0, 1, 9, 15, 16, 40, 1023, 1024, 5000):
+        for block_index in (0, 1, 2**32 - 1):
+            ss = np.random.SeedSequence(
+                entropy=base_seed, spawn_key=(step, sample_index, block_index)
+            )
+            want = ss.generate_state(2, np.uint64).tolist()
+            assert _philox_key(base_seed, step, sample_index, block_index) == want
+
+
+@pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+@pytest.mark.parametrize("d", [1, 9, 100])
+def test_sample_direction_equals_a_draw_from_the_keyed_generator(distribution, d):
+    spec = PerturbationSpec(distribution=distribution, epsilon=1e-6, base_seed=21)
+    before = [PerturbationSpec(distribution=dist, epsilon=1e-6, base_seed=21)
+              for dist in (RADEMACHER, GAUSSIAN)]
+    for step in (0, 5, 130):
+        for i in range(3):
+            # Earlier draws leave state in a reused generator (an odd-length
+            # Rademacher draw keeps half of a 64-bit output buffered); the next
+            # draw must still start from its coordinate's fresh stream.
+            for other in before:
+                sample_direction(other, ReplayCoordinate(step + 1, i, 0), 3)
+            got = sample_direction(spec, ReplayCoordinate(step, i, 0), d)
+            want = _draw(distribution, keyed_generator(21, step, i, 0), d)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_step_directions_rows_are_the_per_sample_draws():
+    spec = PerturbationSpec(distribution=UNIFORM, epsilon=1e-6, base_seed=9)
+    block = step_directions(spec, 300, 20, 7)
+    assert block.shape == (20, 7)
+    for i in range(20):
+        want = sample_direction(spec, ReplayCoordinate(300, i, 0), 7)
+        assert block[i].tobytes() == want.tobytes()
+    with pytest.raises(InvalidArgumentError):
+        step_directions(spec, 0, 0, 7)
+
+
+def test_threads_drawing_at_once_get_their_own_streams():
+    specs = [PerturbationSpec(distribution=dist, epsilon=1e-6, base_seed=seed)
+             for seed, dist in enumerate(DISTRIBUTIONS * 2)]
+    want = [[step_directions(spec, t, 3, 5).tobytes() for t in range(0, 600, 7)]
+            for spec in specs]
+    got = [None] * len(specs)
+
+    def work(k):
+        got[k] = [step_directions(specs[k], t, 3, 5).tobytes() for t in range(0, 600, 7)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(specs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
