@@ -29,7 +29,7 @@ def main():
     x = np.random.default_rng(0).standard_normal(chain.d) * 0.1
 
     efficient = EvalCounter()
-    est_eff, _, _ = efficient_grouped_eval(chain, x, spec, q, 0, efficient)
+    est_eff, _ = efficient_grouped_eval(chain, x, spec, q, 0, efficient)
 
     naive = EvalCounter()
     partition = Partition.from_ranges(chain.d, list(chain.slices))

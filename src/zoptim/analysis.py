@@ -12,23 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, PreconditionError
-from .estimators import zo_gradient
 from .objectives import (
     BlockQuadratic,
-    sample_noisy,
+    noise_for_run,
     smoothed_gradient,
     smoothed_value,
     smoothing_norm_moments,
 )
-from .optimizers import AdamState, MeazoState, meazo_step, zo_adam_step
-from .perturb import (
-    GAUSSIAN,
-    UNIFORM,
-    PerturbationSpec,
-    batch_directions,
-    keyed_generator,
-    step_directions,
-)
+from .optimizers import Method, zo_adam_step
+from .perturb import GAUSSIAN, UNIFORM, PerturbationSpec, batch_directions, keyed_generator
 
 _MC_BATCH = 32768
 
@@ -277,14 +269,10 @@ def _run_one(objective, grad, optimizer, d, eta, q, epsilon, distribution, beta1
              zeta, x0, threshold, max_steps, tail, seed):
     """Drive one optimizer until the loss threshold, recording v-hat spread."""
     spec = PerturbationSpec(distribution=distribution, epsilon=epsilon, base_seed=seed)
-    if optimizer == "fo-adam":
-        state = AdamState(dim=d, eta=eta, beta1=beta1, beta2=beta2, zeta=zeta)
-    elif optimizer == "zo-adam":
-        state = AdamState(dim=d, eta=eta, beta1=beta1, beta2=beta2, zeta=zeta)
-    elif optimizer == "meazo":
-        state = MeazoState(eta=eta, beta=beta2, zeta=zeta)
-    else:
-        raise InvalidArgumentError(f"unknown optimizer {optimizer!r}")
+    method = Method(optimizer, eta, spec, q, d, beta1=beta1, beta2=beta2, beta=beta2, zeta=zeta)
+    state = method.state
+    if not hasattr(state, "vhat"):
+        raise InvalidArgumentError(f"{optimizer} keeps no second moment to study")
 
     x = x0.copy()
     tail_spread = []
@@ -299,19 +287,10 @@ def _run_one(objective, grad, optimizer, d, eta, q, epsilon, distribution, beta1
         if optimizer == "fo-adam":
             x = zo_adam_step(state, x, gvec)
         else:
-            dirs = step_directions(spec, t, q, d)
-            est, scalars = zo_gradient(objective, x, spec, q, t, None, dirs)
-            if optimizer == "zo-adam":
-                x = zo_adam_step(state, x, est)
-            else:
-                x = meazo_step(state, x, scalars, dirs)
+            x = method.step(objective, x, t)
 
-        if optimizer == "meazo":
-            vhat = np.array([state.v / (1.0 - state.beta**state.t)])
-        else:
-            vhat = state.v / (1.0 - state.beta2**state.t)
-        metric = vt_collapse_metric(vhat, gns, q) if gns > 0 else {"spread": 0.0,
-                                                                   "theory_target_err": math.inf}
+        metric = vt_collapse_metric(state.vhat, gns, q) if gns > 0 else {
+            "spread": 0.0, "theory_target_err": math.inf}
         series["step"].append(t)
         series["loss"].append(loss)
         series["grad_norm_sq"].append(gns)
@@ -325,10 +304,6 @@ def _run_one(objective, grad, optimizer, d, eta, q, epsilon, distribution, beta1
             hit = t
             break
 
-    if optimizer == "meazo":
-        vhat_final = np.array([state.v / (1.0 - state.beta**max(state.t, 1))])
-    else:
-        vhat_final = state.v / (1.0 - state.beta2**max(state.t, 1))
     return {
         "optimizer": optimizer,
         "d": d,
@@ -336,7 +311,7 @@ def _run_one(objective, grad, optimizer, d, eta, q, epsilon, distribution, beta1
         "terminal_spread": float(np.mean(tail_spread)) if tail_spread else math.inf,
         "terminal_target_err": float(np.mean(tail_target)) if tail_target else math.inf,
         "final_loss": float(objective(x)),
-        "vhat_final": vhat_final,
+        "vhat_final": np.atleast_1d(state.vhat),
         "series": series,
     }
 
@@ -372,20 +347,9 @@ def bound_check_run(quad, optimizer, eta, q, epsilon, distribution, sigma, noise
                     x0, T, seed, beta=0.999, zeta=1.0, radius=None):
     """Run T steps and return the trajectory-average squared gradient norm
     of the noiseless objective, for comparison against a stationarity bound."""
-    d = quad.d
     spec = PerturbationSpec(distribution=distribution, epsilon=epsilon, base_seed=seed)
-    if sigma > 0:
-        xi_seed = int(np.random.SeedSequence(entropy=(noise_seed, seed)).generate_state(1)[0])
-        noisy = sample_noisy(quad, sigma, xi_seed)
-    else:
-        noisy = None
-
-    if optimizer == "meazo":
-        state = MeazoState(eta=eta, beta=beta, zeta=zeta)
-    elif optimizer == "zo-sgd":
-        state = None
-    else:
-        raise InvalidArgumentError(f"unknown optimizer {optimizer!r}")
+    method = Method(optimizer, eta, spec, q, quad.d, beta=beta, zeta=zeta)
+    noisy = noise_for_run(quad, sigma, noise_seed, seed)
 
     x = np.asarray(x0, dtype=np.float64).copy()
     total = 0.0
@@ -395,12 +359,7 @@ def bound_check_run(quad, optimizer, eta, q, epsilon, distribution, sigma, noise
         total += float(g @ g)
         max_norm = max(max_norm, float(np.linalg.norm(x)))
         fn = noisy.objective_at(t) if noisy is not None else quad.value
-        dirs = step_directions(spec, t, q, d)
-        est, scalars = zo_gradient(fn, x, spec, q, t, None, dirs)
-        if optimizer == "meazo":
-            x = meazo_step(state, x, scalars, dirs)
-        else:
-            x = x - eta * est
+        x = method.step(fn, x, t)
         if not np.all(np.isfinite(x)):
             return {"avg_grad_norm_sq": math.inf, "max_point_norm": math.inf, "diverged": True}
     out = {

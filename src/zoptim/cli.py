@@ -20,23 +20,7 @@ from .objectives import BlockQuadratic, equal_energy_point
 from .perturb import DISTRIBUTIONS
 
 
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-
-
 _REQUIRED = object()
-
-
-def _mapping(value, name):
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
-    return value
 
 
 def _field(raw, key, kind, default=_REQUIRED, where=""):
@@ -70,7 +54,7 @@ def _write_json(payload, out_dir, name):
 
 
 def cmd_run(args):
-    config = harness.ExperimentConfig.from_dict(_load_json(args.config))
+    config = harness.load_config(args.config)
     traces = harness.run(config)
     os.makedirs(args.out, exist_ok=True)
     for trace in traces:
@@ -83,7 +67,7 @@ def cmd_run(args):
 
 
 def _sweep(args):
-    config = harness.ExperimentConfig.from_dict(_load_json(args.config))
+    config = harness.load_config(args.config)
     sweep = harness.coarse_fine_sweep(config)
     os.makedirs(args.out, exist_ok=True)
     return config, sweep
@@ -123,7 +107,7 @@ def cmd_robustness(args):
 
 
 def cmd_verify_moments(args):
-    raw = _mapping(_load_json(args.config), "config")
+    raw = harness._section(harness._load_json(args.config), "config")
     unknown = set(raw) - {"cases"}
     if unknown:
         raise ConfigError(f"unknown verify-moments keys: {sorted(unknown)}")
@@ -134,7 +118,7 @@ def cmd_verify_moments(args):
     results = []
     ok = True
     for case in raw["cases"]:
-        _mapping(case, "moment case")
+        harness._section(case, "moment case")
         allowed = {"g", "q", "distribution", "n", "tol", "seed"}
         unknown = set(case) - allowed
         if unknown:
@@ -187,7 +171,7 @@ def _bound_side(raw, quad, key, label):
     radius = _field(raw, "radius", float)
     n_seeds = _field(raw, "seeds", int, 10)
     G = quad.smoothness * radius
-    side = _mapping(raw[key], key)
+    side = harness._section(raw[key], key)
     where = f"{key}."
     eta = _field(side, "eta", float, where=where)
     T = _field(side, "T", int, where=where)
@@ -232,7 +216,7 @@ def _bound_side(raw, quad, key, label):
 
 
 def cmd_verify_bounds(args):
-    raw = _mapping(_load_json(args.config), "config")
+    raw = harness._section(harness._load_json(args.config), "config")
     allowed = {
         "d", "regime", "quad_seed", "q", "epsilon", "distribution", "sigma",
         "noise_seed", "f0", "radius", "seeds", "meazo", "zosgd", "reduction",
@@ -257,7 +241,7 @@ def cmd_verify_bounds(args):
         _bound_side(raw, quad, "zosgd", "zo-sgd"),
     ]
 
-    red = _mapping(raw["reduction"], "reduction")
+    red = harness._section(raw["reduction"], "reduction")
     r = {
         k: _field(red, k, kind, where="reduction.")
         for k, kind in (("d", int), ("q", float), ("epsilon", float), ("L", float),
@@ -296,7 +280,7 @@ def cmd_verify_bounds(args):
 
 
 def cmd_fig2(args):
-    raw = _mapping(_load_json(args.config), "config")
+    raw = harness._section(harness._load_json(args.config), "config")
     allowed = {
         "dims", "optimizers", "eta", "q", "threshold", "max_steps", "x0_norm",
         "seed", "regime", "quad_seed", "tail", "epsilon", "beta1", "beta2",

@@ -176,7 +176,7 @@ def efficient_grouped_eval(chain, x, spec, q, step, counter=None, directions=Non
     j..p. Exactly p q (p+1) + p - 1 block forwards; the estimate matches
     grouped_zo_gradient on the same replay stream bit for bit.
     directions is the step's (q, d) block, drawn here when omitted.
-    Returns (estimate, scalars of shape (q, p), counter).
+    Returns (estimate, scalars of shape (q, p)).
     """
     if q < 1:
         raise InvalidArgumentError(f"q must be >= 1, got {q}")
@@ -218,4 +218,4 @@ def efficient_grouped_eval(chain, x, spec, q, step, counter=None, directions=Non
     est = acc / q
     if spec.distribution == UNIFORM:
         est = est * d
-    return est, scalars, counter
+    return est, scalars

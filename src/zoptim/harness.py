@@ -20,27 +20,10 @@ from .errors import (
     InvalidArgumentError,
     NumericFailureError,
 )
-from .estimators import (
-    EvalCounter,
-    Partition,
-    efficient_grouped_eval,
-    grouped_zo_gradient,
-    zo_gradient,
-)
-from .objectives import BlockQuadratic, LayeredChain, equal_energy_point, sample_noisy
-from .optimizers import (
-    AdamState,
-    FzooState,
-    GroupedMeazoState,
-    MeazoState,
-    fzoo_step,
-    grouped_meazo_step,
-    meazo_step,
-    radazo_step,
-    zo_adam_step,
-    zo_sgd_step,
-)
-from .perturb import DISTRIBUTIONS, PerturbationSpec, keyed_generator, step_directions
+from .estimators import EvalCounter, Partition
+from .objectives import BlockQuadratic, LayeredChain, equal_energy_point, noise_for_run
+from .optimizers import Method
+from .perturb import DISTRIBUTIONS, PerturbationSpec, keyed_generator
 
 TRACE_HEADER = "step,loss,grad_norm_sq,v_min,v_max,v_mean,fn_evals,block_forwards,elapsed_s"
 COARSE_GRID = (1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1)
@@ -56,14 +39,6 @@ _TOP_KEYS = {
 }
 _QUAD_KEYS = {"kind", "d", "regime", "seed", "sigma", "noise_seed"}
 _CHAIN_KEYS = {"kind", "p", "widths", "seed"}
-_OPT_KEYS = {
-    "zo-sgd": {"name", "eta"},
-    "zo-adam": {"name", "eta", "beta1", "beta2", "zeta"},
-    "radazo": {"name", "eta", "beta1", "beta2", "zeta"},
-    "meazo": {"name", "eta", "beta", "zeta"},
-    "meazo-grouped": {"name", "eta", "beta", "zeta"},
-    "fzoo": {"name", "eta"},
-}
 _X0_KEYS = {"mode", "scale", "norm", "f0"}
 
 
@@ -71,6 +46,13 @@ def _check_keys(d, allowed, where):
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def _section(value, name):
+    """A copy of a JSON object read from a config, or ConfigError."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return dict(value)
 
 
 def _coerce(value, kind, name):
@@ -122,14 +104,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a mapping")
-        _check_keys(raw, _TOP_KEYS, "config")
+        _check_keys(_section(raw, "config"), _TOP_KEYS, "config")
         for key in ("objective", "optimizer", "T"):
             if key not in raw:
                 raise ConfigError(f"config requires {key!r}")
 
-        obj = dict(raw["objective"])
+        obj = _section(raw["objective"], "objective")
         kind = obj.get("kind")
         if kind == "quadratic":
             _check_keys(obj, _QUAD_KEYS, "objective")
@@ -157,11 +137,12 @@ class ExperimentConfig:
         else:
             raise ConfigError(f"objective.kind must be 'quadratic' or 'chain', got {kind!r}")
 
-        opt = dict(raw["optimizer"])
-        name = opt.get("name")
+        opt = _section(raw["optimizer"], "optimizer")
+        name = opt.pop("name", None)
         if name not in OPTIMIZER_NAMES:
             raise ConfigError(f"optimizer.name must be one of {OPTIMIZER_NAMES}, got {name!r}")
-        _check_keys(opt, _OPT_KEYS[name], "optimizer")
+        _check_keys(opt, {"eta", *Method.hyperparameters(name)}, "optimizer")
+        opt = {"name": name, **{k: _coerce(v, float, f"optimizer.{k}") for k, v in opt.items()}}
 
         seeds = raw.get("seeds", 1)
         if isinstance(seeds, (list, tuple)):
@@ -174,7 +155,7 @@ class ExperimentConfig:
                 raise ConfigError(f"seeds must be >= 1, got {seeds}")
             seeds = tuple(range(seeds))
 
-        x0 = dict(raw.get("x0", {"mode": "gaussian", "scale": 0.1}))
+        x0 = _section(raw.get("x0", {"mode": "gaussian", "scale": 0.1}), "x0")
         _check_keys(x0, _X0_KEYS, "x0")
         mode = x0.get("mode", "gaussian")
         if mode == "gaussian":
@@ -190,6 +171,8 @@ class ExperimentConfig:
         for key in ("scale", "norm", "f0"):
             if key in x0:
                 x0[key] = _coerce(x0[key], float, f"x0.{key}")
+        if x0.get("f0", 0.0) < 0:
+            raise ConfigError(f"x0.f0 must be >= 0, got {x0['f0']}")
 
         grid = raw.get("coarse_grid")
         if grid:
@@ -242,9 +225,9 @@ class ExperimentConfig:
         name = self.optimizer["name"]
         if name == "meazo-grouped" and self.partition is None:
             raise ConfigError("meazo-grouped requires a partition")
+        if name in ("meazo", "fzoo") and self.partition is not None:
+            raise ConfigError(f"{name} does not support a partition")
         if name == "fzoo":
-            if self.partition is not None:
-                raise ConfigError("fzoo does not support a partition")
             if self.q < 2:
                 raise ConfigError(f"fzoo requires q >= 2, got {self.q}")
         if self.grouped_eval == "efficient":
@@ -270,13 +253,18 @@ class ExperimentConfig:
                 raise ConfigError("coarse_grid entries must be > 0")
 
 
+def _load_json(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+
+
 def load_config(path):
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    return ExperimentConfig.from_dict(raw)
+    return ExperimentConfig.from_dict(_load_json(path))
 
 
 def make_objective(obj):
@@ -351,82 +339,34 @@ class Trace:
     wall_time: float
 
 
-def _vhat_stats(state, name):
-    if name in ("zo-adam", "radazo"):
-        if state.t == 0:
-            return 0.0, 0.0, 0.0
-        vhat = state.v / (1.0 - state.beta2**state.t)
-        return float(vhat.min()), float(vhat.max()), float(vhat.mean())
-    if name == "meazo":
-        if state.t == 0:
-            return 0.0, 0.0, 0.0
-        vhat = state.v / (1.0 - state.beta**state.t)
+def _vhat_stats(state):
+    vhat = getattr(state, "vhat", None)
+    if vhat is None or state.t == 0:
+        return 0.0, 0.0, 0.0
+    if isinstance(vhat, float):
         return float(vhat), float(vhat), float(vhat)
-    if name == "meazo-grouped":
-        if state.t == 0:
-            return 0.0, 0.0, 0.0
-        vhat = state.v / (1.0 - state.beta**state.t)
-        return float(vhat.min()), float(vhat.max()), float(vhat.mean())
-    return 0.0, 0.0, 0.0
-
-
-def _make_state(cfg, spec, d, p):
-    opt = cfg.optimizer
-    name = opt["name"]
-    if "eta" not in opt:
-        raise ConfigError("optimizer.eta is required to run")
-    eta = _coerce(opt["eta"], float, "optimizer.eta")
-
-    def real(key, default):
-        return _coerce(opt.get(key, default), float, f"optimizer.{key}")
-
-    if name == "zo-sgd":
-        if not eta > 0:
-            raise ConfigError(f"eta must be > 0, got {eta}")
-        return None, eta
-    try:
-        if name in ("zo-adam", "radazo"):
-            state = AdamState(
-                dim=d,
-                eta=eta,
-                beta1=real("beta1", 0.9),
-                beta2=real("beta2", 0.999),
-                zeta=real("zeta", 1e-8),
-            )
-        elif name == "meazo":
-            state = MeazoState(eta=eta, beta=real("beta", 0.999), zeta=real("zeta", 1e-8))
-        elif name == "meazo-grouped":
-            state = GroupedMeazoState(
-                p=p, eta=eta, beta=real("beta", 0.999), zeta=real("zeta", 1e-8)
-            )
-        else:
-            state = FzooState(eta=eta, spec=spec, q=cfg.q)
-    except InvalidArgumentError as exc:
-        raise ConfigError(f"invalid optimizer: {exc}") from exc
-    return state, eta
+    return float(vhat.min()), float(vhat.max()), float(vhat.mean())
 
 
 def _run_seed(cfg, base, partition, seed):
-    name = cfg.optimizer["name"]
-    d = base.d
-    kind = cfg.objective["kind"]
     spec = PerturbationSpec(
         distribution=cfg.distribution, epsilon=cfg.epsilon, base_seed=seed
     )
     counter = EvalCounter()
-    state, eta = _make_state(cfg, spec, d, partition.p if partition is not None else 1)
+    opt = dict(cfg.optimizer)
+    if "eta" not in opt:
+        raise ConfigError("optimizer.eta is required to run")
+    chain = base if cfg.grouped_eval == "efficient" else None
+    try:
+        method = Method(opt.pop("name"), spec=spec, q=cfg.q, d=base.d, partition=partition,
+                        chain=chain, **opt)
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"invalid optimizer: {exc}") from exc
+    state = method.state
+    obj = cfg.objective
+    noisy = noise_for_run(base, obj.get("sigma", 0.0), obj.get("noise_seed", 0), seed)
 
-    sigma_noise = cfg.objective.get("sigma", 0.0) if kind == "quadratic" else 0.0
-    noisy = None
-    if sigma_noise > 0:
-        xi_seed = int(
-            np.random.SeedSequence(
-                entropy=(cfg.objective["noise_seed"], seed)
-            ).generate_state(1)[0]
-        )
-        noisy = sample_noisy(base, sigma_noise, xi_seed)
-
-    if kind == "chain":
+    if cfg.objective["kind"] == "chain":
         counted = chain_as_objective(base, counter)
     else:
         counted = base.value
@@ -447,7 +387,7 @@ def _run_seed(cfg, base, partition, seed):
     def record(t, loss, x_at):
         g = grad(x_at) if grad is not None else None
         gns = float(g @ g) if g is not None else 0.0
-        vmin, vmax, vmean = _vhat_stats(state, name)
+        vmin, vmax, vmean = _vhat_stats(state)
         cols["steps"].append(t)
         cols["losses"].append(loss)
         cols["gns"].append(gns)
@@ -476,38 +416,12 @@ def _run_seed(cfg, base, partition, seed):
         x_before = x
         fn = noisy.objective_at(t) if noisy is not None else counted
         try:
-            if name == "fzoo":
-                x, sig = fzoo_step(fn, x, state, t, counter)
-                sigmas.append(sig)
-            else:
-                dirs = step_directions(spec, t, cfg.q, d)
-                if partition is None or name == "meazo":
-                    est, scalars = zo_gradient(fn, x, spec, cfg.q, t, counter, dirs)
-                elif cfg.grouped_eval == "efficient":
-                    est, scalars, _ = efficient_grouped_eval(
-                        base, x, spec, cfg.q, t, counter, dirs
-                    )
-                else:
-                    est, scalars = grouped_zo_gradient(
-                        fn, x, spec, cfg.q, partition, t, counter, dirs
-                    )
-                if name == "zo-sgd":
-                    x = zo_sgd_step(x, est, eta)
-                elif name == "zo-adam":
-                    x = zo_adam_step(state, x, est)
-                elif name == "radazo":
-                    x = radazo_step(state, x, est)
-                elif name == "meazo":
-                    x = meazo_step(state, x, scalars, dirs)
-                else:
-                    # meazo-grouped still replays its block for the update:
-                    # perfbench's tracer tests pin perturb.regen_ratio == 2.0
-                    # on it until the next benchmark change (ROADMAP item 3).
-                    replayed = step_directions(spec, t, cfg.q, d)
-                    x = grouped_meazo_step(state, x, scalars, partition, replayed)
+            x = method.step(fn, x, t, counter)
         except (NumericFailureError, DegenerateScaleError):
             diverged = True
             break
+        if getattr(state, "sigma", None) is not None:
+            sigmas.append(state.sigma)
         if t % cfg.eval_every == 0:
             record(t, loss, x_before)
         t += 1
@@ -525,7 +439,7 @@ def _run_seed(cfg, base, partition, seed):
 
     return Trace(
         seed=seed,
-        eta=eta,
+        eta=state.eta,
         steps=cols["steps"],
         losses=cols["losses"],
         grad_norm_sq=cols["gns"],

@@ -198,6 +198,15 @@ def sample_noisy(base, sigma, xi_seed):
     return NoisySample(base, sigma, xi_seed)
 
 
+def noise_for_run(base, sigma, noise_seed, seed):
+    """Observation noise of the run with this seed, None when sigma is 0; runs
+    sharing noise_seed still draw their own streams, keyed by (noise_seed, seed)."""
+    if not sigma > 0:
+        return None
+    xi_seed = int(np.random.SeedSequence(entropy=(noise_seed, seed)).generate_state(1)[0])
+    return sample_noisy(base, sigma, xi_seed)
+
+
 @dataclass(frozen=True)
 class Prefix:
     """Cached activation feeding block ``block``; valid while x[:start] is unchanged."""

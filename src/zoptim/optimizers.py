@@ -1,4 +1,4 @@
-"""Step rules for the zeroth-order optimizers.
+"""Step rules for the zeroth-order optimizers, and the method table.
 
 All steps consume projected-gradient scalars and/or estimate vectors
 produced by the estimators module. Directions are never kept in any state:
@@ -6,14 +6,20 @@ the scalar-state optimizers receive the step's (q, d) direction block, the
 one its estimator used, and hold it for that step only. The Adam-family
 steps double as first-order reference optimizers when fed an analytic
 gradient.
+
+The methods differ only in the state they keep and in their update rule.
+Method is the one place that maps an optimizer name to both; the harness,
+the collapse study and the bound checks build their state and take their
+steps through it. A state with a second moment exposes it as ``vhat``.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DegenerateScaleError, InvalidArgumentError, NumericFailureError
+from .estimators import efficient_grouped_eval, grouped_zo_gradient, zo_gradient
 from .perturb import PerturbationSpec, step_directions
 
 
@@ -37,6 +43,17 @@ def _check_beta(beta, name="beta"):
 
 
 @dataclass
+class SgdState:
+    """Plain two-point SGD keeps no state beyond its step size."""
+
+    eta: float
+
+    def __post_init__(self):
+        if not self.eta > 0:
+            raise InvalidArgumentError(f"eta must be > 0, got {self.eta}")
+
+
+@dataclass
 class MeazoState:
     """Scalar second-moment state: one EMA scalar regardless of dimension."""
 
@@ -49,6 +66,11 @@ class MeazoState:
     def __post_init__(self):
         _check_hyper(self.eta, self.zeta)
         _check_beta(self.beta)
+
+    @property
+    def vhat(self):
+        """Bias-corrected second moment (the raw EMA divided by 1 - beta^t)."""
+        return self.v / (1.0 - self.beta ** max(self.t, 1))
 
 
 @dataclass
@@ -73,6 +95,11 @@ class GroupedMeazoState:
             self.v = np.asarray(self.v, dtype=np.float64)
             if self.v.shape != (self.p,):
                 raise InvalidArgumentError(f"v must have shape ({self.p},)")
+
+    @property
+    def vhat(self):
+        """Bias-corrected per-block second moments."""
+        return self.v / (1.0 - self.beta ** max(self.t, 1))
 
 
 @dataclass
@@ -100,6 +127,11 @@ class AdamState:
         if self.v is None:
             self.v = np.zeros(self.dim)
 
+    @property
+    def vhat(self):
+        """Bias-corrected per-coordinate second moments."""
+        return self.v / (1.0 - self.beta2 ** max(self.t, 1))
+
 
 @dataclass
 class FzooState:
@@ -108,6 +140,7 @@ class FzooState:
     eta: float
     spec: PerturbationSpec
     q: int
+    sigma: float = None  # the loss scale sigma_t of the latest step
 
     def __post_init__(self):
         if not self.eta > 0:
@@ -135,8 +168,7 @@ def zo_adam_step(state, x, estimate):
     state.v = state.beta2 * state.v + (1.0 - state.beta2) * estimate * estimate
     state.t += 1
     mhat = state.m / (1.0 - state.beta1**state.t)
-    vhat = state.v / (1.0 - state.beta2**state.t)
-    return np.asarray(x, dtype=np.float64) - state.eta * mhat / (np.sqrt(vhat) + state.zeta)
+    return np.asarray(x, dtype=np.float64) - state.eta * mhat / (np.sqrt(state.vhat) + state.zeta)
 
 
 def radazo_step(state, x, estimate):
@@ -146,8 +178,7 @@ def radazo_step(state, x, estimate):
     state.v = state.beta2 * state.v + (1.0 - state.beta2) * state.m * state.m
     state.t += 1
     mhat = state.m / (1.0 - state.beta1**state.t)
-    vhat = state.v / (1.0 - state.beta2**state.t)
-    return np.asarray(x, dtype=np.float64) - state.eta * mhat / (np.sqrt(vhat) + state.zeta)
+    return np.asarray(x, dtype=np.float64) - state.eta * mhat / (np.sqrt(state.vhat) + state.zeta)
 
 
 def meazo_step(state, x, scalars, directions):
@@ -165,7 +196,6 @@ def meazo_step(state, x, scalars, directions):
     g = float(scalars.mean())
     state.v = state.beta * state.v + (1.0 - state.beta) * g * g
     state.t += 1
-    vhat = state.v / (1.0 - state.beta**state.t)
 
     x = np.asarray(x, dtype=np.float64)
     upd = np.zeros_like(x)
@@ -176,7 +206,7 @@ def meazo_step(state, x, scalars, directions):
     if count != q:
         raise InvalidArgumentError(f"expected {q} directions, got {count}")
     upd /= q
-    return x - (state.eta / (math.sqrt(vhat) + state.zeta)) * upd
+    return x - (state.eta / (math.sqrt(state.vhat) + state.zeta)) * upd
 
 
 def grouped_meazo_step(state, x, scalars, partition, directions):
@@ -199,7 +229,7 @@ def grouped_meazo_step(state, x, scalars, partition, directions):
     g = scalars.mean(axis=0)
     state.v = state.beta * state.v + (1.0 - state.beta) * g * g
     state.t += 1
-    vhat = state.v / (1.0 - state.beta**state.t)
+    vhat = state.vhat
 
     upd = np.zeros((p, x.size))
     count = 0
@@ -256,3 +286,65 @@ def fzoo_step(f, x, state, step, counter=None):
         acc += (losses[i] - f0) * u
     g = acc / (eps * q * sigma)
     return x - state.eta * g, sigma
+
+
+# name -> (state class, update(method, x, t, estimate, scalars, directions)).
+# An update looks its step rule up when it runs, so a wrapper put on the
+# module's function is the one called. fo-adam steps on an analytic gradient
+# passed to zo_adam_step; fzoo_step estimates and updates in one.
+_METHODS = {
+    "zo-sgd": (SgdState, lambda m, x, t, est, s, u: zo_sgd_step(x, est, m.state.eta)),
+    "zo-adam": (AdamState, lambda m, x, t, est, s, u: zo_adam_step(m.state, x, est)),
+    "radazo": (AdamState, lambda m, x, t, est, s, u: radazo_step(m.state, x, est)),
+    "meazo": (MeazoState, lambda m, x, t, est, s, u: meazo_step(m.state, x, s, u)),
+    # Draws its block a second time for the update: the benchmark's tracer
+    # tests pin perturb.regen_ratio == 2.0 on it (ROADMAP item 3).
+    "meazo-grouped": (GroupedMeazoState, lambda m, x, t, est, s, u: grouped_meazo_step(
+        m.state, x, s, m.partition, step_directions(m.spec, t, m.q, m.d))),
+    "fzoo": (FzooState, None),
+    "fo-adam": (AdamState, None),
+}
+
+
+class Method:
+    """One optimizer by name: the state it keeps and the step it takes.
+
+    consts are hyper-parameters by state field name; the state takes those
+    it declares. With a partition the step uses the grouped estimator,
+    prefix-cached over chain when one is given, and the plain q-sample
+    estimator without one.
+    """
+
+    @staticmethod
+    def hyperparameters(name):
+        """The hyper-parameters besides eta that the named method's state takes."""
+        return {f.name for f in fields(_METHODS[name][0])} & {"beta1", "beta2", "beta", "zeta"}
+
+    def __init__(self, name, eta, spec, q, d=1, partition=None, chain=None, **consts):
+        if not isinstance(name, str) or name not in _METHODS:
+            raise InvalidArgumentError(f"unknown optimizer {name!r}")
+        cls, self._update = _METHODS[name]
+        if cls is GroupedMeazoState and partition is None:
+            raise InvalidArgumentError(f"{name} requires a partition")
+        args = {"eta": eta, "spec": spec, "q": q, "dim": d,
+                "p": partition.p if partition is not None else 1, **consts}
+        self.state = cls(**{f.name: args[f.name] for f in fields(cls) if f.name in args})
+        self.name, self.spec, self.q, self.d = name, spec, q, d
+        self.partition, self.chain = partition, chain
+
+    def step(self, f, x, t, counter=None):
+        """One step of f from x at step t; returns the next point."""
+        if self.name == "fzoo":
+            x, self.state.sigma = fzoo_step(f, x, self.state, t, counter)
+            return x
+        if self._update is None:
+            raise InvalidArgumentError(f"{self.name} steps on an analytic gradient, not on f")
+        spec, q = self.spec, self.q
+        dirs = step_directions(spec, t, q, self.d)
+        if self.partition is None:
+            est, scalars = zo_gradient(f, x, spec, q, t, counter, dirs)
+        elif self.chain is not None:
+            est, scalars = efficient_grouped_eval(self.chain, x, spec, q, t, counter, dirs)
+        else:
+            est, scalars = grouped_zo_gradient(f, x, spec, q, self.partition, t, counter, dirs)
+        return self._update(self, x, t, est, scalars, dirs)

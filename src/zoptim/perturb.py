@@ -262,10 +262,6 @@ def step_directions(spec, step, q, d):
     return out
 
 
-# Earlier name of step_directions, kept so existing callers keep working.
-replay_directions = step_directions
-
-
 def batch_directions(distribution, shape, d, rng):
     """Draw an array of directions of shape ``shape + (d,)`` from a sequential generator.
 

@@ -34,9 +34,9 @@ from zoptim import (
     meazo_bound,
     meazo_step,
     predicted_squared_moment,
-    replay_directions,
     robust_log_width,
     run,
+    step_directions,
     theorem_constants,
     write_trace_csv,
     zo_adam_step,
@@ -190,7 +190,7 @@ def test_prefix_caching_block_forward_counts():
     x = keyed_generator(0, 0xACC2).standard_normal(chain.d) * 0.1
 
     efficient = EvalCounter()
-    est_eff, _, _ = efficient_grouped_eval(chain, x, spec, 1, 0, efficient)
+    est_eff, _ = efficient_grouped_eval(chain, x, spec, 1, 0, efficient)
     assert efficient.block_forward_calls == 16 * 1 * 17 + 15 == 287
     assert efficient.full_forward_calls == 0
 
@@ -247,7 +247,7 @@ def test_scalar_and_coordinate_adaptive_agree_in_one_dimension():
         est, scalars = zo_gradient(quad.value, x_a, spec, 1, t)
         x_a = zo_adam_step(adam, x_a, est)
         _, scalars_m = zo_gradient(quad.value, x_m, spec, 1, t)
-        x_m = meazo_step(meazo, x_m, scalars_m, replay_directions(spec, t, 1, 1))
+        x_m = meazo_step(meazo, x_m, scalars_m, step_directions(spec, t, 1, 1))
         assert abs(x_m[0] - x_a[0]) <= 1e-12
 
 
@@ -315,7 +315,7 @@ def test_deterministic_traces_and_state_memory_shape(tmp_path):
         x = np.full(d, 0.1)
         for t in range(5):
             _, scalars = zo_gradient(quad.value, x, spec, 2, t)
-            x = meazo_step(state, x, scalars, replay_directions(spec, t, 2, d))
+            x = meazo_step(state, x, scalars, step_directions(spec, t, 2, d))
         assert isinstance(state.v, float)
         adam = AdamState(dim=d, eta=1e-3)
         assert adam.m.size + adam.v.size == 2 * d

@@ -269,6 +269,12 @@ def test_fig2_writes_rows_and_series(tmp_path):
         {"coarse_grid": ["a", "b"]},
         {"partition": [["a", 2], [2, 4]], "optimizer": {"name": "meazo-grouped", "eta": 1e-3}},
         {"objective": {"kind": "chain", "p": 2, "widths": "abc"}},
+        {"objective": "ab"},
+        {"optimizer": "ab"},
+        {"x0": "ab"},
+        {"x0": 5},
+        {"x0": {"mode": "equal_energy", "f0": -1.0}},
+        {"partition": [[0, 2], [2, 4]]},
     ],
 )
 def test_out_of_domain_and_mistyped_fields_exit_two(tmp_path, over):
@@ -285,10 +291,12 @@ def test_out_of_domain_and_mistyped_fields_exit_two(tmp_path, over):
         ("verify-bounds", bounds_cfg(d="abc")),
         ("verify-bounds", bounds_cfg(zosgd={"eta": "x", "T": 100})),
         ("verify-bounds", bounds_cfg(meazo={"eta": 1e-4, "T": 0})),
+        ("verify-bounds", bounds_cfg(zosgd={"eta": 0.0, "T": 100})),
         ("verify-bounds", bounds_cfg(reduction={"d": 9})),
         ("fig2", {"dims": [8], "max_steps": 5}),
         ("fig2", {"dims": [4], "eta": "x", "max_steps": 5}),
         ("fig2", {"dims": [4], "optimizers": ["sgd"], "max_steps": 5}),
+        ("fig2", {"dims": [4], "optimizers": [[1]], "max_steps": 5}),
         ("fig2", {"dims": [4], "series": "false", "max_steps": 5}),
         ("verify-moments", {"cases": [{"g": [1.0, 0.0], "q": "a", "n": 100}]}),
         ("verify-moments", {"cases": [{"g": "abc", "n": 100}]}),
@@ -296,9 +304,9 @@ def test_out_of_domain_and_mistyped_fields_exit_two(tmp_path, over):
     ],
     ids=[
         "bounds-nonsquare-d", "bounds-string-d", "bounds-string-eta", "bounds-zero-T",
-        "bounds-incomplete-reduction", "fig2-nonsquare-dims", "fig2-string-eta",
-        "fig2-unknown-optimizer", "fig2-string-series", "moments-string-q",
-        "moments-string-g", "moments-zero-q",
+        "bounds-zero-eta", "bounds-incomplete-reduction", "fig2-nonsquare-dims",
+        "fig2-string-eta", "fig2-unknown-optimizer", "fig2-list-optimizer",
+        "fig2-string-series", "moments-string-q", "moments-string-g", "moments-zero-q",
     ],
 )
 def test_verification_configs_with_bad_fields_exit_two(tmp_path, command, payload):
@@ -306,3 +314,55 @@ def test_verification_configs_with_bad_fields_exit_two(tmp_path, command, payloa
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+CONTRACT_POOL = (None, True, "x", -1, 0, 0.5, 1.5, [], {}, [1])
+CONTRACT_BASE = {
+    "objective": {
+        "kind": "quadratic", "d": 4, "regime": "heterogeneous", "seed": 0,
+        "sigma": 0.1, "noise_seed": 0,
+    },
+    "optimizer": {"name": "meazo-grouped", "eta": 1e-3, "beta": 0.999, "zeta": 1e-8},
+    "partition": [[0, 2], [2, 4]],
+    "T": 3,
+    "q": 2,
+    "epsilon": 1e-6,
+    "distribution": "gaussian",
+    "seeds": [0],
+    "eval_every": 1,
+    "threshold": 1e-3,
+    "stop_at_threshold": False,
+    "x0": {"mode": "gaussian", "scale": 0.1},
+    "wall_clock": False,
+    "grouped_eval": "naive",
+    "metric": "final",
+    "coarse_grid": [1e-3, 1e-2],
+}
+
+
+def contract_fields(raw, path=()):
+    """Every key path of a config, nested sections included."""
+    for key, value in raw.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from contract_fields(value, path + (key,))
+
+
+def test_every_field_set_to_every_pool_value_exits_with_a_contract_code(tmp_path):
+    # Exit codes: 0 success, 2 bad config, 3 numeric failure, 4 every run
+    # diverged; a traceback escaping main would fail the test.
+    base = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    seen = set()
+    for path in contract_fields(CONTRACT_BASE):
+        for value in CONTRACT_POOL:
+            raw = json.loads(json.dumps(CONTRACT_BASE))
+            section = raw
+            for key in path[:-1]:
+                section = section[key]
+            section[path[-1]] = value
+            base.write_text(json.dumps(raw))
+            code = main(["run", "--config", str(base), "--out", str(out / str(len(seen)))])
+            assert code in (0, 2, 3, 4), (path, value, code)
+            seen.add(code)
+    assert {0, 2} <= seen

@@ -176,7 +176,7 @@ def test_efficient_grouped_eval_matches_naive_grouped_bitwise():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(chain.d) * 0.3
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-5, base_seed=9)
-    eff_est, eff_scalars, _ = efficient_grouped_eval(chain, x, spec, 2, step=7)
+    eff_est, eff_scalars = efficient_grouped_eval(chain, x, spec, 2, step=7)
     naive_est, naive_scalars = grouped_zo_gradient(chain.value, x, spec, 2, part, step=7)
     assert eff_est.tobytes() == naive_est.tobytes()
     assert eff_scalars.tobytes() == naive_scalars.tobytes()
@@ -187,7 +187,8 @@ def test_efficient_grouped_eval_block_forward_count_formula():
     chain = make_chain(p, 2, seed=4)
     x = np.zeros(chain.d)
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-5, base_seed=9)
-    _, _, counter = efficient_grouped_eval(chain, x, spec, q, step=0)
+    counter = EvalCounter()
+    efficient_grouped_eval(chain, x, spec, q, step=0, counter=counter)
     assert counter.block_forward_calls == p * q * (p + 1) + p - 1
     assert counter.full_forward_calls == 0
 

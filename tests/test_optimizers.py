@@ -14,9 +14,11 @@ from zoptim import (
     GroupedMeazoState,
     InvalidArgumentError,
     MeazoState,
+    Method,
     NumericFailureError,
     Partition,
     PerturbationSpec,
+    SgdState,
     fzoo_step,
     grouped_meazo_step,
     grouped_zo_gradient,
@@ -269,3 +271,39 @@ def test_a_given_direction_block_matches_the_self_drawn_one():
     assert scalars.tobytes() == scalars_b.tobytes()
     with pytest.raises(InvalidArgumentError):
         zo_gradient(quad.value, x, spec, 3, 5, None, step_directions(spec, 5, 2, 9))
+
+
+def test_method_steps_as_its_estimator_and_rule_do_by_hand(draw_count):
+    quad = make_block_quadratic(9, regime="heterogeneous", seed=0)
+    spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-6, base_seed=3)
+    q, t = 3, 7
+    x = np.full(9, 0.1)
+    method = Method("meazo", 1e-3, spec, q, 9, beta=0.9, beta1=0.5)
+    got = method.step(quad.value, x, t)
+    assert draw_count == [(t, i, 0) for i in range(q)]
+
+    dirs = step_directions(spec, t, q, 9)
+    _, scalars = zo_gradient(quad.value, x, spec, q, t, None, dirs)
+    state = MeazoState(eta=1e-3, beta=0.9)
+    assert got.tobytes() == meazo_step(state, x, scalars, dirs).tobytes()
+    assert method.state == state
+    assert method.state.vhat == state.v / (1.0 - 0.9)
+
+
+def test_method_builds_each_state_and_rejects_what_it_cannot_step():
+    spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-4, base_seed=0)
+    part = Partition.contiguous(4, 2)
+    assert Method("zo-sgd", 0.1, spec, 2, 4, beta=0.5).state == SgdState(eta=0.1)
+    assert Method("radazo", 0.1, spec, 2, 4, beta2=0.9).state.v.shape == (4,)
+    assert Method("meazo-grouped", 0.1, spec, 2, 4, part).state.v.shape == (2,)
+    fzoo = Method("fzoo", 0.1, spec, 2, 4)
+    assert fzoo.state.sigma is None
+    fzoo.step(lambda x: float(x @ x), np.ones(4), 0)
+    assert fzoo.state.sigma > 0
+    for name in ("sgd", "meazo-grouped"):
+        with pytest.raises(InvalidArgumentError):
+            Method(name, 0.1, spec, 2, 4)
+    with pytest.raises(InvalidArgumentError):
+        Method("zo-sgd", 0.0, spec, 2, 4)
+    with pytest.raises(InvalidArgumentError):
+        Method("fo-adam", 0.1, spec, 2, 4).step(lambda x: 0.0, np.zeros(4), 0)

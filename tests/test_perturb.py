@@ -17,7 +17,6 @@ from zoptim import (
     ReplayCoordinate,
     batch_directions,
     keyed_generator,
-    replay_directions,
     sample_direction,
     second_moment_scale,
     step_directions,
@@ -86,7 +85,7 @@ def test_empirical_coordinate_second_moment_matches_scale(distribution):
 
 def test_replay_directions_regenerates_the_per_sample_draws():
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-6, base_seed=9)
-    got = list(replay_directions(spec, step=4, q=3, d=5))
+    got = list(step_directions(spec, step=4, q=3, d=5))
     want = [sample_direction(spec, ReplayCoordinate(4, i, 0), 5) for i in range(3)]
     assert len(got) == 3
     for g, w in zip(got, want):
