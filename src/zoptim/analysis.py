@@ -238,8 +238,10 @@ def meazo_bound(constants, f0_minus_fstar, eta, T, epsilon, L):
 
 def zosgd_bound(d, q, epsilon, L, sigma, eta, T, f0_minus_fstar):
     """Bound on the average squared gradient norm for plain two-point SGD."""
-    if T < 1:
-        raise InvalidArgumentError(f"T must be >= 1, got {T}")
+    if T < 1 or d < 1:
+        raise InvalidArgumentError(f"T and d must be >= 1, got T={T}, d={d}")
+    if not (q > 0 and L > 0 and eta > 0):
+        raise InvalidArgumentError(f"q, L and eta must be > 0, got q={q}, L={L}, eta={eta}")
     sigma1_sq = (4.0 * d - 1.0) / q
     if not eta < 2.0 / ((1.0 + sigma1_sq) * L):
         raise PreconditionError(
@@ -258,6 +260,8 @@ def classical_sgd_bound(L, sigma, eta, T, f0_minus_fstar):
     approach as q grows and epsilon shrinks."""
     if T < 1:
         raise InvalidArgumentError(f"T must be >= 1, got {T}")
+    if not (L > 0 and eta > 0):
+        raise InvalidArgumentError(f"L and eta must be > 0, got L={L}, eta={eta}")
     if not eta < 2.0 / L:
         raise PreconditionError(f"eta must be below 2/L = {2.0 / L}")
     return f0_minus_fstar / (eta * T * (1.0 - L * eta / 2.0)) + L * eta * sigma**2 / (

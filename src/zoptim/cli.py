@@ -16,33 +16,9 @@ import numpy as np
 
 from . import analysis, harness
 from .errors import ConfigError, InvalidArgumentError, PreconditionError, ZoptimError
-from .objectives import BlockQuadratic, equal_energy_point
+from .harness import OMIT, REQUIRED, SEED, load_json, read_fields
+from .objectives import REGIMES, BlockQuadratic, equal_energy_point
 from .perturb import DISTRIBUTIONS
-
-
-_REQUIRED = object()
-
-
-def _field(raw, key, kind, default=_REQUIRED, where=""):
-    """raw[key] read as kind (int, float, bool or harness._seed), or ConfigError.
-
-    Fields are checked as in the experiment config; a missing field takes
-    default, or is an error when there is none.
-    """
-    name = f"{where}{key}"
-    if key not in raw:
-        if default is _REQUIRED:
-            raise ConfigError(f"config requires {name!r}")
-        return default
-    if kind is harness._seed:
-        return harness._seed(raw[key], name)
-    return harness._coerce(raw[key], kind, name)
-
-
-def _numbers(value, kind, name):
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a list, got {value!r}")
-    return [harness._coerce(v, kind, f"{name} entry") for v in value]
 
 
 def _write_json(payload, out_dir, name):
@@ -106,49 +82,39 @@ def cmd_robustness(args):
     return 0
 
 
+_MOMENT_CASE_FIELDS = {
+    "g": ([float], REQUIRED), "q": (int, 1), "distribution": (DISTRIBUTIONS, "gaussian"),
+    "n": (int, 200_000), "tol": (float, 0.05), "seed": (SEED, 0),
+}
+
+
 def cmd_verify_moments(args):
-    raw = harness._section(harness._load_json(args.config), "config")
-    unknown = set(raw) - {"cases"}
-    if unknown:
-        raise ConfigError(f"unknown verify-moments keys: {sorted(unknown)}")
-    if "cases" not in raw or not raw["cases"]:
+    cases = read_fields(load_json(args.config), {"cases": ([object], REQUIRED)}, "config")["cases"]
+    if not cases:
         raise ConfigError("verify-moments config requires a non-empty 'cases' list")
-    if not isinstance(raw["cases"], list):
-        raise ConfigError("verify-moments 'cases' must be a list")
     results = []
     ok = True
-    for case in raw["cases"]:
-        harness._section(case, "moment case")
-        allowed = {"g", "q", "distribution", "n", "tol", "seed"}
-        unknown = set(case) - allowed
-        if unknown:
-            raise ConfigError(f"unknown moment-case keys: {sorted(unknown)}")
-        if "g" not in case:
-            raise ConfigError("each moment case requires g")
-        g = _numbers(case["g"], float, "g")
-        dist = case.get("distribution", "gaussian")
-        if dist not in DISTRIBUTIONS:
-            raise ConfigError(f"distribution must be one of {DISTRIBUTIONS}, got {dist!r}")
-        q = _field(case, "q", int, 1)
-        n = _field(case, "n", int, 200_000)
-        seed = _field(case, "seed", harness._seed, 0)
-        tol = _field(case, "tol", float, 0.05)
+    for i, case in enumerate(cases):
+        case = read_fields(case, _MOMENT_CASE_FIELDS, f"cases[{i}]")
         try:
-            report = analysis.moment_report(np.asarray(g), q, dist, n, seed=seed)
+            report = analysis.moment_report(
+                np.asarray(case["g"]), case["q"], case["distribution"], case["n"],
+                seed=case["seed"],
+            )
         except InvalidArgumentError as exc:
             raise ConfigError(f"invalid moment case: {exc}") from exc
-        passed = report.max_rel_err <= tol
+        passed = report.max_rel_err <= case["tol"]
         ok = ok and passed
         results.append(
             {
-                "g": g,
-                "q": q,
-                "distribution": dist,
+                "g": case["g"],
+                "q": case["q"],
+                "distribution": case["distribution"],
                 "n": report.n_trials,
                 "predicted": report.predicted.tolist(),
                 "empirical": report.empirical.tolist(),
                 "max_rel_err": report.max_rel_err,
-                "tol": tol,
+                "tol": case["tol"],
                 "pass": passed,
             }
         )
@@ -160,23 +126,29 @@ def cmd_verify_moments(args):
     return 0
 
 
-def _bound_side(raw, quad, key, label):
-    d = quad.d
-    q = _field(raw, "q", int, 10)
-    epsilon = _field(raw, "epsilon", float, 1e-6)
-    distribution = raw.get("distribution", "gaussian")
-    sigma = _field(raw, "sigma", float, 0.0)
-    noise_seed = _field(raw, "noise_seed", harness._seed, 0)
-    f0 = _field(raw, "f0", float)
-    radius = _field(raw, "radius", float)
-    n_seeds = _field(raw, "seeds", int, 10)
+_BOUNDS_FIELDS = {
+    "d": (int, REQUIRED), "regime": (REGIMES, "heterogeneous"), "quad_seed": (SEED, 0),
+    "q": (int, 10), "epsilon": (float, 1e-6), "distribution": (DISTRIBUTIONS, "gaussian"),
+    "sigma": (float, 0.0), "noise_seed": (SEED, 0), "f0": (float, REQUIRED),
+    "radius": (float, REQUIRED), "seeds": (int, 10), "meazo": (object, REQUIRED),
+    "zosgd": (object, REQUIRED), "reduction": (object, REQUIRED),
+}
+_BOUND_SIDE_FIELDS = {
+    "eta": (float, REQUIRED), "T": (int, REQUIRED), "beta": (float, 0.999), "zeta": (float, 1.0),
+}
+_REDUCTION_FIELDS = {
+    "d": (int, REQUIRED), "q": (float, REQUIRED), "epsilon": (float, REQUIRED),
+    "L": (float, REQUIRED), "sigma": (float, REQUIRED), "eta": (float, REQUIRED),
+    "T": (int, REQUIRED), "f0": (float, REQUIRED), "tol": (float, 1e-6),
+}
+
+
+def _bound_side(cfg, quad, key, label):
+    side = read_fields(cfg[key], _BOUND_SIDE_FIELDS, key)
+    eta, T, beta, zeta = side["eta"], side["T"], side["beta"], side["zeta"]
+    d, q, epsilon, sigma = quad.d, cfg["q"], cfg["epsilon"], cfg["sigma"]
+    f0, radius, n_seeds = cfg["f0"], cfg["radius"], cfg["seeds"]
     G = quad.smoothness * radius
-    side = harness._section(raw[key], key)
-    where = f"{key}."
-    eta = _field(side, "eta", float, where=where)
-    T = _field(side, "T", int, where=where)
-    beta = _field(side, "beta", float, 0.999, where=where)
-    zeta = _field(side, "zeta", float, 1.0, where=where)
     if T < 1 or n_seeds < 1:
         raise ConfigError(f"{key}.T and seeds must be >= 1, got T={T}, seeds={n_seeds}")
 
@@ -186,8 +158,8 @@ def _bound_side(raw, quad, key, label):
             x0 = equal_energy_point(quad, f0, seed)
             runs.append(
                 analysis.bound_check_run(
-                    quad, label, eta, q, epsilon, distribution, sigma, noise_seed,
-                    x0, T, seed, beta=beta, zeta=zeta, radius=radius,
+                    quad, label, eta, q, epsilon, cfg["distribution"], sigma,
+                    cfg["noise_seed"], x0, T, seed, beta=beta, zeta=zeta, radius=radius,
                 )
             )
         if label == "meazo":
@@ -216,37 +188,18 @@ def _bound_side(raw, quad, key, label):
 
 
 def cmd_verify_bounds(args):
-    raw = harness._section(harness._load_json(args.config), "config")
-    allowed = {
-        "d", "regime", "quad_seed", "q", "epsilon", "distribution", "sigma",
-        "noise_seed", "f0", "radius", "seeds", "meazo", "zosgd", "reduction",
-    }
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown verify-bounds keys: {sorted(unknown)}")
-    for key in ("d", "f0", "radius", "meazo", "zosgd", "reduction"):
-        if key not in raw:
-            raise ConfigError(f"verify-bounds config requires {key!r}")
+    cfg = read_fields(load_json(args.config), _BOUNDS_FIELDS, "config")
     try:
-        quad = BlockQuadratic(
-            d=_field(raw, "d", int),
-            regime=raw.get("regime", "heterogeneous"),
-            seed=_field(raw, "quad_seed", harness._seed, 0),
-        )
+        quad = BlockQuadratic(d=cfg["d"], regime=cfg["regime"], seed=cfg["quad_seed"])
     except InvalidArgumentError as exc:
         raise ConfigError(f"invalid quadratic: {exc}") from exc
 
     sides = [
-        _bound_side(raw, quad, "meazo", "meazo"),
-        _bound_side(raw, quad, "zosgd", "zo-sgd"),
+        _bound_side(cfg, quad, "meazo", "meazo"),
+        _bound_side(cfg, quad, "zosgd", "zo-sgd"),
     ]
 
-    red = harness._section(raw["reduction"], "reduction")
-    r = {
-        k: _field(red, k, kind, where="reduction.")
-        for k, kind in (("d", int), ("q", float), ("epsilon", float), ("L", float),
-                        ("sigma", float), ("eta", float), ("T", int), ("f0", float))
-    }
+    r = read_fields(cfg["reduction"], _REDUCTION_FIELDS, "reduction")
     try:
         zb = analysis.zosgd_bound(
             r["d"], r["q"], r["epsilon"], r["L"], r["sigma"], r["eta"], r["T"], r["f0"]
@@ -255,7 +208,7 @@ def cmd_verify_bounds(args):
     except InvalidArgumentError as exc:
         raise ConfigError(f"invalid reduction setup: {exc}") from exc
     rel = abs(zb - cb) / cb if cb else math.inf
-    red_pass = rel <= _field(red, "tol", float, 1e-6, where="reduction.")
+    red_pass = rel <= r["tol"]
     ok = red_pass and all(s["pass"] for s in sides)
 
     os.makedirs(args.out, exist_ok=True)
@@ -279,40 +232,23 @@ def cmd_verify_bounds(args):
     return 0
 
 
+# Every key but series is a collapse_study argument; an absent one takes
+# collapse_study's default.
+_FIG2_FIELDS = {
+    "dims": ([int], OMIT), "optimizers": ([object], OMIT), "eta": (float, OMIT),
+    "q": (int, OMIT), "threshold": (float, OMIT), "beta1": (float, OMIT),
+    "beta2": (float, OMIT), "zeta": (float, OMIT), "epsilon": (float, OMIT),
+    "distribution": (DISTRIBUTIONS, OMIT), "x0_norm": (float, OMIT), "seed": (SEED, OMIT),
+    "max_steps": (int, OMIT), "tail": (int, OMIT), "regime": (REGIMES, OMIT),
+    "quad_seed": (SEED, OMIT), "series": (bool, False),
+}
+
+
 def cmd_fig2(args):
-    raw = harness._section(harness._load_json(args.config), "config")
-    allowed = {
-        "dims", "optimizers", "eta", "q", "threshold", "max_steps", "x0_norm",
-        "seed", "regime", "quad_seed", "tail", "epsilon", "beta1", "beta2",
-        "zeta", "distribution", "series",
-    }
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown fig2 keys: {sorted(unknown)}")
-    dims = raw.get("dims", [9, 25, 49, 100, 1024])
-    optimizers = raw.get("optimizers", ["fo-adam", "zo-adam", "meazo"])
-    if not isinstance(optimizers, list):
-        raise ConfigError(f"optimizers must be a list, got {optimizers!r}")
-    series = _field(raw, "series", bool, False)
+    study = read_fields(load_json(args.config), _FIG2_FIELDS, "config")
+    series = study.pop("series")
     try:
-        results = analysis.collapse_study(
-            dims=tuple(_numbers(dims, int, "dims")),
-            optimizers=tuple(optimizers),
-            eta=_field(raw, "eta", float, 1e-4),
-            q=_field(raw, "q", int, 10),
-            threshold=_field(raw, "threshold", float, 1e-3),
-            beta1=_field(raw, "beta1", float, 0.9),
-            beta2=_field(raw, "beta2", float, 0.999),
-            zeta=_field(raw, "zeta", float, 1e-8),
-            epsilon=_field(raw, "epsilon", float, 1e-6),
-            distribution=raw.get("distribution", "gaussian"),
-            x0_norm=_field(raw, "x0_norm", float, 0.3),
-            seed=_field(raw, "seed", harness._seed, 0),
-            max_steps=_field(raw, "max_steps", int, 200_000),
-            tail=_field(raw, "tail", int, 100),
-            regime=raw.get("regime", "heterogeneous"),
-            quad_seed=_field(raw, "quad_seed", harness._seed, 0),
-        )
+        results = analysis.collapse_study(**study)
     except InvalidArgumentError as exc:
         raise ConfigError(f"invalid collapse study: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)

@@ -38,6 +38,9 @@ class Partition:
             raise InvalidArgumentError("blocks must be disjoint and cover every coordinate exactly once")
         self.d = d
         self.blocks = tuple(clean)
+        self.block_of = np.empty(d, dtype=np.intp)  # the block of each coordinate
+        for j, idx in enumerate(clean):
+            self.block_of[idx] = j
 
     @property
     def p(self):
@@ -45,8 +48,16 @@ class Partition:
 
     @classmethod
     def from_ranges(cls, d, ranges):
-        """Partition from half-open [start, stop) index ranges."""
-        return cls(d, [np.arange(int(a), int(b)) for a, b in ranges])
+        """Partition from half-open [start, stop) index ranges within [0, d)."""
+        blocks = []
+        for a, b in ranges:
+            a, b = int(a), int(b)
+            if not 0 <= a < b <= d:
+                raise InvalidArgumentError(
+                    f"range [{a}, {b}) must satisfy 0 <= start < stop <= {d}"
+                )
+            blocks.append(np.arange(a, b))
+        return cls(d, blocks)
 
     @classmethod
     def contiguous(cls, d, p):

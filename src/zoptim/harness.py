@@ -10,7 +10,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,46 +21,37 @@ from .errors import (
     NumericFailureError,
 )
 from .estimators import EvalCounter, Partition
-from .objectives import BlockQuadratic, LayeredChain, equal_energy_point, noise_for_run
+from .objectives import REGIMES, BlockQuadratic, LayeredChain, equal_energy_point, noise_for_run
 from .optimizers import Method
 from .perturb import DISTRIBUTIONS, PerturbationSpec, keyed_generator
 
 TRACE_HEADER = "step,loss,grad_norm_sq,v_min,v_max,v_mean,fn_evals,block_forwards,elapsed_s"
 COARSE_GRID = (1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1)
 DIVERGENCE_FACTOR = 1e6
-OPTIMIZER_NAMES = ("zo-sgd", "zo-adam", "radazo", "meazo", "meazo-grouped", "fzoo")
 
 _X0_TAG = 0x0A0
 
-_TOP_KEYS = {
-    "objective", "optimizer", "T", "q", "epsilon", "distribution", "partition",
-    "seeds", "eval_every", "threshold", "stop_at_threshold", "x0", "wall_clock",
-    "grouped_eval", "metric", "coarse_grid",
-}
-_QUAD_KEYS = {"kind", "d", "regime", "seed", "sigma", "noise_seed"}
-_CHAIN_KEYS = {"kind", "p", "widths", "seed"}
-_X0_KEYS = {"mode", "scale", "norm", "f0"}
+REQUIRED = object()  # field default: the key must be present
+OMIT = object()  # field default: an absent key is left out of what is read
+SEED = "seed"  # field kind: an integer in [0, 2**64)
 
 
-def _check_keys(d, allowed, where):
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-
-
-def _section(value, name):
-    """A copy of a JSON object read from a config, or ConfigError."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
-    return dict(value)
-
-
-def _coerce(value, kind, name):
-    """A JSON value as kind (int, float or bool), or ConfigError.
+def _read(value, kind, name):
+    """A JSON value read as kind (see read_fields), or ConfigError.
 
     Strings and booleans are never read as numbers, numbers never as
     booleans, and an int field takes a float only when it is integral.
     """
+    if kind is object:
+        return value
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{name} must be one of {kind}, got {value!r}")
+        return value
+    if isinstance(kind, list):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return [_read(v, kind[0], f"{name} entry") for v in value]
     if kind is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{name} must be true or false, got {value!r}")
@@ -69,135 +60,140 @@ def _coerce(value, kind, name):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     if kind is float:
         return float(value)
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    if not float(value).is_integer():
+    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if kind is SEED and not 0 <= value < 2**64:
+        raise ConfigError(f"{name} must be in [0, 2**64), got {value}")
+    return value
 
 
-def _seed(value, name):
-    seed = _coerce(value, int, name)
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"{name} must be in [0, 2**64), got {seed}")
-    return seed
+def read_fields(raw, fields, where):
+    """The fields of a config object, each read as its kind, or ConfigError.
+
+    fields maps each key to (kind, default). A kind is int, float, bool,
+    SEED, a tuple of allowed values, object (any value) or [kind] (a list of
+    that kind). An absent key takes its default: REQUIRED makes it an
+    error and OMIT leaves it out. Keys not in fields are an error. where
+    names raw in messages.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
+    out = {}
+    for key, (kind, default) in fields.items():
+        if key in raw:
+            out[key] = _read(raw[key], kind, f"{where}.{key}")
+        elif default is REQUIRED:
+            raise ConfigError(f"{where} requires {key!r}")
+        elif default is not OMIT:
+            out[key] = default
+    unknown = set(raw) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    return out
+
+
+def _read_tagged(raw, tag, tables, where):
+    """read_fields with the field table that raw[tag], one of tables' keys, names."""
+    name = raw.get(tag) if isinstance(raw, dict) else None
+    fields = tables.get(name, {}) if isinstance(name, str) else {}
+    return read_fields(raw, {tag: (tuple(tables), REQUIRED), **fields}, where)
+
+
+def _int_or_list(value, kind, name):
+    """value read as a list of kind if it is a list, else as an int."""
+    return _read(value, [kind] if isinstance(value, (list, tuple)) else int, name)
+
+
+_CONFIG_FIELDS = {
+    "objective": (object, REQUIRED),
+    "optimizer": (object, REQUIRED),
+    "T": (int, REQUIRED),
+    "q": (int, 1),
+    "epsilon": (float, 1e-6),
+    "distribution": (DISTRIBUTIONS, "gaussian"),
+    "partition": (object, None),
+    "seeds": (object, 1),
+    "eval_every": (int, 1),
+    "threshold": (float, 1e-3),
+    "stop_at_threshold": (bool, False),
+    "x0": (object, {}),
+    "wall_clock": (bool, False),
+    "grouped_eval": (("naive", "efficient"), "naive"),
+    "metric": (("final", "best"), "final"),
+    "coarse_grid": ([float], None),
+}
+_OBJECTIVE_FIELDS = {
+    "quadratic": {
+        "d": (int, REQUIRED), "regime": (REGIMES, "heterogeneous"), "seed": (SEED, 0),
+        "sigma": (float, 0.0), "noise_seed": (SEED, 0),
+    },
+    "chain": {"p": (int, REQUIRED), "widths": (object, REQUIRED), "seed": (SEED, 0)},
+}
+# eta may be left out: a sweep searches it.
+_OPTIMIZER_FIELDS = {
+    name: dict.fromkeys(["eta", *sorted(Method.hyperparameters(name))], (float, OMIT))
+    for name in ("zo-sgd", "zo-adam", "radazo", "meazo", "meazo-grouped", "fzoo")
+}
+_X0_FIELDS = {
+    "mode": (("gaussian", "equal_energy"), "gaussian"), "scale": (float, 0.1),
+    "norm": (float, OMIT), "f0": (float, OMIT),
+}
 
 
 @dataclass
 class ExperimentConfig:
+    """A validated experiment config. from_dict reads one from JSON and
+    fills in the defaults of absent fields."""
+
     objective: dict
     optimizer: dict
     T: int
-    q: int = 1
-    epsilon: float = 1e-6
-    distribution: str = "gaussian"
-    partition: object = None
-    seeds: tuple = (0,)
-    eval_every: int = 1
-    threshold: float = 1e-3
-    stop_at_threshold: bool = False
-    x0: dict = field(default_factory=lambda: {"mode": "gaussian", "scale": 0.1})
-    wall_clock: bool = False
-    grouped_eval: str = "naive"
-    metric: str = "final"
-    coarse_grid: tuple = None
+    q: int
+    epsilon: float
+    distribution: str
+    partition: object
+    seeds: tuple
+    eval_every: int
+    threshold: float
+    stop_at_threshold: bool
+    x0: dict
+    wall_clock: bool
+    grouped_eval: str
+    metric: str
+    coarse_grid: tuple
 
     @classmethod
     def from_dict(cls, raw):
-        _check_keys(_section(raw, "config"), _TOP_KEYS, "config")
-        for key in ("objective", "optimizer", "T"):
-            if key not in raw:
-                raise ConfigError(f"config requires {key!r}")
+        top = read_fields(raw, _CONFIG_FIELDS, "config")
+        obj = _read_tagged(top["objective"], "kind", _OBJECTIVE_FIELDS, "objective")
+        if obj["kind"] == "quadratic" and obj["sigma"] < 0:
+            raise ConfigError(f"sigma must be >= 0, got {obj['sigma']}")
+        if obj["kind"] == "chain":
+            obj["widths"] = _int_or_list(obj["widths"], int, "objective.widths")
 
-        obj = _section(raw["objective"], "objective")
-        kind = obj.get("kind")
-        if kind == "quadratic":
-            _check_keys(obj, _QUAD_KEYS, "objective")
-            if "d" not in obj:
-                raise ConfigError("quadratic objective requires d")
-            obj.setdefault("regime", "heterogeneous")
-            obj["d"] = _coerce(obj["d"], int, "objective.d")
-            obj["seed"] = _seed(obj.get("seed", 0), "objective.seed")
-            obj["sigma"] = _coerce(obj.get("sigma", 0.0), float, "objective.sigma")
-            obj["noise_seed"] = _seed(obj.get("noise_seed", 0), "objective.noise_seed")
-            if obj["sigma"] < 0:
-                raise ConfigError(f"sigma must be >= 0, got {obj['sigma']}")
-        elif kind == "chain":
-            _check_keys(obj, _CHAIN_KEYS, "objective")
-            for key in ("p", "widths"):
-                if key not in obj:
-                    raise ConfigError(f"chain objective requires {key!r}")
-            obj["p"] = _coerce(obj["p"], int, "objective.p")
-            widths = obj["widths"]
-            if isinstance(widths, list):
-                obj["widths"] = [_coerce(w, int, "objective.widths entry") for w in widths]
-            else:
-                obj["widths"] = _coerce(widths, int, "objective.widths")
-            obj["seed"] = _seed(obj.get("seed", 0), "objective.seed")
-        else:
-            raise ConfigError(f"objective.kind must be 'quadratic' or 'chain', got {kind!r}")
+        seeds = _int_or_list(top["seeds"], SEED, "config.seeds")
+        seeds = tuple(seeds if isinstance(seeds, list) else range(seeds))
+        if not seeds:
+            raise ConfigError(f"seeds must be >= 1 or a non-empty list, got {top['seeds']!r}")
 
-        opt = _section(raw["optimizer"], "optimizer")
-        name = opt.pop("name", None)
-        if name not in OPTIMIZER_NAMES:
-            raise ConfigError(f"optimizer.name must be one of {OPTIMIZER_NAMES}, got {name!r}")
-        _check_keys(opt, {"eta", *Method.hyperparameters(name)}, "optimizer")
-        opt = {"name": name, **{k: _coerce(v, float, f"optimizer.{k}") for k, v in opt.items()}}
-
-        seeds = raw.get("seeds", 1)
-        if isinstance(seeds, (list, tuple)):
-            seeds = tuple(_seed(s, "seeds entry") for s in seeds)
-            if not seeds:
-                raise ConfigError("seeds list must be non-empty")
-        else:
-            seeds = _coerce(seeds, int, "seeds")
-            if seeds < 1:
-                raise ConfigError(f"seeds must be >= 1, got {seeds}")
-            seeds = tuple(range(seeds))
-
-        x0 = _section(raw.get("x0", {"mode": "gaussian", "scale": 0.1}), "x0")
-        _check_keys(x0, _X0_KEYS, "x0")
-        mode = x0.get("mode", "gaussian")
-        if mode == "gaussian":
-            x0.setdefault("mode", "gaussian")
-            x0.setdefault("scale", 0.1)
-        elif mode == "equal_energy":
+        x0 = read_fields(top["x0"], _X0_FIELDS, "x0")
+        if x0["mode"] == "equal_energy":
             if "f0" not in x0:
                 raise ConfigError("equal_energy x0 requires f0")
-            if kind != "quadratic":
+            if obj["kind"] != "quadratic":
                 raise ConfigError("equal_energy x0 requires a quadratic objective")
-        else:
-            raise ConfigError(f"x0.mode must be 'gaussian' or 'equal_energy', got {mode!r}")
-        for key in ("scale", "norm", "f0"):
-            if key in x0:
-                x0[key] = _coerce(x0[key], float, f"x0.{key}")
         if x0.get("f0", 0.0) < 0:
             raise ConfigError(f"x0.f0 must be >= 0, got {x0['f0']}")
 
-        grid = raw.get("coarse_grid")
-        if grid:
-            if not isinstance(grid, (list, tuple)):
-                raise ConfigError(f"coarse_grid must be a list of step sizes, got {grid!r}")
-            grid = tuple(_coerce(g, float, "coarse_grid entry") for g in grid)
-
-        cfg = cls(
+        top.update(
             objective=obj,
-            optimizer=opt,
-            T=_coerce(raw["T"], int, "T"),
-            q=_coerce(raw.get("q", 1), int, "q"),
-            epsilon=_coerce(raw.get("epsilon", 1e-6), float, "epsilon"),
-            distribution=raw.get("distribution", "gaussian"),
-            partition=raw.get("partition"),
+            optimizer=_read_tagged(top["optimizer"], "name", _OPTIMIZER_FIELDS, "optimizer"),
             seeds=seeds,
-            eval_every=_coerce(raw.get("eval_every", 1), int, "eval_every"),
-            threshold=_coerce(raw.get("threshold", 1e-3), float, "threshold"),
-            stop_at_threshold=_coerce(raw.get("stop_at_threshold", False), bool, "stop_at_threshold"),
             x0=x0,
-            wall_clock=_coerce(raw.get("wall_clock", False), bool, "wall_clock"),
-            grouped_eval=raw.get("grouped_eval", "naive"),
-            metric=raw.get("metric", "final"),
-            coarse_grid=grid or None,
+            coarse_grid=tuple(top["coarse_grid"]) if top["coarse_grid"] else None,
         )
+        cfg = cls(**top)
         cfg.validate()
         return cfg
 
@@ -208,20 +204,10 @@ class ExperimentConfig:
             raise ConfigError(f"q must be >= 1, got {self.q}")
         if not self.epsilon > 0:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.distribution not in DISTRIBUTIONS:
-            raise ConfigError(
-                f"distribution must be one of {DISTRIBUTIONS}, got {self.distribution!r}"
-            )
         if self.eval_every < 1:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         if not self.threshold > 0:
             raise ConfigError(f"threshold must be > 0, got {self.threshold}")
-        if self.metric not in ("final", "best"):
-            raise ConfigError(f"metric must be 'final' or 'best', got {self.metric!r}")
-        if self.grouped_eval not in ("naive", "efficient"):
-            raise ConfigError(
-                f"grouped_eval must be 'naive' or 'efficient', got {self.grouped_eval!r}"
-            )
         name = self.optimizer["name"]
         if name == "meazo-grouped" and self.partition is None:
             raise ConfigError("meazo-grouped requires a partition")
@@ -253,7 +239,8 @@ class ExperimentConfig:
                 raise ConfigError("coarse_grid entries must be > 0")
 
 
-def _load_json(path):
+def load_json(path):
+    """A JSON config file's contents, or ConfigError."""
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -264,7 +251,7 @@ def _load_json(path):
 
 
 def load_config(path):
-    return ExperimentConfig.from_dict(_load_json(path))
+    return ExperimentConfig.from_dict(load_json(path))
 
 
 def make_objective(obj):
@@ -289,7 +276,7 @@ def resolve_partition(partition, objective):
             )
         return Partition.from_ranges(d, list(objective.slices))
     try:
-        return Partition.from_ranges(d, [(int(a), int(b)) for a, b in partition])
+        return Partition.from_ranges(d, partition)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid partition: {exc}") from exc
 

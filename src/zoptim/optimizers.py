@@ -229,22 +229,19 @@ def grouped_meazo_step(state, x, scalars, partition, directions):
     g = scalars.mean(axis=0)
     state.v = state.beta * state.v + (1.0 - state.beta) * g * g
     state.t += 1
-    vhat = state.vhat
 
-    upd = np.zeros((p, x.size))
+    block = partition.block_of
+    coord_scalars = scalars[:, block]  # each sample's scalar for each coordinate's block
+    upd = np.zeros_like(x)
     count = 0
     for i, u in enumerate(directions):
-        for j, idx in enumerate(partition.blocks):
-            upd[j, idx] += scalars[i, j] * u[idx]
+        upd += coord_scalars[i] * u
         count += 1
     if count != q:
         raise InvalidArgumentError(f"expected {q} directions, got {count}")
     upd /= q
-
-    out = x.copy()
-    for j in range(p):
-        out -= (state.eta / (math.sqrt(vhat[j]) + state.zeta)) * upd[j]
-    return out
+    coef = state.eta / (np.sqrt(state.vhat) + state.zeta)
+    return x - coef[block] * upd
 
 
 def fzoo_step(f, x, state, step, counter=None):

@@ -275,6 +275,8 @@ def test_fig2_writes_rows_and_series(tmp_path):
         {"x0": 5},
         {"x0": {"mode": "equal_energy", "f0": -1.0}},
         {"partition": [[0, 2], [2, 4]]},
+        # A stop far past d must be rejected before a block is allocated.
+        {"partition": [[0, 2], [2, 2**40]], "optimizer": {"name": "meazo-grouped", "eta": 1e-3}},
     ],
 )
 def test_out_of_domain_and_mistyped_fields_exit_two(tmp_path, over):
@@ -293,6 +295,10 @@ def test_out_of_domain_and_mistyped_fields_exit_two(tmp_path, over):
         ("verify-bounds", bounds_cfg(meazo={"eta": 1e-4, "T": 0})),
         ("verify-bounds", bounds_cfg(zosgd={"eta": 0.0, "T": 100})),
         ("verify-bounds", bounds_cfg(reduction={"d": 9})),
+        ("verify-bounds", bounds_cfg(reduction={**bounds_cfg()["reduction"], "q": 0})),
+        ("verify-bounds", bounds_cfg(reduction={**bounds_cfg()["reduction"], "L": 0})),
+        ("verify-bounds", bounds_cfg(reduction={**bounds_cfg()["reduction"], "eta": 0})),
+        ("verify-bounds", bounds_cfg(reduction={**bounds_cfg()["reduction"], "d": 0, "q": 1})),
         ("fig2", {"dims": [8], "max_steps": 5}),
         ("fig2", {"dims": [4], "eta": "x", "max_steps": 5}),
         ("fig2", {"dims": [4], "optimizers": ["sgd"], "max_steps": 5}),
@@ -304,7 +310,8 @@ def test_out_of_domain_and_mistyped_fields_exit_two(tmp_path, over):
     ],
     ids=[
         "bounds-nonsquare-d", "bounds-string-d", "bounds-string-eta", "bounds-zero-T",
-        "bounds-zero-eta", "bounds-incomplete-reduction", "fig2-nonsquare-dims",
+        "bounds-zero-eta", "bounds-incomplete-reduction", "reduction-zero-q",
+        "reduction-zero-L", "reduction-zero-eta", "reduction-zero-d", "fig2-nonsquare-dims",
         "fig2-string-eta", "fig2-unknown-optimizer", "fig2-list-optimizer",
         "fig2-string-series", "moments-string-q", "moments-string-g", "moments-zero-q",
     ],
@@ -340,29 +347,58 @@ CONTRACT_BASE = {
 }
 
 
+CONTRACT_BASES = {
+    "run": CONTRACT_BASE,
+    "verify-bounds": bounds_cfg(
+        seeds=1,
+        meazo={"eta": 1e-4, "T": 20, "beta": 1 - 1.5e-8, "zeta": 1.0},
+        zosgd={"eta": 5e-5, "T": 20},
+    ),
+    "fig2": {
+        "dims": [4], "optimizers": ["meazo", "zo-adam"], "eta": 1e-3, "q": 2,
+        "threshold": 1e-3, "max_steps": 5, "x0_norm": 0.3, "seed": 0,
+        "regime": "heterogeneous", "quad_seed": 0, "tail": 3, "epsilon": 1e-6,
+        "beta1": 0.9, "beta2": 0.999, "zeta": 1e-8, "distribution": "gaussian",
+        "series": True,
+    },
+    "verify-moments": {
+        "cases": [
+            {"g": [1.0, 0.0], "q": 1, "distribution": "gaussian", "n": 100, "tol": 1.0, "seed": 0}
+        ],
+    },
+}
+
+
 def contract_fields(raw, path=()):
-    """Every key path of a config, nested sections included."""
-    for key, value in raw.items():
+    """Every key path of a config, nested sections and the first entry of a
+    list of sections included."""
+    items = raw.items() if isinstance(raw, dict) else [(0, raw[0])]
+    for key, value in items:
         yield path + (key,)
-        if isinstance(value, dict):
+        if isinstance(value, dict) or (value and isinstance(value, list)
+                                       and isinstance(value[0], dict)):
             yield from contract_fields(value, path + (key,))
 
 
 def test_every_field_set_to_every_pool_value_exits_with_a_contract_code(tmp_path):
-    # Exit codes: 0 success, 2 bad config, 3 numeric failure, 4 every run
-    # diverged; a traceback escaping main would fail the test.
-    base = tmp_path / "cfg.json"
+    # Exit codes: 0 success, 2 bad config, 3 numeric failure or failed
+    # verification, 4 every run diverged; a traceback escaping main would
+    # fail the test.
+    cfg = tmp_path / "cfg.json"
     out = tmp_path / "out"
-    seen = set()
-    for path in contract_fields(CONTRACT_BASE):
-        for value in CONTRACT_POOL:
-            raw = json.loads(json.dumps(CONTRACT_BASE))
-            section = raw
-            for key in path[:-1]:
-                section = section[key]
-            section[path[-1]] = value
-            base.write_text(json.dumps(raw))
-            code = main(["run", "--config", str(base), "--out", str(out / str(len(seen)))])
-            assert code in (0, 2, 3, 4), (path, value, code)
-            seen.add(code)
-    assert {0, 2} <= seen
+    n = 0
+    for command, base in CONTRACT_BASES.items():
+        seen = set()
+        for path in contract_fields(base):
+            for value in CONTRACT_POOL:
+                raw = json.loads(json.dumps(base))
+                section = raw
+                for key in path[:-1]:
+                    section = section[key]
+                section[path[-1]] = value
+                cfg.write_text(json.dumps(raw))
+                code = main([command, "--config", str(cfg), "--out", str(out / str(n))])
+                assert code in (0, 2, 3, 4), (command, path, value, code)
+                seen.add(code)
+                n += 1
+        assert {0, 2} <= seen, command

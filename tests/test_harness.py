@@ -28,7 +28,16 @@ from zoptim import (
     write_summary,
     write_trace_csv,
 )
-from zoptim.harness import DIVERGENCE_FACTOR, _X0_TAG, _argmin_eta, _seed_metric
+from zoptim.harness import (
+    DIVERGENCE_FACTOR,
+    OMIT,
+    REQUIRED,
+    SEED,
+    _X0_TAG,
+    _argmin_eta,
+    _seed_metric,
+    read_fields,
+)
 from zoptim.perturb import keyed_generator
 
 
@@ -73,6 +82,25 @@ def test_config_fills_defaults_and_expands_seed_counts():
     assert cfg.distribution == "gaussian"
     assert cfg.x0 == {"mode": "gaussian", "scale": 0.1}
     assert cfg.metric == "final"
+
+
+def test_read_fields_reads_each_kind_and_fills_defaults():
+    fields = {
+        "n": (int, REQUIRED), "x": (float, 0.5), "flag": (bool, OMIT), "seed": (SEED, 0),
+        "mode": (("a", "b"), "a"), "any": (object, None), "xs": ([float], OMIT),
+    }
+    assert read_fields({"n": 3.0, "xs": [1, 2]}, fields, "cfg") == {
+        "n": 3, "x": 0.5, "seed": 0, "mode": "a", "any": None, "xs": [1.0, 2.0],
+    }
+    got = read_fields({"n": 1, "flag": True, "mode": "b", "any": [{}], "seed": 2**64 - 1},
+                      fields, "cfg")
+    assert (got["flag"], got["mode"], got["any"], got["seed"]) == (True, "b", [{}], 2**64 - 1)
+    for bad in ([], {"x": 1}, {"n": 1, "other": 0}, {"n": 1.5}, {"n": "1"}, {"n": True},
+                {"n": 1, "x": False}, {"n": 1, "flag": 1}, {"n": 1, "seed": -1},
+                {"n": 1, "seed": 2**64}, {"n": 1, "mode": "c"}, {"n": 1, "xs": 1.0},
+                {"n": 1, "xs": ["a"]}):
+        with pytest.raises(ConfigError):
+            read_fields(bad, fields, "cfg")
 
 
 @pytest.mark.parametrize(
