@@ -179,12 +179,24 @@ def grouped_zo_gradient(f, x, spec, q, partition, step, counter=None, directions
     return est, scalars
 
 
+def _block_rows(x, u_block, epsilon, start, stop):
+    """(2q, d) copies of x with [start, stop) moved by +eps u_i (rows :q), then -eps u_i."""
+    q = len(u_block)
+    moved = epsilon * u_block
+    rows = np.empty((2 * q, x.size))
+    rows[:] = x
+    rows[:q, start:stop] += moved
+    rows[q:, start:stop] -= moved
+    return rows
+
+
 def efficient_grouped_eval(chain, x, spec, q, step, counter=None, directions=None):
     """Grouped estimator over a layered chain, reusing cached prefix activations.
 
     Perturbing block j leaves blocks 1..j-1 untouched, so their activations
-    are computed once and each perturbed evaluation forwards only blocks
-    j..p. Exactly p q (p+1) + p - 1 block forwards; the estimate matches
+    are computed once per step, and block j's 2q perturbed points go through
+    one batched forward of blocks j..p from that prefix. Exactly
+    p q (p+1) + p - 1 block forwards; the estimate matches
     grouped_zo_gradient on the same replay stream bit for bit.
     directions is the step's (q, d) block, drawn here when omitted.
     Returns (estimate, scalars of shape (q, p)).
@@ -206,26 +218,25 @@ def efficient_grouped_eval(chain, x, spec, q, step, counter=None, directions=Non
     acts, forwarded = chain.forward_prefix(x, p - 1)
     counter.add_block(forwarded)
 
+    losses = np.empty((p, 2 * q))
+    for j, (start, stop) in enumerate(chain.slices):
+        rows = _block_rows(x, directions[:, start:stop], epsilon, start, stop)
+        losses[j], _, nb = chain.forward(rows, chain.make_prefix(x, acts, j + 1))
+        counter.add_block(nb)
+    bad = ~np.isfinite(losses.reshape(p, 2, q).transpose(2, 0, 1))
+    if bad.any():
+        # Name the point the per-point loop met first: by sample, block, + before -.
+        i, j, minus = np.unravel_index(np.flatnonzero(bad)[0], bad.shape)
+        start, stop = chain.slices[j]
+        point = _block_rows(x, directions[:, start:stop], epsilon, start, stop)[minus * q + i]
+        _finite_or_raise(float(losses[j, minus * q + i]), point)
+
+    scalars = np.ascontiguousarray(((losses[:, :q] - losses[:, q:]) / (2.0 * epsilon)).T)
+    # Each coordinate adds its block's scalar times u_i in sample order.
+    coord_scalars = np.repeat(scalars, [stop - start for start, stop in chain.slices], axis=1)
     acc = np.zeros(d)
-    scalars = np.empty((q, p))
     for i, u in enumerate(directions):
-        for j in range(1, p + 1):
-            start, stop = chain.slices[j - 1]
-            idx = np.arange(start, stop)
-            masked = np.zeros(d)
-            masked[idx] = u[idx]
-            prefix = chain.make_prefix(x, acts, j)
-            plus = x + epsilon * masked
-            minus = x - epsilon * masked
-            fp, _, nb = chain.forward(plus, prefix)
-            counter.add_block(nb)
-            _finite_or_raise(fp, plus)
-            fm, _, nb = chain.forward(minus, prefix)
-            counter.add_block(nb)
-            _finite_or_raise(fm, minus)
-            s = (fp - fm) / (2.0 * epsilon)
-            scalars[i, j - 1] = s
-            acc[idx] += s * u[idx]
+        acc += coord_scalars[i] * u
     est = acc / q
     if spec.distribution == UNIFORM:
         est = est * d

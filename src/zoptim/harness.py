@@ -34,6 +34,7 @@ _X0_TAG = 0x0A0
 REQUIRED = object()  # field default: the key must be present
 OMIT = object()  # field default: an absent key is left out of what is read
 SEED = "seed"  # field kind: an integer in [0, 2**64)
+MAX_SEEDS = 100_000  # the largest integer seeds count; a longer run needs a seed list
 
 
 def _read(value, kind, name):
@@ -173,9 +174,17 @@ class ExperimentConfig:
             obj["widths"] = _int_or_list(obj["widths"], int, "objective.widths")
 
         seeds = _int_or_list(top["seeds"], SEED, "config.seeds")
+        if not isinstance(seeds, list) and seeds > MAX_SEEDS:
+            raise ConfigError(f"a seeds count must be <= {MAX_SEEDS}, got {seeds}")
         seeds = tuple(seeds if isinstance(seeds, list) else range(seeds))
         if not seeds:
             raise ConfigError(f"seeds must be >= 1 or a non-empty list, got {top['seeds']!r}")
+
+        if isinstance(top["partition"], (list, tuple)):
+            ranges = _read(top["partition"], [[int]], "config.partition")
+            if any(len(r) != 2 for r in ranges):
+                raise ConfigError(f"partition ranges must be [start, stop) pairs, got {ranges}")
+            top["partition"] = ranges
 
         x0 = read_fields(top["x0"], _X0_FIELDS, "x0")
         if x0["mode"] == "equal_energy":

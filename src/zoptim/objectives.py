@@ -256,53 +256,74 @@ class LayeredChain:
     def _block_params(self, x, j):
         start, stop = self.slices[j - 1]
         w_out, w_in = self.widths[j], self.widths[j - 1]
-        w = x[start:start + w_out * w_in].reshape(w_out, w_in)
-        b = x[start + w_out * w_in:stop]
+        w = x[..., start:start + w_out * w_in].reshape(*x.shape[:-1], w_out, w_in)
+        b = x[..., start + w_out * w_in:stop]
         return w, b
 
-    def forward_prefix(self, x, upto):
-        """Activations h_0..h_upto; forwards exactly ``upto`` blocks, no loss."""
+    def _parameters(self, x):
         x = np.asarray(x, dtype=np.float64)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.d:
+            raise InvalidArgumentError(
+                f"parameters must have shape ({self.d},) or (n, {self.d}), got {x.shape}"
+            )
+        return x
+
+    def _blocks(self, x, h, j0, upto, acts):
+        """Forward blocks j0..upto from h_{j0-1}, keeping each activation in acts.
+
+        With (n, d) parameters every row runs through np.matvec, whose rows
+        equal the single-row product bit for bit, so a batch is n forwards.
+        """
+        for j in range(j0, upto + 1):
+            w, b = self._block_params(x, j)
+            h = np.tanh(np.matvec(w, h) + b)
+            acts[j] = h
+        return h
+
+    def forward_prefix(self, x, upto):
+        """Activations h_0..h_upto; forwards exactly ``upto`` blocks per row, no loss."""
+        x = self._parameters(x)
         if not (0 <= upto <= self.p):
             raise InvalidArgumentError(f"upto must be in [0, {self.p}], got {upto}")
         acts = [None] * (self.p + 1)
-        h = self.h0
-        acts[0] = h
-        for j in range(1, upto + 1):
-            w, b = self._block_params(x, j)
-            h = np.tanh(w @ h + b)
-            acts[j] = h
-        return acts, upto
+        acts[0] = self.h0
+        self._blocks(x, self.h0, 1, upto, acts)
+        return acts, upto * (len(x) if x.ndim == 2 else 1)
 
     def forward(self, x, prefix=None):
-        """(loss, activations, blocks_forwarded), optionally resuming from a prefix."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.d,):
-            raise InvalidArgumentError(f"parameter vector must have shape ({self.d},), got {x.shape}")
+        """(loss, activations, blocks_forwarded), optionally resuming from a prefix.
+
+        x is one parameter vector (d,) or a batch (n, d); a batch returns an
+        array of n losses and counts the blocks of every row. A prefix must
+        match every row.
+        """
+        x = self._parameters(x)
+        acts = [None] * (self.p + 1)
         if prefix is None:
             j0 = 1
             h = self.h0
-            acts = [None] * (self.p + 1)
-            acts[0] = h
         else:
             if not (1 <= prefix.block <= self.p):
                 raise InvalidArgumentError(f"prefix block must be in [1, {self.p}], got {prefix.block}")
             start = self.slices[prefix.block - 1][0]
-            if x[:start].tobytes() != prefix.fingerprint:
+            # Bit patterns, not values: -0.0 and 0.0 are different parameters here.
+            fingerprint = prefix.fingerprint
+            if len(fingerprint) != 8 * start or not (
+                x[..., :start].view(np.uint64) == np.frombuffer(fingerprint, dtype=np.uint64)
+            ).all():
                 raise StalePrefixError(
                     f"prefix at block {prefix.block} was built for different parameters before it"
                 )
             j0 = prefix.block
             h = prefix.activation
-            acts = [None] * (self.p + 1)
-            acts[j0 - 1] = h
-        for j in range(j0, self.p + 1):
-            w, b = self._block_params(x, j)
-            h = np.tanh(w @ h + b)
-            acts[j] = h
+        acts[j0 - 1] = h
+        h = self._blocks(x, h, j0, self.p, acts)
         diff = h - self.target
-        loss = float(diff @ diff)
-        return loss, acts, self.p - j0 + 1
+        loss = np.vecdot(diff, diff)
+        blocks = self.p - j0 + 1
+        if x.ndim == 1:
+            return float(loss), acts, blocks
+        return loss, acts, len(x) * blocks
 
     def value(self, x):
         return self.forward(x)[0]

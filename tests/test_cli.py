@@ -277,6 +277,12 @@ def test_fig2_writes_rows_and_series(tmp_path):
         {"partition": [[0, 2], [2, 4]]},
         # A stop far past d must be rejected before a block is allocated.
         {"partition": [[0, 2], [2, 2**40]], "optimizer": {"name": "meazo-grouped", "eta": 1e-3}},
+        # Range bounds are integers: neither truncated nor parsed from strings.
+        {"partition": [[0, 1.5], [1, 4]], "optimizer": {"name": "meazo-grouped", "eta": 1e-3}},
+        {"partition": [[0, 1], ["1", 4]], "optimizer": {"name": "meazo-grouped", "eta": 1e-3}},
+        {"partition": [[0, 1, 2], [2, 4]], "optimizer": {"name": "meazo-grouped", "eta": 1e-3}},
+        # A seed count past the cap is rejected before any seed is expanded.
+        {"seeds": 2**40},
     ],
 )
 def test_out_of_domain_and_mistyped_fields_exit_two(tmp_path, over):

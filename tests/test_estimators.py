@@ -198,6 +198,52 @@ def test_efficient_grouped_eval_block_forward_count_formula():
     assert naive.block_forward_calls == 2 * q * p * p
 
 
+def test_efficient_grouped_eval_forwards_one_batch_per_block():
+    p, q = 4, 3
+    chain = make_chain(p, [2, 3, 1, 2, 2], seed=1)
+    calls = {"forward": [], "forward_prefix": 0}
+    forward, forward_prefix = chain.forward, chain.forward_prefix
+
+    def counted_forward(x, prefix=None):
+        calls["forward"].append((np.shape(x), prefix.block))
+        return forward(x, prefix)
+
+    def counted_prefix(x, upto):
+        calls["forward_prefix"] += 1
+        return forward_prefix(x, upto)
+
+    chain.forward, chain.forward_prefix = counted_forward, counted_prefix
+    x = np.random.default_rng(2).standard_normal(chain.d)
+    spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-5, base_seed=3)
+    counter = EvalCounter()
+    efficient_grouped_eval(chain, x, spec, q, step=1, counter=counter)
+    assert calls == {"forward": [((2 * q, chain.d), j) for j in range(1, p + 1)],
+                     "forward_prefix": 1}
+    assert counter.block_forward_calls == p * q * (p + 1) + p - 1
+
+
+def test_efficient_grouped_eval_names_the_first_failure_in_per_point_order():
+    # Sample 1 fails in block 2 and sample 2 in block 1: the per-point order
+    # (sample, block, + before -) meets sample 1 first, though block 1 is
+    # forwarded first.
+    p, q = 3, 3
+    chain = make_chain(p, 2, seed=4)
+    part = Partition.from_ranges(chain.d, chain.slices)
+    x = np.random.default_rng(5).standard_normal(chain.d) * 0.3
+    spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-5, base_seed=6)
+    dirs = np.random.default_rng(7).standard_normal((q, chain.d))
+    dirs[1, slice(*chain.slices[1])] = np.nan
+    dirs[2, slice(*chain.slices[0])] = np.nan
+    with pytest.raises(NumericFailureError) as naive:
+        grouped_zo_gradient(chain.value, x, spec, q, part, 0, directions=dirs)
+    with pytest.raises(NumericFailureError) as efficient:
+        efficient_grouped_eval(chain, x, spec, q, 0, directions=dirs)
+    assert type(efficient.value.value) is float and np.isnan(efficient.value.value)
+    np.testing.assert_array_equal(efficient.value.point, naive.value.point)
+    assert np.isnan(efficient.value.point[slice(*chain.slices[1])]).all()
+    assert str(efficient.value) == str(naive.value)
+
+
 def test_efficient_grouped_eval_requires_sequential_structure():
     quad = make_block_quadratic(4, regime="homogeneous", seed=0)
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-6)

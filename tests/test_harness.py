@@ -30,6 +30,7 @@ from zoptim import (
 )
 from zoptim.harness import (
     DIVERGENCE_FACTOR,
+    MAX_SEEDS,
     OMIT,
     REQUIRED,
     SEED,
@@ -82,6 +83,19 @@ def test_config_fills_defaults_and_expands_seed_counts():
     assert cfg.distribution == "gaussian"
     assert cfg.x0 == {"mode": "gaussian", "scale": 0.1}
     assert cfg.metric == "final"
+
+
+def test_config_caps_integer_seed_counts_and_reads_integer_ranges():
+    raw = {"objective": {"kind": "quadratic", "d": 4}, "optimizer": {"name": "zo-sgd", "eta": 1e-3},
+           "T": 5}
+    assert len(ExperimentConfig.from_dict({**raw, "seeds": MAX_SEEDS}).seeds) == MAX_SEEDS
+    with pytest.raises(ConfigError, match="seeds count"):
+        ExperimentConfig.from_dict({**raw, "seeds": MAX_SEEDS + 1})
+    cfg = ExperimentConfig.from_dict({**raw, "partition": [[0, 2.0], [2, 4]]})
+    assert cfg.partition == [[0, 2], [2, 4]]
+    for bad in ([[0, 1.5], [1.5, 4]], [[0, "2"], [2, 4]], [[0, 2], [2]], [0, 4]):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({**raw, "partition": bad})
 
 
 def test_read_fields_reads_each_kind_and_fills_defaults():
@@ -277,6 +291,18 @@ def test_efficient_and_naive_grouped_runs_take_identical_trajectories():
     assert naive.losses == efficient.losses
     assert naive.final_loss == efficient.final_loss
     assert efficient.block_forwards[-1] < naive.block_forwards[-1]
+
+
+def test_efficient_chain_run_from_signed_zeros_matches_naive():
+    # A zero-scale start holds -0.0 coordinates; the prefix fingerprint
+    # compares bit patterns, so perturbed points must keep them unchanged.
+    chain = make_objective(chain_config().objective)
+    assert np.signbit(make_x0({"mode": "gaussian", "scale": 0.0}, chain, 0)).any()
+    naive = run(chain_config(T=15, x0={"scale": 0.0}))[0]
+    efficient = run(chain_config(T=15, x0={"scale": 0.0}, grouped_eval="efficient"))[0]
+    assert not efficient.diverged
+    for column in ("losses", "v_min", "v_max", "v_mean"):
+        assert getattr(efficient, column) == getattr(naive, column)
 
 
 def test_divergent_run_is_flagged_and_capped():

@@ -211,6 +211,71 @@ def test_chain_forward_prefix_counts_only_the_requested_blocks():
     assert acts[0] is not None and acts[2] is not None and acts[3] is None
 
 
+def per_row_loss(chain, x):
+    """One row through the chain with plain matrix-vector products."""
+    h = chain.h0
+    for j, (start, stop) in enumerate(chain.slices, 1):
+        w_out, w_in = chain.widths[j], chain.widths[j - 1]
+        w = x[start:start + w_out * w_in].reshape(w_out, w_in)
+        h = np.tanh(w @ h + x[start + w_out * w_in:stop])
+    diff = h - chain.target
+    return float(diff @ diff)
+
+
+def test_chain_batched_forward_equals_per_row_forward_bitwise():
+    # Bit-identity of a batch depends on np.matvec and np.vecdot reducing
+    # each row in the same order as the one-row products; a BLAS that does
+    # not would show up here.
+    rng = np.random.default_rng(20)
+    for case in range(40):
+        p = int(rng.integers(1, 7))
+        widths = [int(w) for w in rng.integers(1, 9, size=p + 1)]
+        widths[int(rng.integers(0, p + 1))] = 1
+        chain = make_chain(p, widths, seed=case)
+        x = rng.standard_normal(chain.d) * 0.7
+        _, acts, _ = chain.forward(x)
+        for n in (1, 2, 8):
+            for prefix in [None] + [chain.make_prefix(x, acts, j) for j in range(1, p + 1)]:
+                # Rows share x before the prefix's block and differ from it on.
+                j0 = 1 if prefix is None else prefix.block
+                start = chain.slices[j0 - 1][0]
+                rows = np.tile(x, (n, 1))
+                rows[:, start:] += rng.standard_normal((n, chain.d - start)) * 0.5
+                losses, batch_acts, forwarded = chain.forward(rows, prefix)
+                assert forwarded == n * (p - j0 + 1)
+                assert losses.shape == (n,)
+                for k, row in enumerate(rows):
+                    loss, row_acts, _ = chain.forward(row, prefix)
+                    assert losses[k] == loss == per_row_loss(chain, row)
+                    assert batch_acts[p][k].tobytes() == row_acts[p].tobytes()
+            batch_prefix, forwarded = chain.forward_prefix(rows, p - 1)
+            assert forwarded == n * (p - 1)
+            batch_h = np.broadcast_to(batch_prefix[p - 1], (n, widths[p - 1]))  # h_0 is shared
+            for k, row in enumerate(rows):
+                row_prefix, _ = chain.forward_prefix(row, p - 1)
+                assert batch_h[k].tobytes() == row_prefix[p - 1].tobytes()
+
+
+def test_chain_batched_forward_rejects_a_single_stale_row():
+    chain = make_chain(3, [2, 1, 3, 2], seed=5)
+    x = np.random.default_rng(6).standard_normal(chain.d)
+    x[0] = 0.0
+    _, acts, _ = chain.forward(x)
+    prefix = chain.make_prefix(x, acts, 3)
+    rows = np.tile(x, (4, 1))
+    rows[:, chain.slices[2][0]:] += 0.5  # at the prefix block: allowed
+    chain.forward(rows, prefix)
+    for row, column, value in ((2, 1, x[1] + 1e-12), (3, 0, -0.0)):  # -0.0 is not 0.0's bits
+        stale = rows.copy()
+        stale[row, column] = value
+        with pytest.raises(StalePrefixError):
+            chain.forward(stale, prefix)
+    with pytest.raises(InvalidArgumentError):
+        chain.forward(np.zeros((2, 2, chain.d)))
+    with pytest.raises(InvalidArgumentError):
+        chain.forward(np.zeros((2, chain.d + 1)))
+
+
 def test_equal_energy_point_hits_the_requested_level_in_every_mode():
     quad = make_block_quadratic(9, regime="heterogeneous", seed=0)
     f0 = 0.05
