@@ -49,25 +49,35 @@ def mc_squared_moment(g, q, distribution, n, seed=0, batch=_MC_BATCH):
     On an affine objective the projected gradient equals the directional
     derivative exactly, so the estimator reduces to closed-form linear
     algebra over the sampled directions and can be evaluated in batches.
+    The batch buffers are allocated once and reused, so memory stays
+    O(batch * q * d) whatever n is.
     """
     g = np.asarray(g, dtype=np.float64)
     d = g.size
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
+    for name, value in (("n", n), ("q", q), ("batch", batch)):
+        if value < 1:
+            raise InvalidArgumentError(f"{name} must be >= 1, got {value}")
     rng = keyed_generator(seed, 0x3C0)
+    size = min(batch, n)
+    u = np.empty((size, q, d))
+    s = np.empty((size, q))
+    est = np.empty((size, d))
     acc = np.zeros(d)
     acc_sq = np.zeros(d)
     done = 0
     while done < n:
         b = min(batch, n - done)
-        u = batch_directions(distribution, (b, q), d, rng)
-        s = u @ g
-        est = np.einsum("bq,bqd->bd", s, u) / q
+        u_b, s_b, est_b = u[:b], s[:b], est[:b]
+        batch_directions(distribution, (b, q), d, rng, out=u_b)
+        np.matmul(u_b, g, out=s_b)
+        np.einsum("bq,bqd->bd", s_b, u_b, out=est_b)
+        est_b /= q
         if distribution == UNIFORM:
-            est = est * d
-        sq = est * est
-        acc += sq.sum(axis=0)
-        acc_sq += (sq * sq).sum(axis=0)
+            est_b *= d
+        est_b *= est_b
+        acc += est_b.sum(axis=0)
+        est_b *= est_b
+        acc_sq += est_b.sum(axis=0)
         done += b
     mean = acc / n
     var = acc_sq / n - mean * mean
@@ -82,6 +92,13 @@ class MomentReport:
     max_rel_err: float
     n_trials: int
     standard_error: np.ndarray
+
+
+def check_moment_case(g, q, distribution, n):
+    """Raise InvalidArgumentError unless moment_report(g, q, distribution, n) can run."""
+    predicted_squared_moment(g, q, distribution)
+    if n < 1:
+        raise InvalidArgumentError(f"n must be >= 1, got {n}")
 
 
 def moment_report(g, q, distribution, n, seed=0):

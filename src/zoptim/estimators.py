@@ -18,6 +18,14 @@ from .perturb import UNIFORM, step_directions
 from .perturb import sample_direction  # noqa: F401  (still importable from this module)
 
 
+def _indices(values, what):
+    """values as an intp array, or InvalidArgumentError unless every entry is an integer."""
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "iuf" or not (np.isfinite(raw).all() and (raw % 1 == 0).all()):
+        raise InvalidArgumentError(f"{what} must be integers, got {values!r}")
+    return raw.astype(np.intp)
+
+
 class Partition:
     """Disjoint coordinate blocks covering {0..d-1}."""
 
@@ -27,10 +35,9 @@ class Partition:
             raise InvalidArgumentError(f"dimension must be >= 1, got {d}")
         clean = []
         for block in blocks:
-            idx = np.asarray(block, dtype=np.intp)
-            if idx.ndim != 1 or idx.size == 0:
+            if np.ndim(block) != 1 or np.size(block) == 0:
                 raise InvalidArgumentError("each block must be a non-empty 1-D index set")
-            clean.append(idx)
+            clean.append(_indices(block, "block indices"))
         flat = np.concatenate(clean)
         if flat.min() < 0 or flat.max() >= d:
             raise InvalidArgumentError(f"block indices must lie in [0, {d})")
@@ -51,7 +58,7 @@ class Partition:
         """Partition from half-open [start, stop) index ranges within [0, d)."""
         blocks = []
         for a, b in ranges:
-            a, b = int(a), int(b)
+            a, b = _indices((a, b), "range bounds").tolist()
             if not 0 <= a < b <= d:
                 raise InvalidArgumentError(
                     f"range [{a}, {b}) must satisfy 0 <= start < stop <= {d}"

@@ -221,17 +221,17 @@ def _replay_generator(base_seed, step, sample_index, block_index):
     return replay.generator
 
 
-def _draw(distribution, rng, shape):
+def _draw(distribution, rng, shape, out=None):
     if distribution == GAUSSIAN:
-        return rng.standard_normal(shape)
+        return rng.standard_normal(shape, out=out)
     if distribution == UNIFORM:
-        z = rng.standard_normal(shape)
-        norm = np.linalg.norm(z, axis=-1, keepdims=True)
-        return z / norm
+        z = rng.standard_normal(shape, out=out)
+        z /= np.linalg.norm(z, axis=-1, keepdims=True)
+        return z
     if distribution == RADEMACHER:
-        return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
+        return np.subtract(rng.integers(0, 2, size=shape) * 2.0, 1.0, out=out)
     if distribution == TERNARY:
-        return rng.integers(0, 3, size=shape).astype(np.float64) - 1.0
+        return np.subtract(rng.integers(0, 3, size=shape), 1.0, out=out)
     raise InvalidArgumentError(f"unknown distribution {distribution!r}")
 
 
@@ -262,16 +262,22 @@ def step_directions(spec, step, q, d):
     return out
 
 
-def batch_directions(distribution, shape, d, rng):
+def batch_directions(distribution, shape, d, rng, out=None):
     """Draw an array of directions of shape ``shape + (d,)`` from a sequential generator.
 
     Bulk sampling for Monte Carlo verification; optimizer loops use
-    sample_direction so each draw stays individually replayable.
+    sample_direction so each draw stays individually replayable. With
+    ``out``, a float64 array of that shape, the directions are written into
+    it and it is returned; the draws are the same as without it.
     """
     if d < 1:
         raise InvalidArgumentError(f"dimension must be >= 1, got {d}")
     full = tuple(shape) + (int(d),)
-    return _draw(distribution, rng, full)
+    if out is not None and (out.shape != full or out.dtype != np.float64):
+        raise InvalidArgumentError(
+            f"out must be a float64 array of shape {full}, got {out.dtype} {out.shape}"
+        )
+    return _draw(distribution, rng, full, out)
 
 
 def second_moment_scale(distribution, d=None):

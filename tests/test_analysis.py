@@ -10,6 +10,7 @@ from zoptim import (
     PreconditionError,
     bound_check_run,
     check_meazo_condition,
+    check_moment_case,
     check_smoothing_inequalities,
     classical_sgd_bound,
     collapse_study,
@@ -23,7 +24,7 @@ from zoptim import (
     vt_statistics,
     zosgd_bound,
 )
-from zoptim.perturb import GAUSSIAN, UNIFORM
+from zoptim.perturb import DISTRIBUTIONS, GAUSSIAN, UNIFORM, batch_directions, keyed_generator
 
 
 def test_predicted_squared_moment_gaussian_hand_case():
@@ -54,6 +55,65 @@ def test_monte_carlo_moment_agrees_with_prediction_within_error_bars():
         mean, se = mc_squared_moment(g, q=2, distribution=dist, n=200_000, seed=3)
         pred = predicted_squared_moment(g, q=2, distribution=dist)
         assert np.all(np.abs(mean - pred) <= 5 * se)
+
+
+def reference_mc_squared_moment(g, q, distribution, n, seed=0, batch=32768):
+    """The allocate-per-batch Monte Carlo loop that mc_squared_moment's reused
+    buffers must reproduce bit for bit."""
+    g = np.asarray(g, dtype=np.float64)
+    d = g.size
+    rng = keyed_generator(seed, 0x3C0)
+    acc = np.zeros(d)
+    acc_sq = np.zeros(d)
+    done = 0
+    while done < n:
+        b = min(batch, n - done)
+        u = batch_directions(distribution, (b, q), d, rng)
+        s = u @ g
+        est = np.einsum("bq,bqd->bd", s, u) / q
+        if distribution == UNIFORM:
+            est = est * d
+        sq = est * est
+        acc += sq.sum(axis=0)
+        acc_sq += (sq * sq).sum(axis=0)
+        done += b
+    mean = acc / n
+    var = acc_sq / n - mean * mean
+    se = np.sqrt(np.maximum(var, 0.0) / n)
+    return mean, se
+
+
+@pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+@pytest.mark.parametrize("d", [1, 2, 8])
+@pytest.mark.parametrize("q", [1, 3])
+def test_buffered_monte_carlo_moment_is_bit_identical_to_the_reference(distribution, d, q):
+    g = np.random.default_rng(d * 10 + q).standard_normal(d)
+    for n in (1, 63, 64, 133):
+        got = mc_squared_moment(g, q, distribution, n, seed=4, batch=64)
+        want = reference_mc_squared_moment(g, q, distribution, n, seed=4, batch=64)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    got = mc_squared_moment(g, q, distribution, 40_000, seed=4)
+    want = reference_mc_squared_moment(g, q, distribution, 40_000, seed=4)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("field", ["n", "q", "batch"])
+def test_monte_carlo_moment_rejects_counts_below_one(field):
+    args = {"n": 10, "q": 1, "batch": 8, field: 0}
+    with pytest.raises(InvalidArgumentError, match=f"{field} must be >= 1"):
+        mc_squared_moment(np.array([1.0, 0.0]), args["q"], GAUSSIAN, args["n"],
+                          batch=args["batch"])
+
+
+def test_check_moment_case_rejects_what_moment_report_cannot_run():
+    g = np.array([1.0, 0.0])
+    check_moment_case(g, 2, UNIFORM, 1)
+    for bad in ((g, 0, GAUSSIAN, 10), (g, 1, GAUSSIAN, 0), (g, 1, "rademacher", 10),
+                (np.array([]), 1, GAUSSIAN, 10)):
+        with pytest.raises(InvalidArgumentError):
+            check_moment_case(*bad)
+        with pytest.raises(InvalidArgumentError):
+            moment_report(*bad)
 
 
 def test_moment_report_bundles_prediction_and_simulation():

@@ -1,10 +1,12 @@
 """Command-line interface: artifacts, determinism, and exit codes."""
 
 import json
+import sys
 
+import numpy as np
 import pytest
 
-from zoptim import TRACE_HEADER
+from zoptim import TRACE_HEADER, cli, moment_report
 from zoptim.cli import main
 
 
@@ -156,6 +158,65 @@ def test_verify_moments_fails_on_impossible_tolerance(tmp_path):
     assert payload["all_pass"] is False
     bad = write_cfg(tmp_path, {"cases": [{"g": [1.0], "what": 1}]}, name="bad.json")
     assert main(["verify-moments", "--config", bad, "--out", str(out)]) == 2
+
+
+MOMENT_CASES = [
+    {"g": [0.6, -0.8], "q": 1, "distribution": "gaussian", "n": 40_000, "tol": 1e-6, "seed": 3},
+    {"g": [0.5, 0.1, -0.3, 0.2, 0.7, -0.1, 0.0, 0.4], "q": 4, "distribution": "gaussian",
+     "n": 70_000, "tol": 0.1, "seed": 11},
+    {"g": [1.0, 0.0], "q": 2, "distribution": "uniform", "n": 50_000, "tol": 0.1},
+    {"g": [0.3], "q": 3, "distribution": "uniform", "n": 33_000, "tol": 0.1, "seed": 5},
+]
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_concurrent_verify_moments_equals_sequential_moment_reports(tmp_path, monkeypatch, cpus):
+    cases = []
+    for case in MOMENT_CASES:
+        rep = moment_report(np.array(case["g"]), case["q"], case["distribution"], case["n"],
+                            seed=case.get("seed", 0))
+        cases.append({
+            "g": case["g"], "q": case["q"], "distribution": case["distribution"],
+            "n": rep.n_trials, "predicted": rep.predicted.tolist(),
+            "empirical": rep.empirical.tolist(), "max_rel_err": rep.max_rel_err,
+            "tol": case["tol"], "pass": rep.max_rel_err <= case["tol"],
+        })
+    want = json.dumps({"cases": cases, "all_pass": False}, indent=2) + "\n"
+    assert [c["pass"] for c in cases] == [False, True, True, True]
+
+    # More workers than this machine may have cores, switching threads often.
+    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+    cfg = write_cfg(tmp_path, {"cases": MOMENT_CASES})
+    out = tmp_path / "out"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert main(["verify-moments", "--config", cfg, "--out", str(out)]) == 3
+    finally:
+        sys.setswitchinterval(interval)
+    assert (out / "moments.json").read_text() == want
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {1: {"n": 0}},
+        {1: {"n": 0}, 2: {"q": 0}},
+        {1: {"distribution": "rademacher"}, 3: {"n": 0}},
+        {1: {"g": []}, 2: {"q": "a"}},
+    ],
+    ids=["zero-n", "zero-n-then-zero-q", "no-formula-then-zero-n", "empty-g-then-string-q"],
+)
+def test_verify_moments_names_the_first_bad_case(tmp_path, capsys, bad):
+    cases = [dict(case) for case in MOMENT_CASES]
+    for i, over in bad.items():
+        cases[i].update(over)
+    cfg = write_cfg(tmp_path, {"cases": cases})
+    out = tmp_path / "out"
+    assert main(["verify-moments", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cases[1]" in err and "cases[2]" not in err and "cases[3]" not in err
+    assert not out.exists()
 
 
 def test_verify_moments_rejects_unknown_top_level_keys(tmp_path):

@@ -130,6 +130,33 @@ def test_partition_constructors():
         Partition.contiguous(3, 4)
 
 
+@pytest.mark.parametrize(
+    "blocks",
+    [[[0.7, 1.2], [2, 3]], [[0, 1], [2, 3.5]], [[0, 1], [2, "3"]], [[True, False], [2, 3]],
+     [[0, 1], [2, float("nan")]]],
+)
+def test_partition_rejects_non_integral_indices(blocks):
+    with pytest.raises(InvalidArgumentError, match="integers"):
+        Partition(4, blocks)
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [[(0, 1.5), (1.5, 4)], [(0, 2), (2, 4.5)], [(0, "2"), (2, 4)], [(0, float("inf")), (2, 4)]],
+)
+def test_partition_from_ranges_rejects_non_integral_bounds(ranges):
+    with pytest.raises(InvalidArgumentError, match="integers"):
+        Partition.from_ranges(4, ranges)
+
+
+def test_partition_accepts_integral_floats_and_numpy_integers():
+    want = [[0, 1], [2, 3]]
+    for part in (Partition(4, [[0.0, 1.0], np.array([2, 3], dtype=np.uint8)]),
+                 Partition.from_ranges(4, [(0, 2.0), (np.int64(2), 4)])):
+        assert [b.tolist() for b in part.blocks] == want
+        assert all(b.dtype == np.intp for b in part.blocks)
+
+
 def test_grouped_estimator_masks_one_direction_per_sample():
     a = np.array([1.0, -2.0, 3.0, 0.5])
     part = Partition.from_ranges(4, [(0, 2), (2, 4)])

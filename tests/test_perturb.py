@@ -98,6 +98,27 @@ def test_batch_directions_shape_appends_dimension():
     assert u.shape == (7, 3, 4)
 
 
+@pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+@pytest.mark.parametrize("shape", [(1,), (7, 3), (5, 1)])
+def test_batch_directions_into_out_equals_a_fresh_draw(distribution, shape):
+    want = batch_directions(distribution, shape, 4, keyed_generator(3, 9))
+    buf = np.full(shape + (4,), np.nan)
+    got = batch_directions(distribution, shape, 4, keyed_generator(3, 9), out=buf)
+    assert got is buf
+    assert got.tobytes() == want.tobytes()
+    # A view into a larger buffer, as a Monte Carlo loop's short last batch uses.
+    big = np.full((shape[0] + 2,) + shape[1:] + (4,), np.nan)
+    batch_directions(distribution, shape, 4, keyed_generator(3, 9), out=big[: shape[0]])
+    assert big[: shape[0]].tobytes() == want.tobytes()
+
+
+def test_batch_directions_rejects_a_mismatched_out():
+    rng = keyed_generator(0, 1)
+    for buf in (np.empty((7, 3, 5)), np.empty((1, 3, 4)), np.empty((7, 3, 4), dtype=np.float32)):
+        with pytest.raises(InvalidArgumentError):
+            batch_directions(RADEMACHER, (7, 3), 4, rng, out=buf)
+
+
 def test_keyed_generator_is_deterministic_per_key():
     a = keyed_generator(5, 1, 2).standard_normal(4)
     b = keyed_generator(5, 1, 2).standard_normal(4)
