@@ -22,7 +22,7 @@ from .objectives import (
 from .optimizers import Method, zo_adam_step
 from .perturb import GAUSSIAN, UNIFORM, PerturbationSpec, batch_directions, keyed_generator
 
-_MC_BATCH = 32768
+MC_BATCH = 32768
 
 
 def predicted_squared_moment(g, q, distribution):
@@ -43,7 +43,7 @@ def predicted_squared_moment(g, q, distribution):
     )
 
 
-def mc_squared_moment(g, q, distribution, n, seed=0, batch=_MC_BATCH):
+def mc_squared_moment(g, q, distribution, n, seed=0, batch=MC_BATCH):
     """Monte Carlo estimate of E[ghat_k^2] over n independent q-sample draws.
 
     On an affine objective the projected gradient equals the directional
@@ -92,13 +92,6 @@ class MomentReport:
     max_rel_err: float
     n_trials: int
     standard_error: np.ndarray
-
-
-def check_moment_case(g, q, distribution, n):
-    """Raise InvalidArgumentError unless moment_report(g, q, distribution, n) can run."""
-    predicted_squared_moment(g, q, distribution)
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
 
 
 def moment_report(g, q, distribution, n, seed=0):

@@ -95,6 +95,27 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
+def _moment_workers(cases, cpus):
+    """Threads for verify-moments: at most one per case and per core, and no
+    more than keeps the running cases' direction buffers (min(n, batch) x q
+    x d floats each) within twice the largest one, which is what a
+    sequential loop holds when it draws each batch into a new array."""
+    sizes = sorted((min(c["n"], analysis.MC_BATCH) * c["q"] * c["g"].size for c in cases),
+                   reverse=True)
+    workers = 1
+    while workers < min(len(cases), cpus) and sum(sizes[:workers + 1]) <= 2 * sizes[0]:
+        workers += 1
+    return workers
+
+
+def _moment_case_report(i, case):
+    try:
+        return analysis.moment_report(case["g"], case["q"], case["distribution"], case["n"],
+                                      seed=case["seed"])
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"invalid moment case cases[{i}]: {exc}") from exc
+
+
 def cmd_verify_moments(args):
     # Imported here: run, sweep and fig2 never need it.
     from concurrent.futures import ThreadPoolExecutor
@@ -107,23 +128,17 @@ def cmd_verify_moments(args):
         case = read_fields(case, _MOMENT_CASE_FIELDS, f"cases[{i}]")
         case["g"] = np.asarray(case["g"], dtype=np.float64)
         try:
-            analysis.check_moment_case(case["g"], case["q"], case["distribution"], case["n"])
+            analysis.predicted_squared_moment(case["g"], case["q"], case["distribution"])
         except InvalidArgumentError as exc:
             raise ConfigError(f"invalid moment case cases[{i}]: {exc}") from exc
+        if case["n"] < 1:
+            raise ConfigError(f"invalid moment case cases[{i}]: n must be >= 1, got {case['n']}")
         cases.append(case)
 
     # Each case draws from its own generator and its numpy work releases the
-    # GIL, so the cases run in parallel; the largest starts first so that it
-    # does not run alone at the end.
-    order = sorted(range(len(cases)),
-                   key=lambda i: -cases[i]["n"] * cases[i]["q"] * cases[i]["g"].size)
-    with ThreadPoolExecutor(max_workers=min(len(cases), _cpu_count())) as pool:
-        futures = {
-            i: pool.submit(analysis.moment_report, cases[i]["g"], cases[i]["q"],
-                           cases[i]["distribution"], cases[i]["n"], seed=cases[i]["seed"])
-            for i in order
-        }
-        reports = [futures[i].result() for i in range(len(cases))]
+    # GIL, so the cases run in parallel; map keeps the reports in case order.
+    with ThreadPoolExecutor(max_workers=_moment_workers(cases, _cpu_count())) as pool:
+        reports = list(pool.map(_moment_case_report, range(len(cases)), cases))
 
     results = []
     ok = True

@@ -10,7 +10,6 @@ from zoptim import (
     PreconditionError,
     bound_check_run,
     check_meazo_condition,
-    check_moment_case,
     check_smoothing_inequalities,
     classical_sgd_bound,
     collapse_study,
@@ -105,13 +104,10 @@ def test_monte_carlo_moment_rejects_counts_below_one(field):
                           batch=args["batch"])
 
 
-def test_check_moment_case_rejects_what_moment_report_cannot_run():
+def test_moment_report_rejects_cases_it_cannot_run():
     g = np.array([1.0, 0.0])
-    check_moment_case(g, 2, UNIFORM, 1)
     for bad in ((g, 0, GAUSSIAN, 10), (g, 1, GAUSSIAN, 0), (g, 1, "rademacher", 10),
                 (np.array([]), 1, GAUSSIAN, 10)):
-        with pytest.raises(InvalidArgumentError):
-            check_moment_case(*bad)
         with pytest.raises(InvalidArgumentError):
             moment_report(*bad)
 

@@ -8,6 +8,7 @@ import pytest
 
 from zoptim import TRACE_HEADER, cli, moment_report
 from zoptim.cli import main
+from zoptim.errors import InvalidArgumentError
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -217,6 +218,36 @@ def test_verify_moments_names_the_first_bad_case(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert "cases[1]" in err and "cases[2]" not in err and "cases[3]" not in err
     assert not out.exists()
+
+
+def test_verify_moments_names_a_case_that_fails_on_its_worker(tmp_path, monkeypatch, capsys):
+    run = cli.analysis.moment_report
+
+    def moment_report_failing_for_q4(g, q, distribution, n, seed=0):
+        if q == 4:
+            raise InvalidArgumentError("raised on the worker")
+        return run(g, q, distribution, n, seed=seed)
+
+    monkeypatch.setattr(cli.analysis, "moment_report", moment_report_failing_for_q4)
+    cfg = write_cfg(tmp_path, {"cases": MOMENT_CASES})
+    assert main(["verify-moments", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "cases[1]: raised on the worker" in capsys.readouterr().err
+
+
+def _case(n, q, d):
+    return {"n": n, "q": q, "g": np.zeros(d)}
+
+
+def test_moment_workers_keep_buffers_within_twice_the_largest():
+    equal = [_case(10**6, 10, 256)] * 8
+    assert cli._moment_workers(equal, 8) == 2
+    assert cli._moment_workers(equal, 1) == 1
+    assert cli._moment_workers(equal[:1], 8) == 1
+    # One large case leaves room for many small ones; n beyond a batch adds none.
+    mixed = [_case(100, 1, 2)] * 3 + [_case(10**6, 4, 8)] + [_case(10**7, 1, 2)] * 3
+    assert cli._moment_workers(mixed, 4) == 4
+    assert cli._moment_workers(mixed, 64) == 7
+    assert cli._moment_workers([_case(10**6, 4, 8), _case(10**6, 4, 8), _case(1, 1, 1)], 8) == 2
 
 
 def test_verify_moments_rejects_unknown_top_level_keys(tmp_path):
