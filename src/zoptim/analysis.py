@@ -59,7 +59,11 @@ def mc_squared_moment(g, q, distribution, n, seed=0, batch=MC_BATCH):
             raise InvalidArgumentError(f"{name} must be >= 1, got {value}")
     rng = keyed_generator(seed, 0x3C0)
     size = min(batch, n)
-    u = np.empty((size, q, d))
+    try:  # numpy raises MemoryError, or ValueError past its largest array
+        u = np.empty((size, q, d))
+    except (MemoryError, ValueError) as exc:
+        raise InvalidArgumentError(
+            f"cannot allocate {size} x {q} x {d} direction buffers: {exc}") from exc
     s = np.empty((size, q))
     est = np.empty((size, d))
     acc = np.zeros(d)
@@ -341,6 +345,8 @@ def collapse_study(dims=(9, 25, 49, 100, 1024), optimizers=("fo-adam", "zo-adam"
     spread of the bias-corrected second moment over the last `tail`
     recorded steps before the loss threshold is reached.
     """
+    if tail < 1 or max_steps < 1:
+        raise InvalidArgumentError(f"tail and max_steps must be >= 1, got {tail} and {max_steps}")
     results = []
     for d in dims:
         quad = BlockQuadratic(d=d, regime=regime, seed=quad_seed)

@@ -9,6 +9,7 @@ update needs the same directions passes the block, so each direction is
 drawn once per step and held for that step only.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,7 @@ class Partition:
         self.block_of = np.empty(d, dtype=np.intp)  # the block of each coordinate
         for j, idx in enumerate(clean):
             self.block_of[idx] = j
+        self.masks = np.arange(len(clean))[:, None] == self.block_of  # (p, d): row j is block j
 
     @property
     def p(self):
@@ -128,62 +130,80 @@ def _step_block(spec, step, q, d, directions):
     return directions
 
 
-def zo_gradient(f, x, spec, q, step, counter=None, directions=None):
-    """q-sample estimator (1/q) sum_i pg_i u_i, d-scaled for uniform-sphere directions.
+_SIGNS = np.array([[1.0], [-1.0]])
 
-    directions is the step's (q, d) block from step_directions(spec, step,
-    q, d); when omitted it is drawn here. Pass it when the update needs the
-    same directions, so each is drawn once per step and never kept beyond
-    it. Returns (estimate, the q projected-gradient scalars): downstream
-    optimizers need the scalars and recomputing them would double the
-    evaluation cost.
+
+def _point_estimate(f, x, spec, q, step, counter, directions, partition):
+    """The estimate over the partition's p blocks (p=1 without one) and its (q, p) scalars.
+
+    The step's perturbed points form one (q, p, 2, d) array: by sample, then
+    block, then + before -, each block's direction masked to exact +0.0
+    outside it. Its rows are evaluated in that order, one f call each, up to
+    the first non-finite value, which NumericFailureError names.
     """
     if q < 1:
         raise InvalidArgumentError(f"q must be >= 1, got {q}")
     x = np.asarray(x, dtype=np.float64)
     d = x.size
+    if partition is not None and partition.d != d:
+        raise InvalidArgumentError(f"partition is over {partition.d} coordinates, x has {d}")
     directions = _step_block(spec, step, q, d, directions)
+    u = directions[:, None]
+    if partition is not None:
+        u = np.where(partition.masks, u, 0.0)
+    # x + (-m) is x - m to the bit, so one product with (+1, -1) gives both signs.
+    points = x + (spec.epsilon * u)[:, :, None] * _SIGNS
+    values = []
+    try:
+        for row in points.reshape(-1, d):
+            value = float(f(row))
+            values.append(value)
+            if not math.isfinite(value):
+                _finite_or_raise(value, row.copy())
+    finally:
+        if counter is not None:
+            counter.add_full(len(values))
+    two_eps = 2.0 * spec.epsilon
+    pairs = zip(values[::2], values[1::2])
+    scalars = np.array([(fp - fm) / two_eps for fp, fm in pairs]).reshape(q, -1)
+    coord_scalars = scalars if partition is None else scalars.take(partition.block_of, axis=1)
+    return _combine(coord_scalars, directions, spec.distribution), scalars
+
+
+def _combine(coord_scalars, directions, distribution):
+    """(1/q) sum_i c_i * u_i, added in sample order from zeros, d-scaled for uniform-sphere
+    directions; c_i holds sample i's scalar for each coordinate (or one for all)."""
+    q, d = directions.shape
     acc = np.zeros(d)
-    scalars = np.empty(q)
-    for i, u in enumerate(directions):
-        s = projected_gradient(f, x, u, spec.epsilon, counter)
-        scalars[i] = s
-        acc += s * u
+    for c, u in zip(coord_scalars, directions):
+        acc += c * u
     est = acc / q
-    if spec.distribution == UNIFORM:
+    if distribution == UNIFORM:
         est = est * d
-    return est, scalars
+    return est
+
+
+def zo_gradient(f, x, spec, q, step, counter=None, directions=None):
+    """q-sample estimator (1/q) sum_i pg_i u_i, d-scaled for uniform-sphere directions.
+
+    directions is the step's (q, d) block from step_directions(spec, step,
+    q, d), drawn here when omitted; pass it when the update needs the same
+    directions, so each is drawn once per step. Returns (estimate, the q
+    projected-gradient scalars), which the scalar-state optimizers need.
+    """
+    est, scalars = _point_estimate(f, x, spec, q, step, counter, directions, None)
+    return est, scalars.reshape(q)
 
 
 def grouped_zo_gradient(f, x, spec, q, partition, step, counter=None, directions=None):
     """Block estimator (1/q) sum_i sum_j pg_{ij} (m_j * u_i).
 
-    One direction per sample, masked per block, so p=1 is bit-identical to
-    zo_gradient on the same replay stream (including the uniform d-scaling).
-    directions is the step's (q, d) block, drawn here when omitted.
-    Returns (estimate, scalars of shape (q, p)).
+    One direction per sample, masked per block; zo_gradient is the same
+    computation with one block, so p=1 is bit-identical to it (including
+    the uniform d-scaling). directions is the step's (q, d) block, drawn
+    here when omitted. Returns (estimate, scalars of shape (q, p)).
     """
-    if q < 1:
-        raise InvalidArgumentError(f"q must be >= 1, got {q}")
-    x = np.asarray(x, dtype=np.float64)
-    d = x.size
-    if partition.d != d:
-        raise InvalidArgumentError(f"partition is over {partition.d} coordinates, x has {d}")
-    p = partition.p
-    directions = _step_block(spec, step, q, d, directions)
-    acc = np.zeros(d)
-    scalars = np.empty((q, p))
-    for i, u in enumerate(directions):
-        for j, idx in enumerate(partition.blocks):
-            masked = np.zeros(d)
-            masked[idx] = u[idx]
-            s = projected_gradient(f, x, masked, spec.epsilon, counter)
-            scalars[i, j] = s
-            acc[idx] += s * u[idx]
-    est = acc / q
-    if spec.distribution == UNIFORM:
-        est = est * d
-    return est, scalars
+    return _point_estimate(f, x, spec, q, step, counter, directions, partition)
 
 
 def _block_rows(x, u_block, epsilon, start, stop):
@@ -239,12 +259,5 @@ def efficient_grouped_eval(chain, x, spec, q, step, counter=None, directions=Non
         _finite_or_raise(float(losses[j, minus * q + i]), point)
 
     scalars = np.ascontiguousarray(((losses[:, :q] - losses[:, q:]) / (2.0 * epsilon)).T)
-    # Each coordinate adds its block's scalar times u_i in sample order.
     coord_scalars = np.repeat(scalars, [stop - start for start, stop in chain.slices], axis=1)
-    acc = np.zeros(d)
-    for i, u in enumerate(directions):
-        acc += coord_scalars[i] * u
-    est = acc / q
-    if spec.distribution == UNIFORM:
-        est = est * d
-    return est, scalars
+    return _combine(coord_scalars, directions, spec.distribution), scalars

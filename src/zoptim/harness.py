@@ -340,8 +340,11 @@ def _vhat_stats(state):
     if vhat is None or state.t == 0:
         return 0.0, 0.0, 0.0
     if isinstance(vhat, float):
-        return float(vhat), float(vhat), float(vhat)
-    return float(vhat.min()), float(vhat.max()), float(vhat.mean())
+        vhat = float(vhat)
+        return vhat, vhat, vhat
+    # The same bits as vhat.min(), .max() and .mean(), without their wrappers.
+    return (float(np.minimum.reduce(vhat)), float(np.maximum.reduce(vhat)),
+            float(np.add.reduce(vhat) / vhat.size))
 
 
 def _run_seed(cfg, base, partition, seed):
@@ -372,27 +375,19 @@ def _run_seed(cfg, base, partition, seed):
     initial_loss = float(base.value(x))
     sentinel = DIVERGENCE_FACTOR * max(initial_loss, 1e-300)
 
-    cols = {k: [] for k in ("steps", "losses", "gns", "vmin", "vmax", "vmean",
-                            "fn", "blk", "el")}
+    rows = []  # one (step, loss, grad_norm_sq, v_min, v_max, v_mean, fn, blk, elapsed) per record
     sigmas = []
     diverged = False
     steps_to_threshold = None
     best_loss = initial_loss
     started = time.perf_counter()
+    wall_clock, eval_every, keeps_sigma = cfg.wall_clock, cfg.eval_every, hasattr(state, "sigma")
 
     def record(t, loss, x_at):
         g = grad(x_at) if grad is not None else None
-        gns = float(g @ g) if g is not None else 0.0
-        vmin, vmax, vmean = _vhat_stats(state)
-        cols["steps"].append(t)
-        cols["losses"].append(loss)
-        cols["gns"].append(gns)
-        cols["vmin"].append(vmin)
-        cols["vmax"].append(vmax)
-        cols["vmean"].append(vmean)
-        cols["fn"].append(counter.full_forward_calls)
-        cols["blk"].append(counter.block_forward_calls)
-        cols["el"].append(time.perf_counter() - started if cfg.wall_clock else 0.0)
+        rows.append((t, loss, float(g @ g) if g is not None else 0.0, *_vhat_stats(state),
+                     counter.full_forward_calls, counter.block_forward_calls,
+                     time.perf_counter() - started if wall_clock else 0.0))
 
     t = 0
     loss = initial_loss
@@ -416,9 +411,9 @@ def _run_seed(cfg, base, partition, seed):
         except (NumericFailureError, DegenerateScaleError):
             diverged = True
             break
-        if getattr(state, "sigma", None) is not None:
+        if keeps_sigma:
             sigmas.append(state.sigma)
-        if t % cfg.eval_every == 0:
+        if t % eval_every == 0:
             record(t, loss, x_before)
         t += 1
 
@@ -433,26 +428,11 @@ def _run_seed(cfg, base, partition, seed):
         if steps_to_threshold is None and final_loss <= cfg.threshold:
             steps_to_threshold = cfg.T
 
-    return Trace(
-        seed=seed,
-        eta=state.eta,
-        steps=cols["steps"],
-        losses=cols["losses"],
-        grad_norm_sq=cols["gns"],
-        v_min=cols["vmin"],
-        v_max=cols["vmax"],
-        v_mean=cols["vmean"],
-        fn_evals=cols["fn"],
-        block_forwards=cols["blk"],
-        elapsed=cols["el"],
-        sigmas=sigmas,
-        diverged=diverged,
-        initial_loss=initial_loss,
-        final_loss=final_loss,
-        best_loss=best_loss,
-        steps_to_threshold=steps_to_threshold,
-        wall_time=time.perf_counter() - started,
-    )
+    # The record columns, in the order of Trace's fields from steps to elapsed.
+    cols = [list(col) for col in zip(*rows)] if rows else [[] for _ in range(9)]
+    return Trace(seed, state.eta, *cols, sigmas=sigmas, diverged=diverged,
+                 initial_loss=initial_loss, final_loss=final_loss, best_loss=best_loss,
+                 steps_to_threshold=steps_to_threshold, wall_time=time.perf_counter() - started)
 
 
 def run(config):

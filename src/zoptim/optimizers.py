@@ -25,7 +25,7 @@ from .perturb import PerturbationSpec, step_directions
 
 def _require_finite(arr, what):
     arr = np.asarray(arr, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericFailureError(f"non-finite {what}", value=arr)
     return arr
 
@@ -193,12 +193,12 @@ def meazo_step(state, x, scalars, directions):
     if scalars.ndim != 1 or scalars.size < 1:
         raise InvalidArgumentError("scalars must be a non-empty 1-D array")
     q = scalars.size
-    g = float(scalars.mean())
+    g = float(np.add.reduce(scalars) / q)  # the bits of scalars.mean(), without its overhead
     state.v = state.beta * state.v + (1.0 - state.beta) * g * g
     state.t += 1
 
     x = np.asarray(x, dtype=np.float64)
-    upd = np.zeros_like(x)
+    upd = np.zeros(x.shape)
     count = 0
     for s, u in zip(scalars, directions):
         upd += s * u
@@ -226,13 +226,13 @@ def grouped_meazo_step(state, x, scalars, partition, directions):
     if partition.d != x.size:
         raise InvalidArgumentError(f"partition is over {partition.d} coordinates, x has {x.size}")
 
-    g = scalars.mean(axis=0)
+    g = np.add.reduce(scalars, axis=0) / q  # the bits of scalars.mean(axis=0)
     state.v = state.beta * state.v + (1.0 - state.beta) * g * g
     state.t += 1
 
     block = partition.block_of
-    coord_scalars = scalars[:, block]  # each sample's scalar for each coordinate's block
-    upd = np.zeros_like(x)
+    coord_scalars = scalars.take(block, axis=1)  # each sample's scalar for each coordinate's block
+    upd = np.zeros(x.shape)
     count = 0
     for i, u in enumerate(directions):
         upd += coord_scalars[i] * u
@@ -241,7 +241,7 @@ def grouped_meazo_step(state, x, scalars, partition, directions):
         raise InvalidArgumentError(f"expected {q} directions, got {count}")
     upd /= q
     coef = state.eta / (np.sqrt(state.vhat) + state.zeta)
-    return x - coef[block] * upd
+    return x - coef.take(block) * upd
 
 
 def fzoo_step(f, x, state, step, counter=None):
@@ -295,7 +295,7 @@ _METHODS = {
     "radazo": (AdamState, lambda m, x, t, est, s, u: radazo_step(m.state, x, est)),
     "meazo": (MeazoState, lambda m, x, t, est, s, u: meazo_step(m.state, x, s, u)),
     # Draws its block a second time for the update: the benchmark's tracer
-    # tests pin perturb.regen_ratio == 2.0 on it (ROADMAP item 3).
+    # tests pin perturb.regen_ratio == 2.0 on it (ROADMAP item 6).
     "meazo-grouped": (GroupedMeazoState, lambda m, x, t, est, s, u: grouped_meazo_step(
         m.state, x, s, m.partition, step_directions(m.spec, t, m.q, m.d))),
     "fzoo": (FzooState, None),

@@ -402,16 +402,21 @@ def test_out_of_domain_and_mistyped_fields_exit_two(tmp_path, over):
         ("fig2", {"dims": [4], "optimizers": ["sgd"], "max_steps": 5}),
         ("fig2", {"dims": [4], "optimizers": [[1]], "max_steps": 5}),
         ("fig2", {"dims": [4], "series": "false", "max_steps": 5}),
+        ("fig2", {"dims": [4], "tail": 0, "max_steps": 5}),
+        ("fig2", {"dims": [4], "max_steps": 0}),
         ("verify-moments", {"cases": [{"g": [1.0, 0.0], "q": "a", "n": 100}]}),
         ("verify-moments", {"cases": [{"g": "abc", "n": 100}]}),
         ("verify-moments", {"cases": [{"g": [1.0, 0.0], "q": 0, "n": 100}]}),
+        # numpy refuses this buffer before it allocates anything.
+        ("verify-moments", {"cases": [{"g": [1.0, 0.0], "q": 10**18, "n": 100}]}),
     ],
     ids=[
         "bounds-nonsquare-d", "bounds-string-d", "bounds-string-eta", "bounds-zero-T",
         "bounds-zero-eta", "bounds-incomplete-reduction", "reduction-zero-q",
         "reduction-zero-L", "reduction-zero-eta", "reduction-zero-d", "fig2-nonsquare-dims",
         "fig2-string-eta", "fig2-unknown-optimizer", "fig2-list-optimizer",
-        "fig2-string-series", "moments-string-q", "moments-string-g", "moments-zero-q",
+        "fig2-string-series", "fig2-zero-tail", "fig2-zero-max-steps", "moments-string-q",
+        "moments-string-g", "moments-zero-q", "moments-unallocatable-q",
     ],
 )
 def test_verification_configs_with_bad_fields_exit_two(tmp_path, command, payload):

@@ -20,6 +20,7 @@ from zoptim import (
     make_chain,
     projected_gradient,
     sample_direction,
+    step_directions,
     zo_gradient,
 )
 
@@ -284,3 +285,108 @@ def test_estimators_reject_nonpositive_q():
         zo_gradient(affine([1.0]), np.zeros(1), spec, 0, 0)
     with pytest.raises(InvalidArgumentError):
         grouped_zo_gradient(affine([1.0]), np.zeros(1), spec, 0, Partition(1, [[0]]), 0)
+
+
+# The per-direction loops zo_gradient and grouped_zo_gradient ran before they
+# became one point-matrix body; the merged body must match them bit for bit.
+def reference_zo_gradient(f, x, spec, q, directions, counter=None):
+    x = np.asarray(x, dtype=np.float64)
+    d = x.size
+    acc = np.zeros(d)
+    scalars = np.empty(q)
+    for i, u in enumerate(directions):
+        s = projected_gradient(f, x, u, spec.epsilon, counter)
+        scalars[i] = s
+        acc += s * u
+    est = acc / q
+    if spec.distribution == UNIFORM:
+        est = est * d
+    return est, scalars
+
+
+def reference_grouped_zo_gradient(f, x, spec, q, partition, directions, counter=None):
+    x = np.asarray(x, dtype=np.float64)
+    d = x.size
+    acc = np.zeros(d)
+    scalars = np.empty((q, partition.p))
+    for i, u in enumerate(directions):
+        for j, idx in enumerate(partition.blocks):
+            masked = np.zeros(d)
+            masked[idx] = u[idx]
+            s = projected_gradient(f, x, masked, spec.epsilon, counter)
+            scalars[i, j] = s
+            acc[idx] += s * u[idx]
+    est = acc / q
+    if spec.distribution == UNIFORM:
+        est = est * d
+    return est, scalars
+
+
+def signed_zero_point(d, seed):
+    x = np.random.default_rng(seed).standard_normal(d) * 0.2
+    x[::3] = -0.0
+    return x
+
+
+def scattered_partition(d, p, seed):
+    return Partition(d, np.array_split(np.random.default_rng(seed).permutation(d), p))
+
+
+@pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+@pytest.mark.parametrize("d", [1, 9, 100])
+@pytest.mark.parametrize("q", [1, 3])
+@pytest.mark.parametrize("p", [1, 3])
+def test_point_matrix_estimators_match_the_per_direction_loops_bitwise(distribution, d, q, p):
+    quad = make_block_quadratic(d, regime="heterogeneous", seed=2)
+    x = signed_zero_point(d, d + q)
+    spec = PerturbationSpec(distribution=distribution, epsilon=1e-5, base_seed=11)
+    dirs = step_directions(spec, 4, q, d)
+    part = scattered_partition(d, min(p, d), p)
+
+    got, want = EvalCounter(), EvalCounter()
+    est, scalars = zo_gradient(quad.value, x, spec, q, 4, got)
+    ref_est, ref_scalars = reference_zo_gradient(quad.value, x, spec, q, dirs, want)
+    assert est.tobytes() == ref_est.tobytes()
+    assert scalars.shape == (q,) and scalars.tobytes() == ref_scalars.tobytes()
+
+    est, scalars = grouped_zo_gradient(quad.value, x, spec, q, part, 4, got)
+    ref_est, ref_scalars = reference_grouped_zo_gradient(quad.value, x, spec, q, part, dirs, want)
+    assert est.tobytes() == ref_est.tobytes()
+    assert scalars.shape == (q, part.p) and scalars.tobytes() == ref_scalars.tobytes()
+    assert got == want
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+def test_point_matrix_estimators_stop_at_the_first_nonfinite_point(grouped):
+    d, q = 9, 3
+    quad = make_block_quadratic(d, regime="heterogeneous", seed=2)
+    x = signed_zero_point(d, 1)
+    spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-5, base_seed=5)
+    dirs = step_directions(spec, 0, q, d)
+    part = scattered_partition(d, 3, 0)
+    points = 2 * q * (part.p if grouped else 1)
+
+    def failing_at(k, calls):
+        def f(row):
+            calls.append(row.copy())
+            return float("nan") if len(calls) == k + 1 else quad.value(row)
+        return f
+
+    for k in range(points):
+        calls, ref_calls = [], []
+        got, want = EvalCounter(), EvalCounter()
+        with pytest.raises(NumericFailureError) as err:
+            if grouped:
+                grouped_zo_gradient(failing_at(k, calls), x, spec, q, part, 0, got, dirs)
+            else:
+                zo_gradient(failing_at(k, calls), x, spec, q, 0, got, dirs)
+        with pytest.raises(NumericFailureError) as ref:
+            if grouped:
+                reference_grouped_zo_gradient(failing_at(k, ref_calls), x, spec, q, part, dirs, want)
+            else:
+                reference_zo_gradient(failing_at(k, ref_calls), x, spec, q, dirs, want)
+        assert len(calls) == k + 1
+        assert [c.tobytes() for c in calls] == [c.tobytes() for c in ref_calls]
+        assert err.value.point.tobytes() == ref.value.point.tobytes() == calls[k].tobytes()
+        assert str(err.value) == str(ref.value)
+        assert got == want and got.full_forward_calls == k + 1

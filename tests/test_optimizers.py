@@ -30,6 +30,7 @@ from zoptim import (
     zo_gradient,
     zo_sgd_step,
 )
+from zoptim.harness import _vhat_stats
 from zoptim.perturb import GAUSSIAN, RADEMACHER
 
 
@@ -307,3 +308,81 @@ def test_method_builds_each_state_and_rejects_what_it_cannot_step():
         Method("zo-sgd", 0.0, spec, 2, 4)
     with pytest.raises(InvalidArgumentError):
         Method("fo-adam", 0.1, spec, 2, 4).step(lambda x: 0.0, np.zeros(4), 0)
+
+
+# The step rules and the trace's v-hat statistics before their means became
+# np.add.reduce(a, axis) / n; the new reductions must give the same bytes.
+def reference_meazo_step(state, x, scalars, directions):
+    q = scalars.size
+    g = float(scalars.mean())
+    state.v = state.beta * state.v + (1.0 - state.beta) * g * g
+    state.t += 1
+    upd = np.zeros_like(x)
+    for s, u in zip(scalars, directions):
+        upd += s * u
+    upd /= q
+    return x - (state.eta / (math.sqrt(state.vhat) + state.zeta)) * upd
+
+
+def reference_grouped_meazo_step(state, x, scalars, partition, directions):
+    q = scalars.shape[0]
+    g = scalars.mean(axis=0)
+    state.v = state.beta * state.v + (1.0 - state.beta) * g * g
+    state.t += 1
+    block = partition.block_of
+    coord_scalars = scalars[:, block]
+    upd = np.zeros_like(x)
+    for i, u in enumerate(directions):
+        upd += coord_scalars[i] * u
+    upd /= q
+    coef = state.eta / (np.sqrt(state.vhat) + state.zeta)
+    return x - coef[block] * upd
+
+
+def reference_vhat_stats(state):
+    vhat = getattr(state, "vhat", None)
+    if vhat is None or state.t == 0:
+        return 0.0, 0.0, 0.0
+    if isinstance(vhat, float):
+        return float(vhat), float(vhat), float(vhat)
+    return float(vhat.min()), float(vhat.max()), float(vhat.mean())
+
+
+def stats_bytes(stats):
+    return np.array(stats).tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 3, 8])
+@pytest.mark.parametrize("q", [1, 2, 10])
+def test_step_rule_reductions_match_the_mean_versions_bitwise(p, q):
+    d = 17
+    rng = np.random.default_rng(100 * p + q)
+    part = Partition.contiguous(d, p)
+    states = [GroupedMeazoState(p=p, eta=1e-2, beta=0.9) for _ in range(2)]
+    plain = [MeazoState(eta=1e-2, beta=0.9) for _ in range(2)]
+    x = rng.standard_normal(d)
+    xs, ys = x.copy(), x.copy()
+    for _ in range(6):
+        # Scalars over many magnitudes, so a different summation order shows.
+        scalars = rng.standard_normal((q, p)) * 10.0 ** rng.integers(-8, 9, size=(q, p))
+        dirs = rng.standard_normal((q, d))
+        got = grouped_meazo_step(states[0], x, scalars, part, dirs)
+        want = reference_grouped_meazo_step(states[1], x, scalars, part, dirs)
+        assert got.tobytes() == want.tobytes()
+        assert states[0].v.tobytes() == states[1].v.tobytes()
+        assert stats_bytes(_vhat_stats(states[0])) == stats_bytes(reference_vhat_stats(states[1]))
+        xs = meazo_step(plain[0], xs, scalars[:, 0].copy(), dirs)
+        ys = reference_meazo_step(plain[1], ys, scalars[:, 0].copy(), dirs)
+        assert xs.tobytes() == ys.tobytes() and plain[0].v == plain[1].v
+        assert stats_bytes(_vhat_stats(plain[0])) == stats_bytes(reference_vhat_stats(plain[1]))
+        x = got
+
+
+def test_vhat_stats_match_the_mean_version_on_per_coordinate_moments():
+    rng = np.random.default_rng(3)
+    for dim in (1, 3, 8, 100, 1024):
+        state = AdamState(dim=dim, eta=1e-3)
+        assert _vhat_stats(state) == (0.0, 0.0, 0.0)
+        state.v = rng.standard_normal(dim) ** 2 * 10.0 ** rng.integers(-8, 9, size=dim)
+        state.t = 3
+        assert stats_bytes(_vhat_stats(state)) == stats_bytes(reference_vhat_stats(state))
