@@ -197,6 +197,14 @@ class TheoremConstants:
     zeta: float
 
 
+def _variance_constants(d, q, epsilon, L, sigma):
+    """sigma0^2 and sigma1^2 of the two-point estimator's second-moment bound."""
+    sigma0_sq = (d * epsilon**2 * L**2 / (2.0 * q)) * (8.0 + d) + (
+        (2.0 * d - 1.0) / q + 1.0
+    ) * sigma**2
+    return sigma0_sq, (4.0 * d - 1.0) / q
+
+
 def theorem_constants(d, q, epsilon, L, sigma, G, beta, zeta):
     """Constants entering the scalar-adaptive convergence bound."""
     if d < 1 or q < 1:
@@ -207,10 +215,7 @@ def theorem_constants(d, q, epsilon, L, sigma, G, beta, zeta):
         raise InvalidArgumentError(f"beta must lie in (0, 1), got {beta}")
     if sigma < 0:
         raise InvalidArgumentError(f"sigma must be >= 0, got {sigma}")
-    sigma0_sq = (d * epsilon**2 * L**2 / (2.0 * q)) * (8.0 + d) + (
-        (2.0 * d - 1.0) / q + 1.0
-    ) * sigma**2
-    sigma1_sq = (4.0 * d - 1.0) / q
+    sigma0_sq, sigma1_sq = _variance_constants(d, q, epsilon, L, sigma)
     alpha = math.sqrt(beta) * G + zeta
     return TheoremConstants(
         sigma0_sq=sigma0_sq,
@@ -256,14 +261,11 @@ def zosgd_bound(d, q, epsilon, L, sigma, eta, T, f0_minus_fstar):
         raise InvalidArgumentError(f"T and d must be >= 1, got T={T}, d={d}")
     if not (q > 0 and L > 0 and eta > 0):
         raise InvalidArgumentError(f"q, L and eta must be > 0, got q={q}, L={L}, eta={eta}")
-    sigma1_sq = (4.0 * d - 1.0) / q
+    sigma0_sq, sigma1_sq = _variance_constants(d, q, epsilon, L, sigma)
     if not eta < 2.0 / ((1.0 + sigma1_sq) * L):
         raise PreconditionError(
             f"eta must be below 2 / ((1 + sigma1^2) L) = {2.0 / ((1.0 + sigma1_sq) * L)}"
         )
-    sigma0_sq = (d * epsilon**2 * L**2 / (2.0 * q)) * (8.0 + d) + (
-        (2.0 * d - 1.0) / q + 1.0
-    ) * sigma**2
     k0 = 1.0 / (eta * T * (1.0 - L * eta * (1.0 + sigma1_sq) / 2.0))
     k1 = L * eta * sigma0_sq / (2.0 - L * eta * (1.0 + sigma1_sq))
     return k0 * f0_minus_fstar + k1 + epsilon**2 * L**2 * (k0 / 2.0 + 2.0)
@@ -293,8 +295,7 @@ def _run_one(objective, grad, optimizer, d, eta, q, epsilon, distribution, beta1
         raise InvalidArgumentError(f"{optimizer} keeps no second moment to study")
 
     x = x0.copy()
-    tail_spread = []
-    tail_target = []
+    target_errs = []
     series = {"step": [], "loss": [], "grad_norm_sq": [], "spread": []}
     hit = None
     for t in range(max_steps):
@@ -313,11 +314,7 @@ def _run_one(objective, grad, optimizer, d, eta, q, epsilon, distribution, beta1
         series["loss"].append(loss)
         series["grad_norm_sq"].append(gns)
         series["spread"].append(metric["spread"])
-        tail_spread.append(metric["spread"])
-        tail_target.append(metric["theory_target_err"])
-        if len(tail_spread) > tail:
-            tail_spread.pop(0)
-            tail_target.pop(0)
+        target_errs.append(metric["theory_target_err"])
         if loss <= threshold:
             hit = t
             break
@@ -326,8 +323,8 @@ def _run_one(objective, grad, optimizer, d, eta, q, epsilon, distribution, beta1
         "optimizer": optimizer,
         "d": d,
         "steps_to_threshold": hit,
-        "terminal_spread": float(np.mean(tail_spread)) if tail_spread else math.inf,
-        "terminal_target_err": float(np.mean(tail_target)) if tail_target else math.inf,
+        "terminal_spread": float(np.mean(series["spread"][-tail:])),
+        "terminal_target_err": float(np.mean(target_errs[-tail:])),
         "final_loss": float(objective(x)),
         "vhat_final": np.atleast_1d(state.vhat),
         "series": series,

@@ -7,7 +7,6 @@ verification, 4 sweep in which every run diverged.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -16,17 +15,9 @@ import numpy as np
 
 from . import analysis, harness
 from .errors import ConfigError, InvalidArgumentError, PreconditionError, ZoptimError
-from .harness import OMIT, REQUIRED, SEED, load_json, read_fields
+from .harness import OMIT, REQUIRED, SEED, _write_json, load_json, read_fields
 from .objectives import REGIMES, BlockQuadratic, equal_energy_point
 from .perturb import DISTRIBUTIONS
-
-
-def _write_json(payload, out_dir, name):
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=str)
-        fh.write("\n")
-    return path
 
 
 def cmd_run(args):
@@ -58,7 +49,7 @@ def cmd_sweep(args):
         "all_diverged": sweep.all_diverged,
         "rows": sweep.rows,
     }
-    _write_json(payload, args.out, "sweep.json")
+    _write_json(payload, os.path.join(args.out, "sweep.json"))
     if sweep.all_diverged:
         print("every run diverged at every step size", file=sys.stderr)
         return 4
@@ -70,7 +61,7 @@ def cmd_sweep(args):
 def cmd_robustness(args):
     config, sweep = _sweep(args)
     if sweep.all_diverged:
-        _write_json({"all_diverged": True}, args.out, "robustness.json")
+        _write_json({"all_diverged": True}, os.path.join(args.out, "robustness.json"))
         print("every run diverged at every step size", file=sys.stderr)
         return 4
     payload = {
@@ -78,7 +69,7 @@ def cmd_robustness(args):
         "curve": harness.robustness_curve(sweep),
         "width": harness.robust_log_width(sweep),
     }
-    _write_json(payload, args.out, "robustness.json")
+    _write_json(payload, os.path.join(args.out, "robustness.json"))
     return 0
 
 
@@ -159,7 +150,7 @@ def cmd_verify_moments(args):
             }
         )
     os.makedirs(args.out, exist_ok=True)
-    _write_json({"cases": results, "all_pass": ok}, args.out, "moments.json")
+    _write_json({"cases": results, "all_pass": ok}, os.path.join(args.out, "moments.json"))
     if not ok:
         print("moment verification failed", file=sys.stderr)
         return 3
@@ -263,8 +254,7 @@ def cmd_verify_bounds(args):
             },
             "all_pass": ok,
         },
-        args.out,
-        "bounds.json",
+        os.path.join(args.out, "bounds.json"),
     )
     if not ok:
         print("bound verification failed", file=sys.stderr)
@@ -318,7 +308,7 @@ def cmd_fig2(args):
                         f"{s['step'][i]},{s['loss'][i]!r},"
                         f"{s['grad_norm_sq'][i]!r},{s['spread'][i]!r}\n"
                     )
-    _write_json({"rows": rows}, args.out, "fig2.json")
+    _write_json({"rows": rows}, os.path.join(args.out, "fig2.json"))
     return 0
 
 

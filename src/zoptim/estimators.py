@@ -7,6 +7,12 @@ forward-call accounting. Each estimator takes the step's (q, d) direction
 block from step_directions, or draws it when none is given; a caller whose
 update needs the same directions passes the block, so each direction is
 drawn once per step and held for that step only.
+
+_evaluate is the one place where perturbed points are evaluated, counted
+and checked (projected_gradient, the single-direction reference, keeps its
+own two calls), so it is the one place a batched oracle call will change;
+_direction_sum is the one sample-order sum of c_i * u_i. The step rules use
+both, so every bit-identity claim rests on one copy of each.
 """
 
 import math
@@ -99,6 +105,37 @@ def _finite_or_raise(value, point):
         raise NumericFailureError(f"objective returned non-finite value {value}", point=point, value=value)
 
 
+def _evaluate(f, points, counter):
+    """f at each row of points, in order, one float(f(row)) call each, as a
+    float64 array; the counter books every value returned, also when f
+    raises. The first non-finite value raises NumericFailureError naming a
+    copy of its row."""
+    values = []
+    try:
+        for row in points:
+            value = float(f(row))
+            values.append(value)
+            if not math.isfinite(value):
+                _finite_or_raise(value, row.copy())
+    finally:
+        if counter is not None:
+            counter.add_full(len(values))
+    return np.array(values)
+
+
+def _direction_sum(coefs, directions, d):
+    """sum_i c_i * u_i, added in sample order from zeros over any iterable of
+    directions; c_i is one scalar or one value per coordinate."""
+    acc = np.zeros(d)
+    n = 0
+    for c, u in zip(coefs, directions):
+        acc += c * u
+        n += 1
+    if n < len(coefs):
+        raise InvalidArgumentError(f"expected {len(coefs)} directions, got {n}")
+    return acc
+
+
 def projected_gradient(f, x, u, epsilon, counter=None):
     """Central finite difference (f(x+eps u) - f(x-eps u)) / (2 eps).
 
@@ -153,19 +190,8 @@ def _point_estimate(f, x, spec, q, step, counter, directions, partition):
         u = np.where(partition.masks, u, 0.0)
     # x + (-m) is x - m to the bit, so one product with (+1, -1) gives both signs.
     points = x + (spec.epsilon * u)[:, :, None] * _SIGNS
-    values = []
-    try:
-        for row in points.reshape(-1, d):
-            value = float(f(row))
-            values.append(value)
-            if not math.isfinite(value):
-                _finite_or_raise(value, row.copy())
-    finally:
-        if counter is not None:
-            counter.add_full(len(values))
-    two_eps = 2.0 * spec.epsilon
-    pairs = zip(values[::2], values[1::2])
-    scalars = np.array([(fp - fm) / two_eps for fp, fm in pairs]).reshape(q, -1)
+    values = _evaluate(f, points.reshape(-1, d), counter)
+    scalars = ((values[0::2] - values[1::2]) / (2.0 * spec.epsilon)).reshape(q, -1)
     coord_scalars = scalars if partition is None else scalars.take(partition.block_of, axis=1)
     return _combine(coord_scalars, directions, spec.distribution), scalars
 
@@ -174,10 +200,7 @@ def _combine(coord_scalars, directions, distribution):
     """(1/q) sum_i c_i * u_i, added in sample order from zeros, d-scaled for uniform-sphere
     directions; c_i holds sample i's scalar for each coordinate (or one for all)."""
     q, d = directions.shape
-    acc = np.zeros(d)
-    for c, u in zip(coord_scalars, directions):
-        acc += c * u
-    est = acc / q
+    est = _direction_sum(coord_scalars, directions, d) / q
     if distribution == UNIFORM:
         est = est * d
     return est

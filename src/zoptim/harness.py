@@ -246,6 +246,8 @@ class ExperimentConfig:
                 raise ConfigError("coarse_grid needs at least two step sizes")
             if any(not g > 0 for g in self.coarse_grid):
                 raise ConfigError("coarse_grid entries must be > 0")
+            if len(set(self.coarse_grid)) < len(self.coarse_grid):
+                raise ConfigError("coarse_grid entries must be distinct")
 
 
 def load_json(path):
@@ -444,22 +446,11 @@ def run(config):
 
 def write_trace_csv(trace, path):
     lines = [TRACE_HEADER]
-    for i in range(len(trace.steps)):
-        lines.append(
-            ",".join(
-                [
-                    str(trace.steps[i]),
-                    repr(trace.losses[i]),
-                    repr(trace.grad_norm_sq[i]),
-                    repr(trace.v_min[i]),
-                    repr(trace.v_max[i]),
-                    repr(trace.v_mean[i]),
-                    str(trace.fn_evals[i]),
-                    str(trace.block_forwards[i]),
-                    repr(trace.elapsed[i]),
-                ]
-            )
-        )
+    columns = (trace.steps, trace.losses, trace.grad_norm_sq, trace.v_min, trace.v_max,
+               trace.v_mean, trace.fn_evals, trace.block_forwards, trace.elapsed)
+    for step, *reals, fn_evals, block_forwards, elapsed in zip(*columns):
+        lines.append(",".join([str(step), *map(repr, reals), str(fn_evals),
+                               str(block_forwards), repr(elapsed)]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -482,11 +473,16 @@ def trace_summary(trace):
     return out
 
 
-def write_summary(traces, path):
-    payload = {"runs": [trace_summary(tr) for tr in traces]}
+def _write_json(payload, path):
+    """payload as indented JSON at path; values JSON cannot hold are written as str()."""
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, default=str)
         fh.write("\n")
+
+
+def write_summary(traces, path):
+    payload = {"runs": [trace_summary(tr) for tr in traces]}
+    _write_json(payload, path)
     return payload
 
 
@@ -574,40 +570,29 @@ def _argmin_eta(rows):
 
 def coarse_fine_sweep(config):
     """Two-stage step-size search; the final winner minimizes the mean
-    metric over every evaluated step size, ties to the smaller one."""
+    metric over every evaluated step size, ties to the smaller one. When
+    every coarse run diverges there is no fine stage and the bracket is the
+    whole grid."""
     grid = sorted(config.coarse_grid or COARSE_GRID)
     rows = []
     traces_by_eta = {}
-    for eta in grid:
-        row, traces = _evaluate_eta(config, eta)
-        rows.append(row)
-        traces_by_eta[eta] = traces
 
-    n_seeds = len(config.seeds)
-    if all(row["n_diverged"] == n_seeds for row in rows):
-        return SweepResult(
-            rows=rows,
-            best_eta=_argmin_eta(rows),
-            bracket=(grid[0], grid[-1]),
-            all_diverged=True,
-            metric=config.metric,
-            traces_by_eta=traces_by_eta,
-        )
+    def evaluate(etas):
+        """Run each step size not run yet; True when every run so far diverged."""
+        for eta in etas:
+            if eta not in traces_by_eta:
+                row, traces_by_eta[eta] = _evaluate_eta(config, eta)
+                rows.append(row)
+        return all(row["n_diverged"] == len(config.seeds) for row in rows)
 
-    coarse_winner = _argmin_eta(rows)
-    cands, bracket = fine_candidates(grid, coarse_winner)
-    for eta in cands:
-        if eta in traces_by_eta:
-            continue
-        row, traces = _evaluate_eta(config, eta)
-        rows.append(row)
-        traces_by_eta[eta] = traces
-
-    best_eta = _argmin_eta(rows)
-    all_diverged = all(row["n_diverged"] == n_seeds for row in rows)
+    all_diverged = evaluate(grid)
+    bracket = (grid[0], grid[-1])
+    if not all_diverged:
+        cands, bracket = fine_candidates(grid, _argmin_eta(rows))
+        all_diverged = evaluate(cands)
     return SweepResult(
         rows=sorted(rows, key=lambda r: r["eta"]),
-        best_eta=best_eta,
+        best_eta=_argmin_eta(rows),
         bracket=bracket,
         all_diverged=all_diverged,
         metric=config.metric,

@@ -19,7 +19,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegenerateScaleError, InvalidArgumentError, NumericFailureError
-from .estimators import efficient_grouped_eval, grouped_zo_gradient, zo_gradient
+from .estimators import (
+    _direction_sum,
+    _evaluate,
+    efficient_grouped_eval,
+    grouped_zo_gradient,
+    zo_gradient,
+)
 from .perturb import PerturbationSpec, step_directions
 
 
@@ -198,14 +204,7 @@ def meazo_step(state, x, scalars, directions):
     state.t += 1
 
     x = np.asarray(x, dtype=np.float64)
-    upd = np.zeros(x.shape)
-    count = 0
-    for s, u in zip(scalars, directions):
-        upd += s * u
-        count += 1
-    if count != q:
-        raise InvalidArgumentError(f"expected {q} directions, got {count}")
-    upd /= q
+    upd = _direction_sum(scalars, directions, x.size) / q
     return x - (state.eta / (math.sqrt(state.vhat) + state.zeta)) * upd
 
 
@@ -231,15 +230,8 @@ def grouped_meazo_step(state, x, scalars, partition, directions):
     state.t += 1
 
     block = partition.block_of
-    coord_scalars = scalars.take(block, axis=1)  # each sample's scalar for each coordinate's block
-    upd = np.zeros(x.shape)
-    count = 0
-    for i, u in enumerate(directions):
-        upd += coord_scalars[i] * u
-        count += 1
-    if count != q:
-        raise InvalidArgumentError(f"expected {q} directions, got {count}")
-    upd /= q
+    # Each sample's scalar for each coordinate's block.
+    upd = _direction_sum(scalars.take(block, axis=1), directions, x.size) / q
     coef = state.eta / (np.sqrt(state.vhat) + state.zeta)
     return x - coef.take(block) * upd
 
@@ -256,32 +248,13 @@ def fzoo_step(f, x, state, step, counter=None):
     d = x.size
     q = state.q
     eps = state.epsilon
-
-    f0 = float(f(x))
-    if counter is not None:
-        counter.add_full(1)
-    if not np.isfinite(f0):
-        raise NumericFailureError("objective returned non-finite value", point=x, value=f0)
-
     directions = step_directions(state.spec, step, q, d)
-    losses = np.empty(q)
-    for i, u in enumerate(directions):
-        point = x + eps * u
-        fi = float(f(point))
-        if counter is not None:
-            counter.add_full(1)
-        if not np.isfinite(fi):
-            raise NumericFailureError("objective returned non-finite value", point=point, value=fi)
-        losses[i] = fi
-
+    values = _evaluate(f, np.vstack((x, x + eps * directions)), counter)
+    f0, losses = values[0], values[1:]
     sigma = float(np.std(losses))
     if sigma == 0.0:
         raise DegenerateScaleError("all perturbed losses are equal; loss scale is undefined")
-
-    acc = np.zeros(d)
-    for i, u in enumerate(directions):
-        acc += (losses[i] - f0) * u
-    g = acc / (eps * q * sigma)
+    g = _direction_sum(losses - f0, directions, d) / (eps * q * sigma)
     return x - state.eta * g, sigma
 
 

@@ -409,6 +409,9 @@ def test_out_of_domain_and_mistyped_fields_exit_two(tmp_path, over):
         ("verify-moments", {"cases": [{"g": [1.0, 0.0], "q": 0, "n": 100}]}),
         # numpy refuses this buffer before it allocates anything.
         ("verify-moments", {"cases": [{"g": [1.0, 0.0], "q": 10**18, "n": 100}]}),
+        # A repeated step size would stand in for the winner's upper neighbour.
+        ("sweep", run_cfg(coarse_grid=[1e-3, 1e-3])),
+        ("robustness", run_cfg(coarse_grid=[1e-4, 1e-3, 1e-3])),
     ],
     ids=[
         "bounds-nonsquare-d", "bounds-string-d", "bounds-string-eta", "bounds-zero-T",
@@ -417,6 +420,7 @@ def test_out_of_domain_and_mistyped_fields_exit_two(tmp_path, over):
         "fig2-string-eta", "fig2-unknown-optimizer", "fig2-list-optimizer",
         "fig2-string-series", "fig2-zero-tail", "fig2-zero-max-steps", "moments-string-q",
         "moments-string-g", "moments-zero-q", "moments-unallocatable-q",
+        "sweep-duplicate-grid", "robustness-duplicate-grid",
     ],
 )
 def test_verification_configs_with_bad_fields_exit_two(tmp_path, command, payload):

@@ -1,5 +1,6 @@
-"""Golden hashes of trace CSV bytes, one small run per optimizer, and of
-the analysis drivers' results: a small collapse study and bound-check runs.
+"""Golden hashes of trace CSV bytes, small runs of each optimizer, and of
+the drivers' results: a small collapse study, bound-check runs and
+coarse-to-fine sweeps.
 
 Every run is deterministic, so the sha256 of its trace file (or of its
 results rendered as JSON) pins the whole trajectory. A hash may move only
@@ -18,6 +19,7 @@ import pytest
 from zoptim import (
     ExperimentConfig,
     bound_check_run,
+    coarse_fine_sweep,
     collapse_study,
     equal_energy_point,
     make_block_quadratic,
@@ -66,6 +68,37 @@ CASES = {
             "grouped_eval": "efficient",
         },
         "019ff3d939b37f63cf35f51447c086d8b8e220a68b4a5673442b8afe8672511c",
+    ),
+    # Observation noise and the non-Gaussian direction distributions.
+    "fzoo-noisy": (
+        {"objective": {**QUAD, "sigma": 0.5, "noise_seed": 7},
+         "optimizer": {"name": "fzoo", "eta": 1e-8}, "q": 4},
+        "4832f22b203714cc735c93ef46456987d3989ddb8d6178ad037ebce2058eab1d",
+    ),
+    "fzoo-ternary": (
+        {"objective": QUAD, "optimizer": {"name": "fzoo", "eta": 1e-8}, "q": 4,
+         "distribution": "ternary"},
+        "9302f716a881b6e3b58d54a69627570e2ec63b302a7ae5e03730a1975a5ceac1",
+    ),
+    "meazo-uniform": (
+        {"objective": QUAD, "optimizer": {"name": "meazo", "eta": 1e-3}, "q": 2,
+         "distribution": "uniform"},
+        "5259f2333f4c55af2d76f22c40eda3f064bb5bb423c358322e22c499d0e35809",
+    ),
+    "meazo-grouped-rademacher": (
+        {
+            "objective": QUAD,
+            "optimizer": {"name": "meazo-grouped", "eta": 1e-3},
+            "q": 2,
+            "partition": [[0, 3], [3, 6], [6, 9]],
+            "distribution": "rademacher",
+        },
+        "053369e374760ee2dc70b19c606a601c3f19884ad3df8897f6f7acdb67690932",
+    ),
+    "zo-sgd-uniform": (
+        {"objective": QUAD, "optimizer": {"name": "zo-sgd", "eta": 1e-4}, "q": 2,
+         "distribution": "uniform"},
+        "9671dd1f4e2bbb98f92964503b9cfcf43b11aa443e719d8813a4eba734020c00",
     ),
 }
 
@@ -133,3 +166,23 @@ def test_bound_check_run_matches_the_golden_hash(name):
         for seed in (0, 1)
     ]
     assert _digest(out) == want
+
+
+SWEEP_CASES = {
+    "refined": (
+        {"T": 30, "q": 1, "seeds": [0, 1], "coarse_grid": [1e-6, 1e-5, 1e-4]},
+        "b88873b55e31745c0fb0a0cf4ed684bb361548bc7f8e76002964b9ceb1806a2e",
+    ),
+    "all-diverged": (
+        {"T": 100, "seeds": [0], "coarse_grid": [100.0, 500.0]},
+        "3485191dbc205b8c52fdfcf99433c64fe5323113feb034f34023eb8a79d02e89",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_coarse_fine_sweep_matches_the_golden_hash(name):
+    raw, want = SWEEP_CASES[name]
+    sweep = coarse_fine_sweep(
+        ExperimentConfig.from_dict({"objective": QUAD, "optimizer": {"name": "zo-sgd"}, **raw}))
+    assert _digest([sweep.rows, sweep.best_eta, sweep.bracket]) == want

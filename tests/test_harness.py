@@ -135,6 +135,7 @@ def test_read_fields_reads_each_kind_and_fills_defaults():
         {"x0": {"mode": "somewhere"}},
         {"seeds": []},
         {"coarse_grid": [1e-3]},
+        {"coarse_grid": [1e-3, 1e-3]},
         {"partition": "layers:x:y"},
         {"grouped_eval": "sometimes"},
     ],

@@ -31,7 +31,7 @@ from zoptim import (
     zo_sgd_step,
 )
 from zoptim.harness import _vhat_stats
-from zoptim.perturb import GAUSSIAN, RADEMACHER
+from zoptim.perturb import DISTRIBUTIONS, GAUSSIAN, RADEMACHER
 
 
 def test_zo_sgd_step_is_a_plain_move_along_the_estimate():
@@ -122,8 +122,12 @@ def test_scalar_adaptive_second_moment_stays_in_the_hull_of_squared_means():
 
 def test_meazo_step_requires_matching_direction_count():
     state = MeazoState(eta=0.1)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match="expected 2 directions, got 1"):
         meazo_step(state, np.zeros(2), np.array([1.0, 2.0]), iter([np.ones(2)]))
+    grouped = GroupedMeazoState(p=2, eta=0.1)
+    with pytest.raises(InvalidArgumentError, match="expected 2 directions, got 1"):
+        grouped_meazo_step(grouped, np.zeros(2), np.ones((2, 2)), Partition.contiguous(2, 2),
+                           iter([np.ones(2)]))
 
 
 def test_grouped_scalar_adaptive_with_one_block_is_bit_identical_to_ungrouped():
@@ -221,6 +225,82 @@ def test_forward_only_step_raises_on_nonfinite_loss():
     state = FzooState(eta=0.1, spec=spec, q=2)
     with pytest.raises(NumericFailureError):
         fzoo_step(lambda x: float("inf"), np.zeros(2), state, step=0)
+
+
+# fzoo_step's own loops before it shared the estimators' oracle loop and
+# direction sum; the shared arithmetic must match them bit for bit.
+def reference_fzoo_step(f, x, state, step, counter=None):
+    x = np.asarray(x, dtype=np.float64)
+    d = x.size
+    q = state.q
+    eps = state.epsilon
+
+    f0 = float(f(x))
+    if counter is not None:
+        counter.add_full(1)
+    if not np.isfinite(f0):
+        raise NumericFailureError("objective returned non-finite value", point=x, value=f0)
+
+    directions = step_directions(state.spec, step, q, d)
+    losses = np.empty(q)
+    for i, u in enumerate(directions):
+        point = x + eps * u
+        fi = float(f(point))
+        if counter is not None:
+            counter.add_full(1)
+        if not np.isfinite(fi):
+            raise NumericFailureError("objective returned non-finite value", point=point, value=fi)
+        losses[i] = fi
+
+    sigma = float(np.std(losses))
+    if sigma == 0.0:
+        raise DegenerateScaleError("all perturbed losses are equal; loss scale is undefined")
+
+    acc = np.zeros(d)
+    for i, u in enumerate(directions):
+        acc += (losses[i] - f0) * u
+    g = acc / (eps * q * sigma)
+    return x - state.eta * g, sigma
+
+
+@pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+@pytest.mark.parametrize("d", [1, 9, 100])
+@pytest.mark.parametrize("q", [2, 5])
+def test_forward_only_step_matches_its_old_loops_bitwise(distribution, d, q):
+    quad = make_block_quadratic(d, regime="heterogeneous", seed=2)
+    x = np.random.default_rng(d + q).standard_normal(d) * 0.2
+    x[1::3] = -0.0
+    spec = PerturbationSpec(distribution=distribution, epsilon=1e-5, base_seed=11)
+    state = FzooState(eta=1e-2, spec=spec, q=q)
+
+    def outcome(step, counter):
+        try:
+            out, sigma = step(quad.value, x, state, 4, counter)
+        except DegenerateScaleError:  # at d=1 every draw but a Gaussian one is +-1
+            return "degenerate"
+        return out.tobytes(), np.float64(sigma).tobytes()
+
+    got, want = EvalCounter(), EvalCounter()
+    assert outcome(fzoo_step, got) == outcome(reference_fzoo_step, want)
+    assert got == want and got.full_forward_calls == q + 1
+
+    for bad in (math.inf, math.nan):
+        for k in range(q + 1):  # point 0 is x itself, for f0
+            def failing_at(calls):
+                def f(row):
+                    calls.append(row.copy())
+                    return bad if len(calls) == k + 1 else quad.value(row)
+                return f
+
+            calls, ref_calls = [], []
+            got, want = EvalCounter(), EvalCounter()
+            with pytest.raises(NumericFailureError) as err:
+                fzoo_step(failing_at(calls), x, state, 4, got)
+            with pytest.raises(NumericFailureError) as ref:
+                reference_fzoo_step(failing_at(ref_calls), x, state, 4, want)
+            assert [c.tobytes() for c in calls] == [c.tobytes() for c in ref_calls]
+            assert err.value.point.tobytes() == ref.value.point.tobytes() == calls[k].tobytes()
+            assert got == want and got.full_forward_calls == k + 1
 
 
 @pytest.fixture
