@@ -20,7 +20,7 @@ from .objectives import (
     smoothing_norm_moments,
 )
 from .optimizers import Method, zo_adam_step
-from .perturb import GAUSSIAN, UNIFORM, PerturbationSpec, batch_directions, keyed_generator
+from .perturb import GAUSSIAN, UNIFORM, PerturbationSpec, _empty, batch_directions, keyed_generator
 
 MC_BATCH = 32768
 
@@ -59,11 +59,7 @@ def mc_squared_moment(g, q, distribution, n, seed=0, batch=MC_BATCH):
             raise InvalidArgumentError(f"{name} must be >= 1, got {value}")
     rng = keyed_generator(seed, 0x3C0)
     size = min(batch, n)
-    try:  # numpy raises MemoryError, or ValueError past its largest array
-        u = np.empty((size, q, d))
-    except (MemoryError, ValueError) as exc:
-        raise InvalidArgumentError(
-            f"cannot allocate {size} x {q} x {d} direction buffers: {exc}") from exc
+    u = _empty((size, q, d), "direction buffers")
     s = np.empty((size, q))
     est = np.empty((size, d))
     acc = np.zeros(d)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import analysis, harness
 from .errors import ConfigError, InvalidArgumentError, PreconditionError, ZoptimError
-from .harness import OMIT, REQUIRED, SEED, _write_json, load_json, read_fields
+from .harness import COUNT, OMIT, REQUIRED, SEED, _write_json, load_json, read_fields
 from .objectives import REGIMES, BlockQuadratic, equal_energy_point
 from .perturb import DISTRIBUTIONS
 
@@ -75,7 +75,7 @@ def cmd_robustness(args):
 
 _MOMENT_CASE_FIELDS = {
     "g": ([float], REQUIRED), "q": (int, 1), "distribution": (DISTRIBUTIONS, "gaussian"),
-    "n": (int, 200_000), "tol": (float, 0.05), "seed": (SEED, 0),
+    "n": (COUNT, 200_000), "tol": (float, 0.05), "seed": (SEED, 0),
 }
 
 
@@ -122,8 +122,6 @@ def cmd_verify_moments(args):
             analysis.predicted_squared_moment(case["g"], case["q"], case["distribution"])
         except InvalidArgumentError as exc:
             raise ConfigError(f"invalid moment case cases[{i}]: {exc}") from exc
-        if case["n"] < 1:
-            raise ConfigError(f"invalid moment case cases[{i}]: n must be >= 1, got {case['n']}")
         cases.append(case)
 
     # Each case draws from its own generator and its numpy work releases the
@@ -161,11 +159,11 @@ _BOUNDS_FIELDS = {
     "d": (int, REQUIRED), "regime": (REGIMES, "heterogeneous"), "quad_seed": (SEED, 0),
     "q": (int, 10), "epsilon": (float, 1e-6), "distribution": (DISTRIBUTIONS, "gaussian"),
     "sigma": (float, 0.0), "noise_seed": (SEED, 0), "f0": (float, REQUIRED),
-    "radius": (float, REQUIRED), "seeds": (int, 10), "meazo": (object, REQUIRED),
+    "radius": (float, REQUIRED), "seeds": (COUNT, 10), "meazo": (object, REQUIRED),
     "zosgd": (object, REQUIRED), "reduction": (object, REQUIRED),
 }
 _BOUND_SIDE_FIELDS = {
-    "eta": (float, REQUIRED), "T": (int, REQUIRED), "beta": (float, 0.999), "zeta": (float, 1.0),
+    "eta": (float, REQUIRED), "T": (COUNT, REQUIRED), "beta": (float, 0.999), "zeta": (float, 1.0),
 }
 _REDUCTION_FIELDS = {
     "d": (int, REQUIRED), "q": (float, REQUIRED), "epsilon": (float, REQUIRED),
@@ -180,8 +178,6 @@ def _bound_side(cfg, quad, key, label):
     d, q, epsilon, sigma = quad.d, cfg["q"], cfg["epsilon"], cfg["sigma"]
     f0, radius, n_seeds = cfg["f0"], cfg["radius"], cfg["seeds"]
     G = quad.smoothness * radius
-    if T < 1 or n_seeds < 1:
-        raise ConfigError(f"{key}.T and seeds must be >= 1, got T={T}, seeds={n_seeds}")
 
     runs = []
     try:

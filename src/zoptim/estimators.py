@@ -126,13 +126,12 @@ def _evaluate(f, points, counter):
 def _direction_sum(coefs, directions, d):
     """sum_i c_i * u_i, added in sample order from zeros over any iterable of
     directions; c_i is one scalar or one value per coordinate."""
+    directions = list(directions)
+    if len(directions) != len(coefs):
+        raise InvalidArgumentError(f"expected {len(coefs)} directions, got {len(directions)}")
     acc = np.zeros(d)
-    n = 0
     for c, u in zip(coefs, directions):
         acc += c * u
-        n += 1
-    if n < len(coefs):
-        raise InvalidArgumentError(f"expected {len(coefs)} directions, got {n}")
     return acc
 
 

@@ -33,7 +33,12 @@ _X0_TAG = 0x0A0
 
 REQUIRED = object()  # field default: the key must be present
 OMIT = object()  # field default: an absent key is left out of what is read
-SEED = "seed"  # field kind: an integer in [0, 2**64)
+# Field kinds with a domain, beside int and float: kind -> (int or float, test, domain).
+SEED, COUNT, POSITIVE, NONNEG = "seed", "count", "positive", "nonneg"
+_DOMAINS = {
+    SEED: (int, lambda v: 0 <= v < 2**64, "in [0, 2**64)"), COUNT: (int, lambda v: v >= 1, ">= 1"),
+    POSITIVE: (float, lambda v: v > 0, "> 0"), NONNEG: (float, lambda v: v >= 0, ">= 0"),
+}
 MAX_SEEDS = 100_000  # the largest integer seeds count; a longer run needs a seed list
 
 
@@ -41,7 +46,8 @@ def _read(value, kind, name):
     """A JSON value read as kind (see read_fields), or ConfigError.
 
     Strings and booleans are never read as numbers, numbers never as
-    booleans, and an int field takes a float only when it is integral.
+    booleans; a number must be finite (an integer past the float range is
+    not), and an int field takes a float only when it is integral.
     """
     if kind is object:
         return value
@@ -59,13 +65,18 @@ def _read(value, kind, name):
         return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    if kind is float:
-        return float(value)
-    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+    base, test, domain = _DOMAINS.get(kind, (kind, None, None))
+    try:
+        real = float(value)
+    except OverflowError:  # an integer past the float range
+        real = math.inf
+    if not math.isfinite(real):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if base is int and not (isinstance(value, numbers.Integral) or real.is_integer()):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
-    if kind is SEED and not 0 <= value < 2**64:
-        raise ConfigError(f"{name} must be in [0, 2**64), got {value}")
+    value = real if base is float else int(value)
+    if test is not None and not test(value):
+        raise ConfigError(f"{name} must be {domain}, got {value}")
     return value
 
 
@@ -73,9 +84,9 @@ def read_fields(raw, fields, where):
     """The fields of a config object, each read as its kind, or ConfigError.
 
     fields maps each key to (kind, default). A kind is int, float, bool,
-    SEED, a tuple of allowed values, object (any value) or [kind] (a list of
-    that kind). An absent key takes its default: REQUIRED makes it an
-    error and OMIT leaves it out. Keys not in fields are an error. where
+    SEED, COUNT, POSITIVE, NONNEG, a tuple of allowed values, object (any
+    value) or [kind] (a list of that kind). An absent key takes its default:
+    REQUIRED makes it an error and OMIT leaves it out. Keys not in fields are an error. where
     names raw in messages.
     """
     if not isinstance(raw, dict):
@@ -109,25 +120,25 @@ def _int_or_list(value, kind, name):
 _CONFIG_FIELDS = {
     "objective": (object, REQUIRED),
     "optimizer": (object, REQUIRED),
-    "T": (int, REQUIRED),
-    "q": (int, 1),
-    "epsilon": (float, 1e-6),
+    "T": (COUNT, REQUIRED),
+    "q": (COUNT, 1),
+    "epsilon": (POSITIVE, 1e-6),
     "distribution": (DISTRIBUTIONS, "gaussian"),
     "partition": (object, None),
     "seeds": (object, 1),
-    "eval_every": (int, 1),
-    "threshold": (float, 1e-3),
+    "eval_every": (COUNT, 1),
+    "threshold": (POSITIVE, 1e-3),
     "stop_at_threshold": (bool, False),
     "x0": (object, {}),
     "wall_clock": (bool, False),
     "grouped_eval": (("naive", "efficient"), "naive"),
     "metric": (("final", "best"), "final"),
-    "coarse_grid": ([float], None),
+    "coarse_grid": ([POSITIVE], None),
 }
 _OBJECTIVE_FIELDS = {
     "quadratic": {
         "d": (int, REQUIRED), "regime": (REGIMES, "heterogeneous"), "seed": (SEED, 0),
-        "sigma": (float, 0.0), "noise_seed": (SEED, 0),
+        "sigma": (NONNEG, 0.0), "noise_seed": (SEED, 0),
     },
     "chain": {"p": (int, REQUIRED), "widths": (object, REQUIRED), "seed": (SEED, 0)},
 }
@@ -138,7 +149,7 @@ _OPTIMIZER_FIELDS = {
 }
 _X0_FIELDS = {
     "mode": (("gaussian", "equal_energy"), "gaussian"), "scale": (float, 0.1),
-    "norm": (float, OMIT), "f0": (float, OMIT),
+    "norm": (float, OMIT), "f0": (NONNEG, OMIT),
 }
 
 
@@ -168,8 +179,6 @@ class ExperimentConfig:
     def from_dict(cls, raw):
         top = read_fields(raw, _CONFIG_FIELDS, "config")
         obj = _read_tagged(top["objective"], "kind", _OBJECTIVE_FIELDS, "objective")
-        if obj["kind"] == "quadratic" and obj["sigma"] < 0:
-            raise ConfigError(f"sigma must be >= 0, got {obj['sigma']}")
         if obj["kind"] == "chain":
             obj["widths"] = _int_or_list(obj["widths"], int, "objective.widths")
 
@@ -192,8 +201,6 @@ class ExperimentConfig:
                 raise ConfigError("equal_energy x0 requires f0")
             if obj["kind"] != "quadratic":
                 raise ConfigError("equal_energy x0 requires a quadratic objective")
-        if x0.get("f0", 0.0) < 0:
-            raise ConfigError(f"x0.f0 must be >= 0, got {x0['f0']}")
 
         top.update(
             objective=obj,
@@ -207,16 +214,6 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
-        if self.T < 1:
-            raise ConfigError(f"T must be >= 1, got {self.T}")
-        if self.q < 1:
-            raise ConfigError(f"q must be >= 1, got {self.q}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.eval_every < 1:
-            raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
-        if not self.threshold > 0:
-            raise ConfigError(f"threshold must be > 0, got {self.threshold}")
         name = self.optimizer["name"]
         if name == "meazo-grouped" and self.partition is None:
             raise ConfigError("meazo-grouped requires a partition")
@@ -244,8 +241,6 @@ class ExperimentConfig:
         if self.coarse_grid is not None:
             if len(self.coarse_grid) < 2:
                 raise ConfigError("coarse_grid needs at least two step sizes")
-            if any(not g > 0 for g in self.coarse_grid):
-                raise ConfigError("coarse_grid entries must be > 0")
             if len(set(self.coarse_grid)) < len(self.coarse_grid):
                 raise ConfigError("coarse_grid entries must be distinct")
 
@@ -391,45 +386,36 @@ def _run_seed(cfg, base, partition, seed):
                      counter.full_forward_calls, counter.block_forward_calls,
                      time.perf_counter() - started if wall_clock else 0.0))
 
-    t = 0
-    loss = initial_loss
-    stopped_early = False
-    while t < cfg.T:
-        loss = float(base.value(x))
+    # The one check of a run's noiseless loss: x_0 .. x_T each pass it once,
+    # and a run ends here at step T, at its threshold stop or diverged.
+    t, loss = 0, initial_loss
+    while True:
         if not math.isfinite(loss) or loss > sentinel:
             diverged = True
             break
         best_loss = min(best_loss, loss)
-        if steps_to_threshold is None and loss <= cfg.threshold:
+        reached = steps_to_threshold is None and loss <= cfg.threshold
+        if reached:
             steps_to_threshold = t
-            if cfg.stop_at_threshold:
-                record(t, loss, x)
-                stopped_early = True
-                break
-        x_before = x
+        if t == cfg.T or (reached and cfg.stop_at_threshold):
+            record(t, loss, x)
+            break
         fn = noisy.objective_at(t) if noisy is not None else counted
         try:
-            x = method.step(fn, x, t, counter)
+            x_next = method.step(fn, x, t, counter)
         except (NumericFailureError, DegenerateScaleError):
             diverged = True
             break
+        except InvalidArgumentError as exc:  # e.g. q directions numpy cannot allocate
+            raise ConfigError(f"invalid run: {exc}") from exc
         if keeps_sigma:
             sigmas.append(state.sigma)
         if t % eval_every == 0:
-            record(t, loss, x_before)
-        t += 1
+            record(t, loss, x)  # after the step: rows hold its counts and v-hat
+        x, t = x_next, t + 1
+        loss = float(base.value(x))
 
-    if diverged:
-        final_loss = math.inf
-    elif stopped_early:
-        final_loss = loss
-    else:
-        final_loss = float(base.value(x))
-        best_loss = min(best_loss, final_loss)
-        record(cfg.T, final_loss, x)
-        if steps_to_threshold is None and final_loss <= cfg.threshold:
-            steps_to_threshold = cfg.T
-
+    final_loss = math.inf if diverged else loss
     # The record columns, in the order of Trace's fields from steps to elapsed.
     cols = [list(col) for col in zip(*rows)] if rows else [[] for _ in range(9)]
     return Trace(seed, state.eta, *cols, sigmas=sigmas, diverged=diverged,
@@ -487,11 +473,11 @@ def write_summary(traces, path):
 
 
 def _seed_metric(trace, metric):
-    sentinel = DIVERGENCE_FACTOR * max(trace.initial_loss, 1e-300)
-    val = trace.final_loss if metric == "final" else trace.best_loss
-    if trace.diverged or not math.isfinite(val):
-        return sentinel
-    return min(val, sentinel)
+    """The sentinel if the run diverged, else its final or best loss, which
+    the run's loss check keeps finite and at most the sentinel."""
+    if trace.diverged:
+        return DIVERGENCE_FACTOR * max(trace.initial_loss, 1e-300)
+    return trace.final_loss if metric == "final" else trace.best_loss
 
 
 def _pow10(m, k):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, StalePrefixError
-from .perturb import keyed_generator
+from .perturb import _empty, keyed_generator
 
 HETEROGENEOUS = "heterogeneous"
 HOMOGENEOUS = "homogeneous"
@@ -57,6 +57,11 @@ class BlockQuadratic:
         self.seed = int(seed)
         self.n_blocks = root
         self.block_size = root
+        # Only the diagonal blocks are stored, first as the largest array: an
+        # (n_blocks, b, b) stack of d*sqrt(d) reals. Each block is 0.5 * (B +
+        # B^T), exactly symmetric, so x_k^T H_k equals (H_k x_k)^T and one
+        # batched row-times-block product serves both oracles.
+        stack = _empty((root, root, root), "quadratic blocks")
 
         if regime == HETEROGENEOUS:
             centers = np.logspace(0.0, 3.0, self.n_blocks)
@@ -69,11 +74,6 @@ class BlockQuadratic:
         else:
             jitter = np.linspace(0.9, 1.1, self.block_size)
 
-        # Only the diagonal blocks are stored: an (n_blocks, b, b) stack of
-        # d*sqrt(d) reals. Each block is 0.5 * (B + B^T), exactly symmetric,
-        # so x_k^T H_k equals (H_k x_k)^T and one batched row-times-block
-        # product serves both oracles.
-        stack = np.empty((self.n_blocks, self.block_size, self.block_size))
         eigenvalues = np.empty(d)
         bases = []
         blocks = []
@@ -248,6 +248,7 @@ class LayeredChain:
             start += size
         self.slices = slices
         self.d = start
+        _empty((start,), "chain parameters")  # refuse a parameter vector numpy cannot hold
 
         rng = keyed_generator(self.seed, _CHAIN_TAG)
         self.h0 = rng.standard_normal(widths[0])

@@ -248,6 +248,16 @@ def sample_direction(spec, coord, d):
     return _draw(spec.distribution, rng, int(d))
 
 
+def _empty(shape, what):
+    """np.empty(shape), or InvalidArgumentError naming what when numpy cannot
+    allocate it (MemoryError, or ValueError past its largest array)."""
+    try:
+        return np.empty(shape)
+    except (MemoryError, ValueError) as exc:
+        size = " x ".join(map(str, shape))
+        raise InvalidArgumentError(f"cannot allocate {size} {what}: {exc}") from exc
+
+
 def step_directions(spec, step, q, d):
     """The q directions of one step as a (q, d) array; row i is sample i, block 0.
 
@@ -256,7 +266,7 @@ def step_directions(spec, step, q, d):
     """
     if q < 1:
         raise InvalidArgumentError(f"q must be >= 1, got {q}")
-    out = np.empty((int(q), int(d)))
+    out = _empty((int(q), int(d)), "directions")
     for i in range(q):
         out[i] = sample_direction(spec, ReplayCoordinate(step, i, 0), d)
     return out

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, determinism, and exit codes."""
 
 import json
+import math
 import sys
 
 import numpy as np
@@ -53,6 +54,31 @@ def test_run_reports_divergence_with_exit_code_three(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 3
     summary = json.loads((out / "summary.json").read_text())
     assert summary["runs"][0]["diverged"] is True
+
+
+LAST_STEP_BLOWUP = run_cfg(objective={"kind": "quadratic", "d": 9},
+                           optimizer={"name": "zo-sgd", "eta": 1e2}, T=1, seeds=[0])
+
+
+def test_run_that_blows_up_on_its_last_step_exits_three(tmp_path):
+    cfg = write_cfg(tmp_path, LAST_STEP_BLOWUP)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    run = json.loads((out / "summary.json").read_text())["runs"][0]
+    assert run["diverged"] is True
+    assert run["final_loss"] == math.inf
+    rows = (out / "trace_seed0.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0"]  # no row for the blown-up step
+
+
+@pytest.mark.parametrize("command", ["sweep", "robustness"])
+def test_sweep_whose_runs_all_blow_up_on_their_last_step_exits_four(tmp_path, command):
+    cfg = write_cfg(tmp_path, {**LAST_STEP_BLOWUP, "optimizer": {"name": "zo-sgd"},
+                               "seeds": 3, "coarse_grid": [1e2, 1e3]})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    name = "sweep.json" if command == "sweep" else "robustness.json"
+    assert json.loads((out / name).read_text())["all_diverged"] is True
 
 
 def test_bad_configs_exit_with_code_two(tmp_path):
@@ -375,6 +401,15 @@ def test_fig2_writes_rows_and_series(tmp_path):
         {"partition": [[0, 1, 2], [2, 4]], "optimizer": {"name": "meazo-grouped", "eta": 1e-3}},
         # A seed count past the cap is rejected before any seed is expanded.
         {"seeds": 2**40},
+        # Config numbers are finite: JSON has no NaN or Infinity.
+        {"objective": {"kind": "quadratic", "d": 4, "sigma": float("nan")}},
+        {"x0": {"mode": "equal_energy", "f0": float("nan")}},
+        {"optimizer": {"name": "meazo", "eta": float("inf")}},
+        # Sizes numpy refuses before it allocates anything.
+        {"q": 2**62},
+        {"objective": {"kind": "chain", "p": 2, "widths": 2**62}},
+        {"objective": {"kind": "chain", "p": 2, "widths": [1, 2**62, 1]},
+         "optimizer": {"name": "zo-adam", "eta": 1e-3}},
     ],
 )
 def test_out_of_domain_and_mistyped_fields_exit_two(tmp_path, over):
@@ -430,7 +465,7 @@ def test_verification_configs_with_bad_fields_exit_two(tmp_path, command, payloa
     assert not out.exists()
 
 
-CONTRACT_POOL = (None, True, "x", -1, 0, 0.5, 1.5, [], {}, [1])
+CONTRACT_POOL = (None, True, "x", -1, 0, 0.5, 1.5, [], {}, [1], float("nan"), float("inf"))
 CONTRACT_BASE = {
     "objective": {
         "kind": "quadratic", "d": 4, "regime": "heterogeneous", "seed": 0,

@@ -2,9 +2,12 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zoptim import (
     COARSE_GRID,
@@ -29,9 +32,12 @@ from zoptim import (
     write_trace_csv,
 )
 from zoptim.harness import (
+    COUNT,
     DIVERGENCE_FACTOR,
     MAX_SEEDS,
+    NONNEG,
     OMIT,
+    POSITIVE,
     REQUIRED,
     SEED,
     _X0_TAG,
@@ -112,8 +118,24 @@ def test_read_fields_reads_each_kind_and_fills_defaults():
     for bad in ([], {"x": 1}, {"n": 1, "other": 0}, {"n": 1.5}, {"n": "1"}, {"n": True},
                 {"n": 1, "x": False}, {"n": 1, "flag": 1}, {"n": 1, "seed": -1},
                 {"n": 1, "seed": 2**64}, {"n": 1, "mode": "c"}, {"n": 1, "xs": 1.0},
-                {"n": 1, "xs": ["a"]}):
+                {"n": 1, "xs": ["a"]}, {"n": 1, "x": math.nan}, {"n": 1, "x": -math.inf},
+                {"n": 1, "xs": [1.0, math.inf]}, {"n": 10**400}, {"n": 1, "x": 10**400}):
         with pytest.raises(ConfigError):
+            read_fields(bad, fields, "cfg")
+
+
+def test_read_fields_checks_the_domain_kinds():
+    fields = {"n": (COUNT, 1), "eps": (POSITIVE, 1.0), "s": (NONNEG, 0.0)}
+    assert read_fields({"n": 2.0, "eps": 1, "s": 0}, fields, "cfg") == {
+        "n": 2, "eps": 1.0, "s": 0.0,
+    }
+    assert isinstance(read_fields({"eps": 1}, fields, "cfg")["eps"], float)
+    for bad, message in (({"n": 0}, "cfg.n must be >= 1, got 0"),
+                         ({"n": 1.5}, "cfg.n must be an integer"),
+                         ({"eps": 0.0}, "cfg.eps must be > 0, got 0.0"),
+                         ({"s": -1e-9}, "cfg.s must be >= 0, got -1e-09"),
+                         ({"s": math.nan}, "cfg.s must be a finite number, got nan")):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             read_fields(bad, fields, "cfg")
 
 
@@ -314,6 +336,68 @@ def test_divergent_run_is_flagged_and_capped():
     sentinel = DIVERGENCE_FACTOR * trace.initial_loss
     assert _seed_metric(trace, "final") == pytest.approx(sentinel)
     assert trace.steps[-1] < 200
+
+
+def last_step_blowup(**over):
+    # One zo-sgd step at eta 1e2 takes the loss ~5e9 times above its start.
+    return quad_config(objective={"kind": "quadratic", "d": 9},
+                       optimizer={"name": "zo-sgd", "eta": 1e2}, T=1, **over)
+
+
+def test_a_run_that_blows_up_on_its_last_step_diverged():
+    trace = run(last_step_blowup())[0]
+    assert trace.diverged
+    assert trace.final_loss == math.inf
+    assert trace.steps == [0]  # the trace ends at its last good row
+
+
+def test_a_sweep_whose_runs_all_blow_up_on_their_last_step_all_diverged():
+    sweep = coarse_fine_sweep(last_step_blowup(seeds=3, coarse_grid=[1e2, 1e3]))
+    assert sweep.all_diverged
+    assert [row["n_diverged"] for row in sweep.rows] == [3, 3]
+
+
+_PARTITIONS = {"meazo-grouped": [[0, 4], [4, 9]]}
+
+
+def property_run(name, eta, T, eval_every=1, threshold=1e-3, stop_at_threshold=False):
+    return run(quad_config(
+        objective={"kind": "quadratic", "d": 9}, optimizer={"name": name, "eta": eta},
+        partition=_PARTITIONS.get(name), T=T, eval_every=eval_every, threshold=threshold,
+        stop_at_threshold=stop_at_threshold))[0]
+
+
+def trace_rows(trace):
+    return list(zip(trace.steps, trace.losses, trace.grad_norm_sq, trace.v_min, trace.v_max,
+                    trace.v_mean, trace.fn_evals, trace.block_forwards))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    name=st.sampled_from(["zo-sgd", "zo-adam", "radazo", "meazo", "meazo-grouped", "fzoo"]),
+    log_eta=st.floats(-6.0, 3.0),
+    T=st.integers(1, 20),
+    eval_every=st.integers(1, 4),
+    threshold=st.sampled_from([1e-3, 1.0]),
+    stop_at_threshold=st.booleans(),
+)
+@example(name="zo-sgd", log_eta=2.0, T=1, eval_every=1, threshold=1e-3, stop_at_threshold=False)
+def test_every_checked_loss_obeys_one_divergence_rule(name, log_eta, T, eval_every, threshold,
+                                                      stop_at_threshold):
+    eta = 10.0**log_eta
+    trace = property_run(name, eta, T, eval_every, threshold, stop_at_threshold)
+    sentinel = DIVERGENCE_FACTOR * max(trace.initial_loss, 1e-300)
+    assert all(math.isfinite(loss) and loss <= sentinel for loss in trace.losses)
+    assert trace.diverged == (trace.final_loss == math.inf)
+    if not trace.diverged:
+        stopped = stop_at_threshold and trace.steps_to_threshold is not None
+        assert trace.steps[-1] == (trace.steps_to_threshold if stopped else T)
+        assert trace.losses[-1] == trace.final_loss
+    if T > 1:
+        # A shorter run is a prefix of a longer one, up to where both diverge.
+        k = T // 2
+        assert trace_rows(property_run(name, eta, k))[:k] == trace_rows(
+            property_run(name, eta, T))[:k]
 
 
 def test_seed_metric_reads_the_requested_column():

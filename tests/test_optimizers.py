@@ -121,13 +121,23 @@ def test_scalar_adaptive_second_moment_stays_in_the_hull_of_squared_means():
 
 
 def test_meazo_step_requires_matching_direction_count():
-    state = MeazoState(eta=0.1)
-    with pytest.raises(InvalidArgumentError, match="expected 2 directions, got 1"):
-        meazo_step(state, np.zeros(2), np.array([1.0, 2.0]), iter([np.ones(2)]))
-    grouped = GroupedMeazoState(p=2, eta=0.1)
-    with pytest.raises(InvalidArgumentError, match="expected 2 directions, got 1"):
-        grouped_meazo_step(grouped, np.zeros(2), np.ones((2, 2)), Partition.contiguous(2, 2),
-                           iter([np.ones(2)]))
+    # Too few and too many directions, each as an array and as an iterator.
+    for q, n in ((2, 1), (1, 3)):
+        message = f"expected {q} directions, got {n}"
+        for directions in (lambda: np.ones((n, 2)), lambda: iter([np.ones(2)] * n)):
+            with pytest.raises(InvalidArgumentError, match=message):
+                meazo_step(MeazoState(eta=0.1), np.zeros(2), np.arange(1.0, q + 1),
+                           directions())
+            with pytest.raises(InvalidArgumentError, match=message):
+                grouped_meazo_step(GroupedMeazoState(p=2, eta=0.1), np.zeros(2),
+                                   np.ones((q, 2)), Partition.contiguous(2, 2), directions())
+
+
+def test_a_direction_of_the_wrong_length_is_not_a_count_mismatch():
+    # numpy's broadcast error passes through; only the count is checked here.
+    with pytest.raises(ValueError) as info:
+        meazo_step(MeazoState(eta=0.1), np.zeros(2), np.array([1.0]), np.ones((1, 3)))
+    assert not isinstance(info.value, InvalidArgumentError)
 
 
 def test_grouped_scalar_adaptive_with_one_block_is_bit_identical_to_ungrouped():
