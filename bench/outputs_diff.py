@@ -5,10 +5,11 @@
 ``<checkout>`` is a second checkout of the commit to compare against (for
 example made with ``git archive``); the change side is the tree this script
 lives in. A seeded generator writes ``--configs`` experiment configs over
-all six optimizers, both objectives, observation noise, partitions,
-``eval_every``, ``stop_at_threshold`` and step sizes up to 1e3. One child
-process per tree runs every config through ``zoptim.cli.main(["run", ...])``
-with that tree's ``src`` first on ``PYTHONPATH``.
+all six optimizers, both objectives (chains of 1 to 8 blocks, with one
+width or one per layer), observation noise, partitions, ``eval_every``,
+``stop_at_threshold`` and step sizes up to 1e3. One child process per tree
+runs every config through ``zoptim.cli.main(["run", ...])`` with that
+tree's ``src`` first on ``PYTHONPATH``.
 
 Every run (config, seed) whose trace CSV bytes or ``summary.json`` entry
 (without ``wall_time_s``) differ is listed with the parent's final loss and
@@ -63,9 +64,10 @@ def make_config(rng):
         x0 = rng.choice(({"mode": "gaussian", "scale": rng.choice((0.1, 1.0))},
                          {"mode": "equal_energy", "f0": rng.uniform(0.1, 10.0)}))
     else:
-        p = rng.randint(1, 3)
-        objective = {"kind": "chain", "p": p, "widths": rng.randint(1, 3),
-                     "seed": rng.randrange(4)}
+        p = rng.randint(1, 8)
+        widths = (rng.randint(1, 3) if rng.random() < 0.5
+                  else [rng.randint(1, 4) for _ in range(p + 1)])
+        objective = {"kind": "chain", "p": p, "widths": widths, "seed": rng.randrange(4)}
         partition = f"layers:{p}"
         x0 = {"mode": "gaussian", "scale": rng.choice((0.1, 1.0))}
     grouped = name == "meazo-grouped" or (name in OPTIMIZERS[:3] and rng.random() < 0.3)

@@ -6,7 +6,7 @@ coordinate mode, early stopping at the loss threshold), then reports the
 width in decades of the band where the mean final loss stays within 10x of
 the method's own best.
 
-Run: python3 demos/step_size_robustness.py   (about half a minute)
+Run: python3 demos/step_size_robustness.py   (about 15 s on a 2-core VM)
 """
 
 from zoptim import ExperimentConfig, coarse_fine_sweep, robust_log_width

@@ -360,6 +360,8 @@ def bound_check_run(quad, optimizer, eta, q, epsilon, distribution, sigma, noise
                     x0, T, seed, beta=0.999, zeta=1.0, radius=None):
     """Run T steps and return the trajectory-average squared gradient norm
     of the noiseless objective, for comparison against a stationarity bound."""
+    if T < 1:
+        raise InvalidArgumentError(f"T must be >= 1, got {T}")
     spec = PerturbationSpec(distribution=distribution, epsilon=epsilon, base_seed=seed)
     method = Method(optimizer, eta, spec, q, quad.d, beta=beta, zeta=zeta)
     noisy = noise_for_run(quad, sigma, noise_seed, seed)

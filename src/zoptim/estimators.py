@@ -3,10 +3,12 @@
 Central-difference projected gradients, the q-sample estimator (with the
 d-scaled uniform-sphere variant), the grouped/block estimator, and the
 prefix-caching grouped evaluation for layered objectives, with exact
-forward-call accounting. Each estimator takes the step's (q, d) direction
-block from step_directions, or draws it when none is given; a caller whose
-update needs the same directions passes the block, so each direction is
-drawn once per step and held for that step only.
+forward-call accounting. The last makes one layer-wise LayeredChain.forward
+call per step and books the pq(p+1) + p - 1 block forwards of resuming each
+block's points from x's prefix. Each estimator takes the step's (q, d)
+direction block from step_directions, or draws it when none is given; a
+caller whose update needs the same directions passes the block, so each
+direction is drawn once per step and held for that step only.
 
 _evaluate is the one place where perturbed points are evaluated, counted
 and checked (projected_gradient, the single-direction reference, keeps its
@@ -228,31 +230,20 @@ def grouped_zo_gradient(f, x, spec, q, partition, step, counter=None, directions
     return _point_estimate(f, x, spec, q, step, counter, directions, partition)
 
 
-def _block_rows(x, u_block, epsilon, start, stop):
-    """(2q, d) copies of x with [start, stop) moved by +eps u_i (rows :q), then -eps u_i."""
-    q = len(u_block)
-    moved = epsilon * u_block
-    rows = np.empty((2 * q, x.size))
-    rows[:] = x
-    rows[:q, start:stop] += moved
-    rows[q:, start:stop] -= moved
-    return rows
-
-
 def efficient_grouped_eval(chain, x, spec, q, step, counter=None, directions=None):
-    """Grouped estimator over a layered chain, reusing cached prefix activations.
+    """Grouped estimator over a layered chain, in one layer-wise pass.
 
-    Perturbing block j leaves blocks 1..j-1 untouched, so their activations
-    are computed once per step, and block j's 2q perturbed points go through
-    one batched forward of blocks j..p from that prefix. Exactly
-    p q (p+1) + p - 1 block forwards; the estimate matches
-    grouped_zo_gradient on the same replay stream bit for bit.
-    directions is the step's (q, d) block, drawn here when omitted.
-    Returns (estimate, scalars of shape (q, p)).
+    Perturbing block j leaves blocks 1..j-1 untouched, so each of block j's
+    2q points starts from x's activation h_{j-1} and forwards blocks j..p
+    only. One chain.forward(x, moved=eps U) call runs every point layer by
+    layer, next to x's own prefix: exactly p q (p+1) + p - 1 block
+    forwards, and the estimate matches grouped_zo_gradient on the same
+    replay stream bit for bit. directions is the step's (q, d) block, drawn
+    here when omitted. Returns (estimate, scalars of shape (q, p)).
     """
     if q < 1:
         raise InvalidArgumentError(f"q must be >= 1, got {q}")
-    if not (hasattr(chain, "forward_prefix") and hasattr(chain, "make_prefix") and hasattr(chain, "slices")):
+    if not (hasattr(chain, "forward") and hasattr(chain, "slices")):
         raise InvalidArgumentError("objective does not expose per-block sequential structure")
     if counter is None:
         counter = EvalCounter()
@@ -263,21 +254,17 @@ def efficient_grouped_eval(chain, x, spec, q, step, counter=None, directions=Non
     p = chain.p
     epsilon = spec.epsilon
     directions = _step_block(spec, step, q, d, directions)
+    moved = epsilon * directions
 
-    acts, forwarded = chain.forward_prefix(x, p - 1)
+    losses, _, forwarded = chain.forward(x, moved=moved)
     counter.add_block(forwarded)
-
-    losses = np.empty((p, 2 * q))
-    for j, (start, stop) in enumerate(chain.slices):
-        rows = _block_rows(x, directions[:, start:stop], epsilon, start, stop)
-        losses[j], _, nb = chain.forward(rows, chain.make_prefix(x, acts, j + 1))
-        counter.add_block(nb)
     bad = ~np.isfinite(losses.reshape(p, 2, q).transpose(2, 0, 1))
     if bad.any():
         # Name the point the per-point loop met first: by sample, block, + before -.
         i, j, minus = np.unravel_index(np.flatnonzero(bad)[0], bad.shape)
         start, stop = chain.slices[j]
-        point = _block_rows(x, directions[:, start:stop], epsilon, start, stop)[minus * q + i]
+        point = x.copy()
+        point[start:stop] = (np.subtract if minus else np.add)(x[start:stop], moved[i, start:stop])
         _finite_or_raise(float(losses[j, minus * q + i]), point)
 
     scalars = np.ascontiguousarray(((losses[:, :q] - losses[:, q:]) / (2.0 * epsilon)).T)

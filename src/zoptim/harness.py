@@ -425,6 +425,8 @@ def _run_seed(cfg, base, partition, seed):
 
 def run(config):
     """Run every seed of the config; returns one Trace per seed."""
+    if not config.seeds:
+        raise InvalidArgumentError("a run needs at least one seed, got none")
     base = make_objective(config.objective)
     partition = resolve_partition(config.partition, base)
     return [_run_seed(config, base, partition, seed) for seed in config.seeds]

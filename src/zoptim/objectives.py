@@ -291,13 +291,24 @@ class LayeredChain:
         self._blocks(x, self.h0, 1, upto, acts)
         return acts, upto * (len(x) if x.ndim == 2 else 1)
 
-    def forward(self, x, prefix=None):
+    def forward(self, x, prefix=None, moved=None):
         """(loss, activations, blocks_forwarded), optionally resuming from a prefix.
 
         x is one parameter vector (d,) or a batch (n, d); a batch returns an
         array of n losses and counts the blocks of every row. A prefix must
         match every row.
+
+        With moved, a (q, d) array M, x is one vector and the call forwards
+        the grouped estimator's 2pq points instead: for each block j, x with
+        block j's slice moved by +M_i (rows :q), then by -M_i. It returns
+        their (p, 2q) losses, x's activations h_0..h_{p-1} and the
+        p q (p+1) + p - 1 blocks forwarded, in one layer-wise pass; see
+        _layerwise.
         """
+        if moved is not None:
+            if prefix is not None:
+                raise InvalidArgumentError("moved points resume from x's own prefix only")
+            return self._layerwise(x, moved)
         x = self._parameters(x)
         acts = [None] * (self.p + 1)
         if prefix is None:
@@ -325,6 +336,44 @@ class LayeredChain:
         if x.ndim == 1:
             return float(loss), acts, blocks
         return loss, acts, len(x) * blocks
+
+    def _layerwise(self, x, moved):
+        """forward(x, moved=M): one pass over the layers for every moved point.
+
+        A point moved in block j equals x before block j, so it starts from
+        x's h_{j-1}, and after block j it uses x's own (W_k, b_k). At layer j
+        the rows held so far (x's, then the points of blocks 1..j-1) take one
+        product with x's W_j, broadcast, and block j's 2q points one product
+        with their moved slice. np.matvec computes each row as the
+        single-row product, so every loss equals a full forward of its point
+        bit for bit. x's own row stops at h_{p-1}: p - 1 block forwards, plus
+        2q (p - j + 1) for block j.
+        """
+        x = self._parameters(x)
+        moved = np.asarray(moved, dtype=np.float64)
+        if x.ndim != 1 or moved.ndim != 2 or moved.shape[1] != self.d or len(moved) < 1:
+            raise InvalidArgumentError(
+                f"moved points need x of shape ({self.d},) and moves of shape (q, {self.d}), "
+                f"got {x.shape} and {moved.shape}"
+            )
+        q, p = len(moved), self.p
+        acts = [None] * (p + 1)
+        acts[0] = self.h0
+        points = np.empty((2 * q, self.d))  # x + M_i, then x - M_i; only block j's slice is read
+        np.add(x, moved, out=points[:q])
+        np.subtract(x, moved, out=points[q:])
+        h = self.h0[None]  # row 0 is x's activation, then each moved point's, block by block
+        for j in range(1, p + 1):
+            w, b = self._block_params(x, j)
+            w_moved, b_moved = self._block_params(points, j)
+            carried = h if j < p else h[1:]
+            h = np.tanh(np.concatenate((np.matvec(w, carried) + b,
+                                        np.matvec(w_moved, h[0]) + b_moved)))
+            if j < p:
+                acts[j] = h[0]
+        diff = h - self.target
+        losses = np.vecdot(diff, diff).reshape(p, 2 * q)
+        return losses, acts, p * q * (p + 1) + p - 1
 
     def value(self, x):
         return self.forward(x)[0]

@@ -230,6 +230,15 @@ def test_collapse_study_reports_per_dimension_rows():
     assert spreads["zo-adam"] > 0.0
 
 
+@pytest.mark.parametrize("T", [0, -1])
+def test_bound_check_run_rejects_a_step_count_below_one(T):
+    quad = make_block_quadratic(4, regime="homogeneous", seed=0)
+    with pytest.raises(InvalidArgumentError, match="T must be >= 1"):
+        bound_check_run(quad, optimizer="zo-sgd", eta=1e-5, q=2, epsilon=1e-6,
+                        distribution=GAUSSIAN, sigma=0.0, noise_seed=0, x0=np.zeros(4), T=T,
+                        seed=0)
+
+
 def test_bound_check_run_tracks_the_trust_region():
     quad = make_block_quadratic(4, regime="homogeneous", seed=0)
     x0 = np.full(4, 1e-3)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zoptim import (
     DISTRIBUTIONS,
@@ -226,27 +228,27 @@ def test_efficient_grouped_eval_block_forward_count_formula():
     assert naive.block_forward_calls == 2 * q * p * p
 
 
-def test_efficient_grouped_eval_forwards_one_batch_per_block():
+def test_efficient_grouped_eval_makes_one_forward_call_per_step():
     p, q = 4, 3
     chain = make_chain(p, [2, 3, 1, 2, 2], seed=1)
-    calls = {"forward": [], "forward_prefix": 0}
-    forward, forward_prefix = chain.forward, chain.forward_prefix
+    calls = []
+    forward = chain.forward
 
-    def counted_forward(x, prefix=None):
-        calls["forward"].append((np.shape(x), prefix.block))
-        return forward(x, prefix)
+    def counted_forward(x, prefix=None, moved=None):
+        result = forward(x, prefix, moved)
+        calls.append((np.shape(x), prefix, np.shape(moved), result[-1]))
+        return result
 
-    def counted_prefix(x, upto):
-        calls["forward_prefix"] += 1
-        return forward_prefix(x, upto)
+    def no_prefix_pass(*args):
+        raise AssertionError("the layer-wise pass computes x's prefix itself")
 
-    chain.forward, chain.forward_prefix = counted_forward, counted_prefix
+    chain.forward = counted_forward
+    chain.forward_prefix = chain.make_prefix = no_prefix_pass
     x = np.random.default_rng(2).standard_normal(chain.d)
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-5, base_seed=3)
     counter = EvalCounter()
     efficient_grouped_eval(chain, x, spec, q, step=1, counter=counter)
-    assert calls == {"forward": [((2 * q, chain.d), j) for j in range(1, p + 1)],
-                     "forward_prefix": 1}
+    assert calls == [((chain.d,), None, (q, chain.d), p * q * (p + 1) + p - 1)]
     assert counter.block_forward_calls == p * q * (p + 1) + p - 1
 
 
@@ -270,6 +272,62 @@ def test_efficient_grouped_eval_names_the_first_failure_in_per_point_order():
     np.testing.assert_array_equal(efficient.value.point, naive.value.point)
     assert np.isnan(efficient.value.point[slice(*chain.slices[1])]).all()
     assert str(efficient.value) == str(naive.value)
+
+
+def estimate_or_failure(estimator, *args, **kwargs):
+    """(estimate bytes, scalars bytes), or the NumericFailureError's message and point."""
+    try:
+        est, scalars = estimator(*args, **kwargs)
+    except NumericFailureError as exc:
+        return str(exc), exc.point
+    return est.tobytes(), scalars.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    widths=st.integers(1, 8).flatmap(
+        lambda p: st.lists(st.integers(1, 10), min_size=p + 1, max_size=p + 1)),
+    q=st.integers(1, 6),
+    log_epsilon=st.floats(-7.0, 0.0),
+    distribution=st.sampled_from(DISTRIBUTIONS),
+    start=st.sampled_from(["normal", "signed zeros", "nan", "inf"]),
+    seed=st.integers(0, 2**16),
+)
+def test_layerwise_pass_equals_per_block_resumption_and_naive_grouped(
+        widths, q, log_epsilon, distribution, start, seed):
+    p = len(widths) - 1
+    chain = make_chain(p, widths, seed)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(chain.d)
+    if start == "signed zeros":
+        x[rng.random(chain.d) < 0.5] = -0.0
+    elif start != "normal":
+        x[rng.integers(chain.d)] = np.nan if start == "nan" else -np.inf
+    spec = PerturbationSpec(distribution=distribution, epsilon=10.0**log_epsilon, base_seed=seed)
+    dirs = step_directions(spec, 3, q, chain.d)
+    moved = spec.epsilon * dirs
+
+    losses, acts, forwarded = chain.forward(x, moved=moved)
+    assert forwarded == p * q * (p + 1) + p - 1
+    prefix_acts, _ = chain.forward_prefix(x, p - 1)
+    assert [a.tobytes() for a in acts[:p]] == [a.tobytes() for a in prefix_acts[:p]]
+    assert acts[p] is None
+    for j, (a, b) in enumerate(chain.slices):
+        rows = np.tile(x, (2 * q, 1))
+        rows[:q, a:b] += moved[:, a:b]
+        rows[q:, a:b] -= moved[:, a:b]
+        resumed, _, _ = chain.forward(rows, chain.make_prefix(x, prefix_acts, j + 1))
+        assert losses[j].tobytes() == resumed.tobytes()
+
+    part = Partition.from_ranges(chain.d, chain.slices)
+    naive = estimate_or_failure(grouped_zo_gradient, chain_as_objective(chain), x, spec, q, part,
+                                3, directions=dirs)
+    efficient = estimate_or_failure(efficient_grouped_eval, chain, x, spec, q, 3, directions=dirs)
+    assert efficient[0] == naive[0]
+    # A naive + point adds +0.0 outside its block, which turns -0.0 into 0.0.
+    np.testing.assert_array_equal(efficient[1], naive[1])
+    if start != "inf":  # an inf weight may saturate tanh or meet a zero activation
+        assert isinstance(efficient[0], str) == (start == "nan")
 
 
 def test_efficient_grouped_eval_requires_sequential_structure():

@@ -1,5 +1,6 @@
 """Experiment harness: configs, runs, traces, budgets, sweeps, robustness."""
 
+import dataclasses
 import json
 import math
 import re
@@ -398,6 +399,12 @@ def test_every_checked_loss_obeys_one_divergence_rule(name, log_eta, T, eval_eve
         k = T // 2
         assert trace_rows(property_run(name, eta, k))[:k] == trace_rows(
             property_run(name, eta, T))[:k]
+
+
+def test_run_rejects_a_config_without_seeds():
+    config = dataclasses.replace(quad_config(), seeds=())
+    with pytest.raises(InvalidArgumentError, match="at least one seed"):
+        run(config)
 
 
 def test_seed_metric_reads_the_requested_column():

@@ -276,6 +276,21 @@ def test_chain_batched_forward_rejects_a_single_stale_row():
         chain.forward(np.zeros((2, chain.d + 1)))
 
 
+def test_chain_forward_of_moved_points_checks_its_arguments():
+    chain = make_chain(2, [2, 1, 3], seed=5)
+    x = np.zeros(chain.d)
+    _, acts, _ = chain.forward(x)
+    moved = np.ones((2, chain.d))
+    losses, _, forwarded = chain.forward(x, moved=moved)
+    assert losses.shape == (2, 4) and forwarded == 2 * 2 * 3 + 1
+    with pytest.raises(InvalidArgumentError):
+        chain.forward(x, chain.make_prefix(x, acts, 2), moved=moved)
+    for bad_x, bad_moved in ((np.zeros((2, chain.d)), moved), (x, np.ones(chain.d)),
+                             (x, np.ones((2, chain.d + 1))), (x, np.ones((0, chain.d)))):
+        with pytest.raises(InvalidArgumentError):
+            chain.forward(bad_x, moved=bad_moved)
+
+
 def test_equal_energy_point_hits_the_requested_level_in_every_mode():
     quad = make_block_quadratic(9, regime="heterogeneous", seed=0)
     f0 = 0.05
