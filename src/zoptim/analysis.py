@@ -23,6 +23,7 @@ from .optimizers import Method, zo_adam_step
 from .perturb import GAUSSIAN, UNIFORM, PerturbationSpec, _empty, batch_directions, keyed_generator
 
 MC_BATCH = 32768
+MC_BUFFER_BYTES = 1 << 20
 
 
 def predicted_squared_moment(g, q, distribution):
@@ -48,9 +49,13 @@ def mc_squared_moment(g, q, distribution, n, seed=0, batch=MC_BATCH):
 
     On an affine objective the projected gradient equals the directional
     derivative exactly, so the estimator reduces to closed-form linear
-    algebra over the sampled directions and can be evaluated in batches.
-    The batch buffers are allocated once and reused, so memory stays
-    O(batch * q * d) whatever n is.
+    algebra over the sampled directions. A batch of up to ``batch`` trials
+    is summed as one array but estimated max(1, MC_BUFFER_BYTES // (8 q d))
+    trials at a time in reused buffers, so directions take at most
+    max(MC_BUFFER_BYTES, 8 q d) bytes whatever n is. Row 0 carries the
+    batch's sums of est^2 and est^4, as numpy adds the rows of a C-contiguous
+    (rows, d >= 2) array in order; a (rows, 1) column is summed pairwise, so
+    at d = 1 the estimate buffer holds a whole batch.
     """
     g = np.asarray(g, dtype=np.float64)
     d = g.size
@@ -59,28 +64,36 @@ def mc_squared_moment(g, q, distribution, n, seed=0, batch=MC_BATCH):
             raise InvalidArgumentError(f"{name} must be >= 1, got {value}")
     rng = keyed_generator(seed, 0x3C0)
     size = min(batch, n)
-    u = _empty((size, q, d), "direction buffers")
-    s = np.empty((size, q))
-    est = np.empty((size, d))
-    acc = np.zeros(d)
-    acc_sq = np.zeros(d)
+    rows = min(size, max(1, MC_BUFFER_BYTES // (8 * q * d)))
+    u = _empty((rows, q, d), "direction buffers")
+    s = np.empty((rows, q))
+    est = np.empty(((size if d == 1 else rows) + 1, d))
+    sums = np.zeros((2, d))
+    acc = np.zeros((2, d))
     done = 0
     while done < n:
         b = min(batch, n - done)
-        u_b, s_b, est_b = u[:b], s[:b], est[:b]
-        batch_directions(distribution, (b, q), d, rng, out=u_b)
-        np.matmul(u_b, g, out=s_b)
-        np.einsum("bq,bqd->bd", s_b, u_b, out=est_b)
-        est_b /= q
-        if distribution == UNIFORM:
-            est_b *= d
-        est_b *= est_b
-        acc += est_b.sum(axis=0)
-        est_b *= est_b
-        acc_sq += est_b.sum(axis=0)
+        for lo in range(0, b, rows):
+            k = min(rows, b - lo)
+            at = 1 + lo if d == 1 else 1
+            u_k, s_k, est_k = u[:k], s[:k], est[at:at + k]
+            batch_directions(distribution, (k, q), d, rng, out=u_k)
+            np.matmul(u_k, g, out=s_k)
+            np.einsum("bq,bqd->bd", s_k, u_k, out=est_k)
+            est_k /= q
+            if distribution == UNIFORM:
+                est_k *= d
+            if d == 1 and lo + k < b:
+                continue
+            carry, fresh = int(d > 1 and lo > 0), est[1:at + k]
+            for power in range(2):  # est^2, then est^4
+                fresh *= fresh
+                est[0] = sums[power]
+                sums[power] = est[1 - carry:at + k].sum(axis=0)
+        acc += sums
         done += b
-    mean = acc / n
-    var = acc_sq / n - mean * mean
+    mean = acc[0] / n
+    var = acc[1] / n - mean * mean
     se = np.sqrt(np.maximum(var, 0.0) / n)
     return mean, se
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import analysis, harness
 from .errors import ConfigError, InvalidArgumentError, PreconditionError, ZoptimError
-from .harness import COUNT, OMIT, REQUIRED, SEED, _write_json, load_json, read_fields
+from .harness import COUNT, NONNEG, OMIT, REQUIRED, SEED, _write_json, load_json, read_fields
 from .objectives import REGIMES, BlockQuadratic, equal_energy_point
 from .perturb import DISTRIBUTIONS
 
@@ -75,7 +75,7 @@ def cmd_robustness(args):
 
 _MOMENT_CASE_FIELDS = {
     "g": ([float], REQUIRED), "q": (int, 1), "distribution": (DISTRIBUTIONS, "gaussian"),
-    "n": (COUNT, 200_000), "tol": (float, 0.05), "seed": (SEED, 0),
+    "n": (COUNT, 200_000), "tol": (NONNEG, 0.05), "seed": (SEED, 0),
 }
 
 
@@ -84,19 +84,6 @@ def _cpu_count():
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _moment_workers(cases, cpus):
-    """Threads for verify-moments: at most one per case and per core, and no
-    more than keeps the running cases' direction buffers (min(n, batch) x q
-    x d floats each) within twice the largest one, which is what a
-    sequential loop holds when it draws each batch into a new array."""
-    sizes = sorted((min(c["n"], analysis.MC_BATCH) * c["q"] * c["g"].size for c in cases),
-                   reverse=True)
-    workers = 1
-    while workers < min(len(cases), cpus) and sum(sizes[:workers + 1]) <= 2 * sizes[0]:
-        workers += 1
-    return workers
 
 
 def _moment_case_report(i, case):
@@ -126,7 +113,9 @@ def cmd_verify_moments(args):
 
     # Each case draws from its own generator and its numpy work releases the
     # GIL, so the cases run in parallel; map keeps the reports in case order.
-    with ThreadPoolExecutor(max_workers=_moment_workers(cases, _cpu_count())) as pool:
+    # A running case's buffers stay within analysis.MC_BUFFER_BYTES (or one
+    # trial's q x d directions) at any n, so the cases need no memory cap.
+    with ThreadPoolExecutor(max_workers=min(len(cases), _cpu_count())) as pool:
         reports = list(pool.map(_moment_case_report, range(len(cases)), cases))
 
     results = []
@@ -168,7 +157,7 @@ _BOUND_SIDE_FIELDS = {
 _REDUCTION_FIELDS = {
     "d": (int, REQUIRED), "q": (float, REQUIRED), "epsilon": (float, REQUIRED),
     "L": (float, REQUIRED), "sigma": (float, REQUIRED), "eta": (float, REQUIRED),
-    "T": (int, REQUIRED), "f0": (float, REQUIRED), "tol": (float, 1e-6),
+    "T": (int, REQUIRED), "f0": (float, REQUIRED), "tol": (NONNEG, 1e-6),
 }
 
 

@@ -427,6 +427,9 @@ def run(config):
     """Run every seed of the config; returns one Trace per seed."""
     if not config.seeds:
         raise InvalidArgumentError("a run needs at least one seed, got none")
+    for name in ("T", "eval_every"):
+        if getattr(config, name) < 1:
+            raise InvalidArgumentError(f"{name} must be >= 1, got {getattr(config, name)}")
     base = make_objective(config.objective)
     partition = resolve_partition(config.partition, base)
     return [_run_seed(config, base, partition, seed) for seed in config.seeds]

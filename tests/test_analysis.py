@@ -1,10 +1,14 @@
 """Analysis suite: moment formulas, statistics, bounds, and study drivers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zoptim import analysis
 from zoptim import (
     InvalidArgumentError,
     PreconditionError,
@@ -94,6 +98,80 @@ def test_buffered_monte_carlo_moment_is_bit_identical_to_the_reference(distribut
     got = mc_squared_moment(g, q, distribution, 40_000, seed=4)
     want = reference_mc_squared_moment(g, q, distribution, 40_000, seed=4)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _assert_moment_matches_reference(g, q, distribution, n, batch):
+    got = mc_squared_moment(g, q, distribution, n, seed=4, batch=batch)
+    want = reference_mc_squared_moment(g, q, distribution, n, seed=4, batch=batch)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (n, batch)
+
+
+def test_numpy_sums_a_row_block_in_row_order_and_a_column_pairwise():
+    # mc_squared_moment relies on both: a carried row continues an axis-0 sum
+    # at d >= 2, and a d = 1 batch must be summed as one column.
+    rng = np.random.default_rng(0)
+    for d in (2, 3, 8, 100, 1024):
+        for n in (1, 2, 9, 130, 4097):
+            a = rng.standard_normal((n, d)) * np.exp(rng.uniform(-20, 20, (n, d)))
+            in_order = a[0].copy()
+            for row in a[1:]:
+                in_order += row
+            assert np.array_equal(a.sum(axis=0), in_order)
+            for m in {1, n // 2, n - 1} - {0, n}:
+                carried = np.vstack([a[:m].sum(axis=0), a[m:]])
+                assert np.array_equal(carried.sum(axis=0), in_order)
+    column = rng.standard_normal((1000, 1)) * np.exp(rng.uniform(-20, 20, (1000, 1)))
+    in_order = column[0].copy()
+    for row in column[1:]:
+        in_order += row
+    assert column.sum(axis=0)[0] == np.add.reduce(column[:, 0])
+    assert column.sum(axis=0)[0] != in_order[0]
+
+
+@pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 100, 1024])
+@pytest.mark.parametrize("q", [1, 3, 10])
+def test_chunked_monte_carlo_moment_is_bit_identical_to_the_reference(monkeypatch, distribution,
+                                                                     d, q):
+    g = np.random.default_rng(d * 10 + q).standard_normal(d)
+    batch = 16
+    # Buffers of 1 and 5 trials split each batch into chunks; 16 and 40 do not.
+    for rows in (1, 5, batch, 40):
+        monkeypatch.setattr(analysis, "MC_BUFFER_BYTES", 8 * q * d * rows)
+        for n in (1, batch - 1, batch, batch + 1, 3 * batch + 5):
+            _assert_moment_matches_reference(g, q, distribution, n, batch)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(
+    distribution=st.sampled_from(DISTRIBUTIONS),
+    d=st.integers(1, 300),
+    q=st.integers(1, 12),
+    batch=st.integers(1, 40),
+    rows=st.integers(1, 50),
+    n=st.integers(1, 150),
+)
+def test_monte_carlo_moment_equals_the_reference_for_any_buffer(distribution, d, q, batch, rows,
+                                                                 n):
+    g = np.random.default_rng(d).standard_normal(d)
+    budget = analysis.MC_BUFFER_BYTES
+    analysis.MC_BUFFER_BYTES = 8 * q * d * rows
+    try:
+        _assert_moment_matches_reference(g, q, distribution, n, batch)
+    finally:
+        analysis.MC_BUFFER_BYTES = budget
+
+
+def test_monte_carlo_moment_memory_does_not_grow_with_the_batch():
+    # One whole 32768-trial batch would need 168 MB of directions here.
+    g = np.random.default_rng(0).standard_normal(64)
+    tracemalloc.start()
+    try:
+        mc_squared_moment(g, 10, GAUSSIAN, 40_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("field", ["n", "q", "batch"])

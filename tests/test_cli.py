@@ -260,20 +260,24 @@ def test_verify_moments_names_a_case_that_fails_on_its_worker(tmp_path, monkeypa
     assert "cases[1]: raised on the worker" in capsys.readouterr().err
 
 
-def _case(n, q, d):
-    return {"n": n, "q": q, "g": np.zeros(d)}
+@pytest.mark.parametrize("n_cases, cpus, workers", [(5, 3, 3), (2, 8, 2), (4, 1, 1)])
+def test_moment_workers_are_one_per_case_up_to_the_cores(tmp_path, monkeypatch, n_cases, cpus,
+                                                         workers):
+    import concurrent.futures
 
+    pools = []
 
-def test_moment_workers_keep_buffers_within_twice_the_largest():
-    equal = [_case(10**6, 10, 256)] * 8
-    assert cli._moment_workers(equal, 8) == 2
-    assert cli._moment_workers(equal, 1) == 1
-    assert cli._moment_workers(equal[:1], 8) == 1
-    # One large case leaves room for many small ones; n beyond a batch adds none.
-    mixed = [_case(100, 1, 2)] * 3 + [_case(10**6, 4, 8)] + [_case(10**7, 1, 2)] * 3
-    assert cli._moment_workers(mixed, 4) == 4
-    assert cli._moment_workers(mixed, 64) == 7
-    assert cli._moment_workers([_case(10**6, 4, 8), _case(10**6, 4, 8), _case(1, 1, 1)], 8) == 2
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+    cases = [{"g": [1.0, 0.5], "n": 10, "tol": 10.0}] * n_cases
+    cfg = write_cfg(tmp_path, {"cases": cases})
+    assert main(["verify-moments", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert pools == [workers]
 
 
 def test_verify_moments_rejects_unknown_top_level_keys(tmp_path):
@@ -462,6 +466,24 @@ def test_verification_configs_with_bad_fields_exit_two(tmp_path, command, payloa
     cfg = write_cfg(tmp_path, payload)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        ("verify-moments", {"cases": [{"g": [1.0, 0.0], "n": 100, "tol": -1}]}, "cases[0].tol"),
+        ("verify-bounds", bounds_cfg(reduction={**bounds_cfg()["reduction"], "tol": -1}),
+         "reduction.tol"),
+    ],
+    ids=["moments", "bounds"],
+)
+def test_negative_verify_tolerance_is_a_config_error(tmp_path, capsys, command, payload, field):
+    # A bad tolerance is a config error, not a failed check.
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"{field} must be >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -407,6 +407,14 @@ def test_run_rejects_a_config_without_seeds():
         run(config)
 
 
+@pytest.mark.parametrize("field,value", [("T", -1), ("T", 0), ("eval_every", 0), ("eval_every", -2)])
+def test_run_rejects_a_count_below_one_before_the_first_step(field, value):
+    # A directly built config skips from_dict's field checks.
+    config = dataclasses.replace(quad_config(), **{field: value})
+    with pytest.raises(InvalidArgumentError, match=f"{field} must be >= 1, got {value}"):
+        run(config)
+
+
 def test_seed_metric_reads_the_requested_column():
     trace = run(quad_config(T=10))[0]
     assert _seed_metric(trace, "final") == trace.final_loss

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zoptim import (
     DISTRIBUTIONS,
@@ -21,6 +23,7 @@ from zoptim import (
     second_moment_scale,
     step_directions,
 )
+from zoptim import perturb
 from zoptim.perturb import _draw, _philox_key
 
 
@@ -163,6 +166,43 @@ def test_bulk_philox_keys_equal_the_seed_sequence_keys(base_seed, step):
             )
             want = ss.generate_state(2, np.uint64).tolist()
             assert _philox_key(base_seed, step, sample_index, block_index) == want
+
+
+WORD = 2**32 - 1
+SEEDS = st.integers(0, 2**64 - 1)
+# A key table covers 4096 // width steps, width a power of two up to 1024:
+# draw the first and last steps of such chunks as well as any step.
+STEPS = st.one_of(
+    st.integers(0, WORD),
+    st.tuples(st.integers(0, 2**20), st.integers(2, 12), st.integers(0, 1)).map(
+        lambda t: min(WORD, max(0, (t[0] << t[1]) - t[2]))),
+)
+SAMPLES = st.one_of(st.integers(0, 1023), st.integers(1024, WORD),
+                    st.sampled_from([0, 1023, 1024, WORD]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(base_seed=SEEDS, step=STEPS, warm=st.integers(0, 1023), sample_index=SAMPLES,
+       block_index=st.integers(0, WORD))
+def test_bulk_philox_keys_equal_seed_sequence_keys_for_any_coordinate(base_seed, step, warm,
+                                                                      sample_index, block_index):
+    # Start from an empty cache, then widen the key tables to fit sample warm.
+    perturb._REPLAY.__init__()
+    for sample in (warm, sample_index):
+        ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(step, sample, block_index))
+        want = ss.generate_state(2, np.uint64).tolist()
+        assert _philox_key(base_seed, step, sample, block_index) == want
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(distribution=st.sampled_from(DISTRIBUTIONS), d=st.integers(1, 2048), base_seed=SEEDS,
+       step=STEPS, sample_index=SAMPLES, block_index=st.integers(0, WORD))
+def test_sample_direction_equals_a_keyed_draw_for_any_law_and_dimension(
+        distribution, d, base_seed, step, sample_index, block_index):
+    spec = PerturbationSpec(distribution=distribution, epsilon=1e-6, base_seed=base_seed)
+    got = sample_direction(spec, ReplayCoordinate(step, sample_index, block_index), d)
+    want = _draw(distribution, keyed_generator(base_seed, step, sample_index, block_index), d)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
