@@ -15,7 +15,9 @@ import numpy as np
 
 from . import analysis, harness
 from .errors import ConfigError, InvalidArgumentError, PreconditionError, ZoptimError
-from .harness import COUNT, NONNEG, OMIT, REQUIRED, SEED, _write_json, load_json, read_fields
+from .harness import (
+    COUNT, NONNEG, OMIT, POSITIVE, REQUIRED, SEED, _write_json, load_json, read_fields,
+)
 from .objectives import REGIMES, BlockQuadratic, equal_energy_point
 from .perturb import DISTRIBUTIONS
 
@@ -146,8 +148,8 @@ def cmd_verify_moments(args):
 
 _BOUNDS_FIELDS = {
     "d": (int, REQUIRED), "regime": (REGIMES, "heterogeneous"), "quad_seed": (SEED, 0),
-    "q": (int, 10), "epsilon": (float, 1e-6), "distribution": (DISTRIBUTIONS, "gaussian"),
-    "sigma": (float, 0.0), "noise_seed": (SEED, 0), "f0": (float, REQUIRED),
+    "q": (COUNT, 10), "epsilon": (POSITIVE, 1e-6), "distribution": (DISTRIBUTIONS, "gaussian"),
+    "sigma": (NONNEG, 0.0), "noise_seed": (SEED, 0), "f0": (float, REQUIRED),
     "radius": (float, REQUIRED), "seeds": (COUNT, 10), "meazo": (object, REQUIRED),
     "zosgd": (object, REQUIRED), "reduction": (object, REQUIRED),
 }
@@ -155,8 +157,8 @@ _BOUND_SIDE_FIELDS = {
     "eta": (float, REQUIRED), "T": (COUNT, REQUIRED), "beta": (float, 0.999), "zeta": (float, 1.0),
 }
 _REDUCTION_FIELDS = {
-    "d": (int, REQUIRED), "q": (float, REQUIRED), "epsilon": (float, REQUIRED),
-    "L": (float, REQUIRED), "sigma": (float, REQUIRED), "eta": (float, REQUIRED),
+    "d": (int, REQUIRED), "q": (float, REQUIRED), "epsilon": (POSITIVE, REQUIRED),
+    "L": (float, REQUIRED), "sigma": (NONNEG, REQUIRED), "eta": (float, REQUIRED),
     "T": (int, REQUIRED), "f0": (float, REQUIRED), "tol": (NONNEG, 1e-6),
 }
 

@@ -133,7 +133,7 @@ _CONFIG_FIELDS = {
     "wall_clock": (bool, False),
     "grouped_eval": (("naive", "efficient"), "naive"),
     "metric": (("final", "best"), "final"),
-    "coarse_grid": ([POSITIVE], None),
+    "coarse_grid": ([POSITIVE], ()),
 }
 _OBJECTIVE_FIELDS = {
     "quadratic": {
@@ -155,8 +155,12 @@ _X0_FIELDS = {
 
 @dataclass
 class ExperimentConfig:
-    """A validated experiment config. from_dict reads one from JSON and
-    fills in the defaults of absent fields."""
+    """A checked experiment config. Building one, directly, by
+    dataclasses.replace or by from_dict, reads every field through its kind
+    and the objective, optimizer and x0 sections through their tables,
+    normalizes seeds, partition and coarse_grid, and applies the cross-field
+    rules; a config that breaks one raises ConfigError. Re-reading a built
+    config gives the same values."""
 
     objective: dict
     optimizer: dict
@@ -177,7 +181,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        top = read_fields(raw, _CONFIG_FIELDS, "config")
+        """The config a JSON object describes; an absent key takes its default."""
+        keys = {key: (object, default) for key, (_, default) in _CONFIG_FIELDS.items()}
+        return cls(**read_fields(raw, keys, "config"))
+
+    def __post_init__(self):
+        top = read_fields(vars(self), _CONFIG_FIELDS, "config")
         obj = _read_tagged(top["objective"], "kind", _OBJECTIVE_FIELDS, "objective")
         if obj["kind"] == "chain":
             obj["widths"] = _int_or_list(obj["widths"], int, "objective.widths")
@@ -187,13 +196,20 @@ class ExperimentConfig:
             raise ConfigError(f"a seeds count must be <= {MAX_SEEDS}, got {seeds}")
         seeds = tuple(seeds if isinstance(seeds, list) else range(seeds))
         if not seeds:
-            raise ConfigError(f"seeds must be >= 1 or a non-empty list, got {top['seeds']!r}")
+            raise ConfigError(
+                f"config.seeds must be >= 1 or a non-empty list, got {top['seeds']!r}")
 
-        if isinstance(top["partition"], (list, tuple)):
-            ranges = _read(top["partition"], [[int]], "config.partition")
-            if any(len(r) != 2 for r in ranges):
-                raise ConfigError(f"partition ranges must be [start, stop) pairs, got {ranges}")
-            top["partition"] = ranges
+        partition = top["partition"]
+        if isinstance(partition, str):
+            prefix, _, p = partition.partition(":")
+            if prefix != "layers" or not p.isdecimal():
+                raise ConfigError(f"string partition must look like 'layers:p', got {partition!r}")
+            if obj["kind"] != "chain":
+                raise ConfigError("'layers:p' partition requires a chain objective")
+        elif partition is not None:
+            partition = _read(partition, [[int]], "config.partition")
+            if any(len(r) != 2 for r in partition):
+                raise ConfigError(f"partition ranges must be [start, stop) pairs, got {partition}")
 
         x0 = read_fields(top["x0"], _X0_FIELDS, "x0")
         if x0["mode"] == "equal_energy":
@@ -202,47 +218,28 @@ class ExperimentConfig:
             if obj["kind"] != "quadratic":
                 raise ConfigError("equal_energy x0 requires a quadratic objective")
 
-        top.update(
-            objective=obj,
-            optimizer=_read_tagged(top["optimizer"], "name", _OPTIMIZER_FIELDS, "optimizer"),
-            seeds=seeds,
-            x0=x0,
-            coarse_grid=tuple(top["coarse_grid"]) if top["coarse_grid"] else None,
-        )
-        cfg = cls(**top)
-        cfg.validate()
-        return cfg
+        grid = tuple(top["coarse_grid"])  # () means the default grid
+        if len(grid) == 1:
+            raise ConfigError("coarse_grid needs at least two step sizes")
+        if len(set(grid)) < len(grid):
+            raise ConfigError("coarse_grid entries must be distinct")
 
-    def validate(self):
-        name = self.optimizer["name"]
-        if name == "meazo-grouped" and self.partition is None:
+        optimizer = _read_tagged(top["optimizer"], "name", _OPTIMIZER_FIELDS, "optimizer")
+        name = optimizer["name"]
+        if name == "meazo-grouped" and partition is None:
             raise ConfigError("meazo-grouped requires a partition")
-        if name in ("meazo", "fzoo") and self.partition is not None:
+        if name in ("meazo", "fzoo") and partition is not None:
             raise ConfigError(f"{name} does not support a partition")
-        if name == "fzoo":
-            if self.q < 2:
-                raise ConfigError(f"fzoo requires q >= 2, got {self.q}")
-        if self.grouped_eval == "efficient":
-            if self.objective["kind"] != "chain":
+        if name == "fzoo" and top["q"] < 2:
+            raise ConfigError(f"fzoo requires q >= 2, got {top['q']}")
+        if top["grouped_eval"] == "efficient":
+            if obj["kind"] != "chain":
                 raise ConfigError("efficient grouped evaluation requires a chain objective")
-            if not (isinstance(self.partition, str) and self.partition.startswith("layers:")):
+            if not isinstance(partition, str):
                 raise ConfigError("efficient grouped evaluation requires partition 'layers:p'")
-        if self.partition is not None:
-            if isinstance(self.partition, str):
-                prefix, _, p = self.partition.partition(":")
-                if prefix != "layers" or not p.isdecimal():
-                    raise ConfigError(
-                        f"string partition must look like 'layers:p', got {self.partition!r}"
-                    )
-                if self.objective["kind"] != "chain":
-                    raise ConfigError("'layers:p' partition requires a chain objective")
-            elif not isinstance(self.partition, (list, tuple)):
-                raise ConfigError("partition must be None, 'layers:p', or a list of ranges")
-        if self.coarse_grid is not None:
-            if len(self.coarse_grid) < 2:
-                raise ConfigError("coarse_grid needs at least two step sizes")
-            if len(set(self.coarse_grid)) < len(self.coarse_grid):
-                raise ConfigError("coarse_grid entries must be distinct")
+        top.update(objective=obj, optimizer=optimizer, seeds=seeds, partition=partition, x0=x0,
+                   coarse_grid=grid)
+        vars(self).update(top)
 
 
 def load_json(path):
@@ -425,11 +422,6 @@ def _run_seed(cfg, base, partition, seed):
 
 def run(config):
     """Run every seed of the config; returns one Trace per seed."""
-    if not config.seeds:
-        raise InvalidArgumentError("a run needs at least one seed, got none")
-    for name in ("T", "eval_every"):
-        if getattr(config, name) < 1:
-            raise InvalidArgumentError(f"{name} must be >= 1, got {getattr(config, name)}")
     base = make_objective(config.objective)
     partition = resolve_partition(config.partition, base)
     return [_run_seed(config, base, partition, seed) for seed in config.seeds]

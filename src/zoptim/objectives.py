@@ -160,7 +160,7 @@ class NoisySample:
     """
 
     def __init__(self, base, sigma, xi_seed):
-        if sigma < 0:
+        if not sigma >= 0:
             raise InvalidArgumentError(f"sigma must be >= 0, got {sigma}")
         self.base = base
         self.sigma = float(sigma)
@@ -199,9 +199,10 @@ def sample_noisy(base, sigma, xi_seed):
 
 
 def noise_for_run(base, sigma, noise_seed, seed):
-    """Observation noise of the run with this seed, None when sigma is 0; runs
-    sharing noise_seed still draw their own streams, keyed by (noise_seed, seed)."""
-    if not sigma > 0:
+    """Observation noise of the run with this seed, None when sigma is 0, and
+    InvalidArgumentError when it is negative or NaN; runs sharing noise_seed
+    still draw their own streams, keyed by (noise_seed, seed)."""
+    if sigma == 0:
         return None
     xi_seed = int(np.random.SeedSequence(entropy=(noise_seed, seed)).generate_state(1)[0])
     return sample_noisy(base, sigma, xi_seed)

@@ -451,6 +451,9 @@ def test_out_of_domain_and_mistyped_fields_exit_two(tmp_path, over):
         # A repeated step size would stand in for the winner's upper neighbour.
         ("sweep", run_cfg(coarse_grid=[1e-3, 1e-3])),
         ("robustness", run_cfg(coarse_grid=[1e-4, 1e-3, 1e-3])),
+        ("verify-bounds", bounds_cfg(sigma=-1.0)),
+        ("verify-bounds", bounds_cfg(reduction={**bounds_cfg()["reduction"], "sigma": -1.0})),
+        ("verify-bounds", bounds_cfg(reduction={**bounds_cfg()["reduction"], "epsilon": -1e-12})),
     ],
     ids=[
         "bounds-nonsquare-d", "bounds-string-d", "bounds-string-eta", "bounds-zero-T",
@@ -459,7 +462,8 @@ def test_out_of_domain_and_mistyped_fields_exit_two(tmp_path, over):
         "fig2-string-eta", "fig2-unknown-optimizer", "fig2-list-optimizer",
         "fig2-string-series", "fig2-zero-tail", "fig2-zero-max-steps", "moments-string-q",
         "moments-string-g", "moments-zero-q", "moments-unallocatable-q",
-        "sweep-duplicate-grid", "robustness-duplicate-grid",
+        "sweep-duplicate-grid", "robustness-duplicate-grid", "bounds-negative-sigma",
+        "reduction-negative-sigma", "reduction-negative-epsilon",
     ],
 )
 def test_verification_configs_with_bad_fields_exit_two(tmp_path, command, payload):

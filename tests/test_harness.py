@@ -140,38 +140,47 @@ def test_read_fields_checks_the_domain_kinds():
             read_fields(bad, fields, "cfg")
 
 
-@pytest.mark.parametrize(
-    "mutation",
-    [
-        {"bogus": 1},
-        {"objective": {"kind": "quadratic", "d": 9, "oops": 1}},
-        {"objective": {"kind": "mystery", "d": 9}},
-        {"objective": {"kind": "quadratic", "d": 9, "sigma": -1.0}},
-        {"optimizer": {"name": "zo-sgd", "eta": 1e-3, "beta1": 0.9}},
-        {"optimizer": {"name": "gradient-descent", "eta": 1e-3}},
-        {"T": 0},
-        {"q": 0},
-        {"distribution": "cauchy"},
-        {"metric": "median"},
-        {"threshold": 0.0},
-        {"x0": {"mode": "equal_energy"}},
-        {"x0": {"mode": "somewhere"}},
-        {"seeds": []},
-        {"coarse_grid": [1e-3]},
-        {"coarse_grid": [1e-3, 1e-3]},
-        {"partition": "layers:x:y"},
-        {"grouped_eval": "sometimes"},
-    ],
-)
-def test_config_rejects_bad_inputs(mutation):
+BAD_MUTATIONS = [
+    {"bogus": 1},
+    {"objective": {"kind": "quadratic", "d": 9, "oops": 1}},
+    {"objective": {"kind": "mystery", "d": 9}},
+    {"objective": {"kind": "quadratic", "d": 9, "sigma": -1.0}},
+    {"optimizer": {"name": "zo-sgd", "eta": 1e-3, "beta1": 0.9}},
+    {"optimizer": {"name": "gradient-descent", "eta": 1e-3}},
+    {"T": 0},
+    {"q": 0},
+    {"distribution": "cauchy"},
+    {"metric": "median"},
+    {"threshold": 0.0},
+    {"x0": {"mode": "equal_energy"}},
+    {"x0": {"mode": "somewhere"}},
+    {"seeds": []},
+    {"coarse_grid": [1e-3]},
+    {"coarse_grid": [1e-3, 1e-3]},
+    {"partition": "layers:x:y"},
+    {"grouped_eval": "sometimes"},
+]
+
+
+# Each field mutation is read once from JSON and once as a dataclasses.replace
+# of a valid config; replace takes field names only, so {"bogus": 1} is read once.
+@pytest.mark.parametrize("mutation, via", [
+    pytest.param(mutation, via, id=f"mutation{i}{suffix}")
+    for i, mutation in enumerate(BAD_MUTATIONS)
+    for via, suffix in (("from_dict", ""), ("replace", "-replace"))
+    if via == "from_dict" or set(mutation) <= {f.name for f in dataclasses.fields(ExperimentConfig)}
+])
+def test_config_rejects_bad_inputs(mutation, via):
     raw = {
         "objective": {"kind": "quadratic", "d": 9},
         "optimizer": {"name": "zo-sgd", "eta": 1e-3},
         "T": 5,
     }
-    raw.update(mutation)
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(raw)
+        if via == "from_dict":
+            ExperimentConfig.from_dict({**raw, **mutation})
+        else:
+            dataclasses.replace(ExperimentConfig.from_dict(raw), **mutation)
 
 
 def test_config_requires_objective_optimizer_and_step_count():
@@ -402,17 +411,45 @@ def test_every_checked_loss_obeys_one_divergence_rule(name, log_eta, T, eval_eve
 
 
 def test_run_rejects_a_config_without_seeds():
-    config = dataclasses.replace(quad_config(), seeds=())
-    with pytest.raises(InvalidArgumentError, match="at least one seed"):
-        run(config)
+    # A directly built config is checked as it is built, so no run starts.
+    with pytest.raises(ConfigError, match=re.escape("config.seeds must be >= 1 or a non-empty")):
+        dataclasses.replace(quad_config(), seeds=())
 
 
 @pytest.mark.parametrize("field,value", [("T", -1), ("T", 0), ("eval_every", 0), ("eval_every", -2)])
 def test_run_rejects_a_count_below_one_before_the_first_step(field, value):
-    # A directly built config skips from_dict's field checks.
-    config = dataclasses.replace(quad_config(), **{field: value})
-    with pytest.raises(InvalidArgumentError, match=f"{field} must be >= 1, got {value}"):
-        run(config)
+    with pytest.raises(ConfigError, match=re.escape(f"config.{field} must be >= 1, got {value}")):
+        dataclasses.replace(quad_config(), **{field: value})
+
+
+# A valid value of each replaced field ("sigma" is the objective's), and a pool of
+# fractional, negative, zero, bool, string, NaN and empty values, a few of them valid.
+_VALID_FIELDS = {
+    "T": 4, "q": 2, "epsilon": 1e-4, "distribution": "rademacher", "seeds": 2, "eval_every": 2,
+    "threshold": 0.5, "stop_at_threshold": True, "wall_clock": True, "grouped_eval": "naive",
+    "metric": "best", "coarse_grid": [1e-3, 1e-2], "x0": {"norm": 1.0}, "sigma": 1e-3,
+}
+_FIELD_POOL = [0, 1, 3, -1, 0.5, 2.5, True, False, "", "bogus", "naive", "best", "gaussian",
+               math.nan, None, [], (), {}]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(st.sampled_from(sorted(_VALID_FIELDS)), max_size=4),
+       st.dictionaries(st.sampled_from(sorted(_VALID_FIELDS)), st.sampled_from(_FIELD_POOL),
+                       max_size=2))
+@example([], {"T": 2.5})
+def test_a_directly_built_config_is_rejected_or_runs_at_most_T_steps(valid, pooled):
+    base = quad_config(T=3, q=1)
+    over = {**{field: _VALID_FIELDS[field] for field in valid}, **pooled}
+    if "sigma" in over:
+        over["objective"] = {**base.objective, "sigma": over.pop("sigma")}
+    try:
+        config = dataclasses.replace(base, **over)
+    except ConfigError:
+        return
+    traces = run(config)
+    assert len(traces) == len(config.seeds) >= 1
+    assert all(trace.steps[-1] <= config.T for trace in traces)
 
 
 def test_seed_metric_reads_the_requested_column():

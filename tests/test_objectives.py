@@ -14,6 +14,7 @@ from zoptim import (
     smoothed_value,
     smoothing_norm_moments,
 )
+from zoptim.objectives import noise_for_run
 
 
 def test_heterogeneous_quadratic_block_spectrum():
@@ -146,6 +147,11 @@ def test_noisy_sample_rejects_negative_sigma():
     quad = make_block_quadratic(4, regime="homogeneous", seed=0)
     with pytest.raises(InvalidArgumentError):
         sample_noisy(quad, sigma=-0.1, xi_seed=0)
+    # A run is noiseless only at sigma 0, never at a negative or NaN sigma.
+    assert noise_for_run(quad, 0.0, 0, 0) is None
+    for sigma in (-0.1, float("nan")):
+        with pytest.raises(InvalidArgumentError):
+            noise_for_run(quad, sigma, 0, 0)
 
 
 def test_chain_parameter_layout_and_dimension():
