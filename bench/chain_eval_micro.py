@@ -32,9 +32,9 @@ CHANGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHILD = r"""
 import hashlib, json, sys, time
 import numpy as np
-from zoptim import PerturbationSpec, efficient_grouped_eval, make_chain, step_directions
+from zoptim import LayeredChain, PerturbationSpec, efficient_grouped_eval, step_directions
 p, q, width, repeats = map(int, sys.argv[1:5])
-chain = make_chain(p, width, seed=0)
+chain = LayeredChain(p, width, seed=0)
 spec = PerturbationSpec(distribution="gaussian", epsilon=1e-4, base_seed=1)
 x = np.random.default_rng(0).standard_normal(chain.d) * 0.1
 dirs = step_directions(spec, 0, q, chain.d)

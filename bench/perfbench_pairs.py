@@ -14,6 +14,17 @@ neither side), and the failed checks. The per-pair values are kept too.
 The result goes under ``perfbench.<workload>`` in the output file; other
 keys already in it are kept.
 
+Each side runs with its own bytecode cache, ``PYTHONPYCACHEPREFIX`` set to
+``.perfbench_out/pycache`` in that side's directory, so a ``__pycache__``
+left in one tree cannot make that side start faster. The sides write that
+cache even when ``PYTHONDONTWRITEBYTECODE`` is inherited: the prefix hides
+every other cache, numpy's included, so without writing, each child would
+compile numpy from source (about 0.5 s of CPU and 3.5 MB of peak RSS per
+start on a 2-core VM). Both sides then start from warm caches of their own,
+so ``setup_s`` and ``peak_rss_mb`` leave out compiling zoptim. The file's
+``machine`` facts record the prefix and the inherited
+``PYTHONDONTWRITEBYTECODE``.
+
 With ``--traced`` it instead runs ``--trace 1`` once per side (parent first)
 with seed ``--seed`` and stores both sides' per-layer metrics under
 ``perfbench_traced.<workload>``.
@@ -26,11 +37,15 @@ import statistics
 import subprocess
 import sys
 
+PYCACHE = os.path.join(".perfbench_out", "pycache")
+
 
 def run_side(cwd, workload, seed, seconds, trace=0):
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=cwd, capture_output=True, text=True, check=True)
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": os.path.join(cwd, PYCACHE)}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {"failed": result["failed"], "attempted": result["attempted"],
             **{name: m["value"] for name, m in result["metrics"].items()}}
@@ -115,11 +130,16 @@ def main():
 
 
 def store(path, key, workload, result):
-    """Put result under key.workload in the JSON file at path, keeping other keys."""
+    """Put result under key.workload in the JSON file at path, with the bytecode
+    settings of the runs among its machine facts, keeping other keys."""
     payload = {}
     if os.path.exists(path):
         with open(path) as fh:
             payload = json.load(fh)
+    payload.setdefault("machine", {}).update({
+        "pycache_prefix": os.path.join("<side>", PYCACHE),
+        "PYTHONDONTWRITEBYTECODE_inherited": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+    })
     payload.setdefault(key, {})[workload] = result
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)

@@ -13,18 +13,18 @@ import numpy as np
 
 from zoptim import (
     EvalCounter,
+    LayeredChain,
     Partition,
     PerturbationSpec,
     chain_as_objective,
     efficient_grouped_eval,
     grouped_zo_gradient,
-    make_chain,
 )
 
 
 def main():
     p, q = 16, 1
-    chain = make_chain(p=p, widths=1, seed=0)
+    chain = LayeredChain(p=p, widths=1, seed=0)
     spec = PerturbationSpec(distribution="gaussian", epsilon=1e-4, base_seed=0)
     x = np.random.default_rng(0).standard_normal(chain.d) * 0.1
 

@@ -14,11 +14,11 @@ Run: python3 demos/stationarity_bounds.py
 import numpy as np
 
 from zoptim import (
+    BlockQuadratic,
     bound_check_run,
-    classical_sgd_bound,
     check_meazo_condition,
+    classical_sgd_bound,
     equal_energy_point,
-    make_block_quadratic,
     meazo_bound,
     theorem_constants,
     zosgd_bound,
@@ -26,7 +26,7 @@ from zoptim import (
 
 
 def main():
-    quad = make_block_quadratic(9, regime="heterogeneous", seed=0)
+    quad = BlockQuadratic(9, regime="heterogeneous", seed=0)
     q, epsilon, f0, radius = 10, 1e-6, 0.05, 0.4
     L = quad.smoothness
     G = L * radius

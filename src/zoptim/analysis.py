@@ -44,12 +44,12 @@ def predicted_squared_moment(g, q, distribution):
     )
 
 
-def mc_squared_moment(g, q, distribution, n, seed=0, batch=MC_BATCH):
+def mc_squared_moment(g, q, distribution, n, seed=0):
     """Monte Carlo estimate of E[ghat_k^2] over n independent q-sample draws.
 
     On an affine objective the projected gradient equals the directional
     derivative exactly, so the estimator reduces to closed-form linear
-    algebra over the sampled directions. A batch of up to ``batch`` trials
+    algebra over the sampled directions. A batch of up to MC_BATCH trials
     is summed as one array but estimated max(1, MC_BUFFER_BYTES // (8 q d))
     trials at a time in reused buffers, so directions take at most
     max(MC_BUFFER_BYTES, 8 q d) bytes whatever n is. Row 0 carries the
@@ -59,11 +59,11 @@ def mc_squared_moment(g, q, distribution, n, seed=0, batch=MC_BATCH):
     """
     g = np.asarray(g, dtype=np.float64)
     d = g.size
-    for name, value in (("n", n), ("q", q), ("batch", batch)):
+    for name, value in (("n", n), ("q", q)):
         if value < 1:
             raise InvalidArgumentError(f"{name} must be >= 1, got {value}")
     rng = keyed_generator(seed, 0x3C0)
-    size = min(batch, n)
+    size = min(MC_BATCH, n)
     rows = min(size, max(1, MC_BUFFER_BYTES // (8 * q * d)))
     u = _empty((rows, q, d), "direction buffers")
     s = np.empty((rows, q))
@@ -72,7 +72,7 @@ def mc_squared_moment(g, q, distribution, n, seed=0, batch=MC_BATCH):
     acc = np.zeros((2, d))
     done = 0
     while done < n:
-        b = min(batch, n - done)
+        b = min(MC_BATCH, n - done)
         for lo in range(0, b, rows):
             k = min(rows, b - lo)
             at = 1 + lo if d == 1 else 1

@@ -11,10 +11,10 @@ caller whose update needs the same directions passes the block, so each
 direction is drawn once per step and held for that step only.
 
 _evaluate is the one place where perturbed points are evaluated, counted
-and checked (projected_gradient, the single-direction reference, keeps its
-own two calls), so it is the one place a batched oracle call will change;
-_direction_sum is the one sample-order sum of c_i * u_i. The step rules use
-both, so every bit-identity claim rests on one copy of each.
+and checked, projected_gradient's two included, so it is the one place a
+batched oracle call will change; _direction_sum is the one sample-order sum
+of c_i * u_i. The step rules use both, so every bit-identity claim rests on
+one copy of each.
 """
 
 import math
@@ -47,6 +47,8 @@ class Partition:
             if np.ndim(block) != 1 or np.size(block) == 0:
                 raise InvalidArgumentError("each block must be a non-empty 1-D index set")
             clean.append(_indices(block, "block indices"))
+        if not clean:
+            raise InvalidArgumentError("a partition needs at least one block")
         flat = np.concatenate(clean)
         if flat.min() < 0 or flat.max() >= d:
             raise InvalidArgumentError(f"block indices must lie in [0, {d})")
@@ -145,16 +147,7 @@ def projected_gradient(f, x, u, epsilon, counter=None):
     if not epsilon > 0:
         raise InvalidArgumentError(f"epsilon must be > 0, got {epsilon}")
     x = np.asarray(x, dtype=np.float64)
-    plus = x + epsilon * u
-    minus = x - epsilon * u
-    fp = float(f(plus))
-    if counter is not None:
-        counter.add_full(1)
-    _finite_or_raise(fp, plus)
-    fm = float(f(minus))
-    if counter is not None:
-        counter.add_full(1)
-    _finite_or_raise(fm, minus)
+    fp, fm = _evaluate(f, np.array([x + epsilon * u, x - epsilon * u]), counter)
     return (fp - fm) / (2.0 * epsilon)
 
 

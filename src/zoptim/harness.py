@@ -208,6 +208,8 @@ class ExperimentConfig:
                 raise ConfigError("'layers:p' partition requires a chain objective")
         elif partition is not None:
             partition = _read(partition, [[int]], "config.partition")
+            if not partition:
+                raise ConfigError("config.partition needs at least one [start, stop) range")
             if any(len(r) != 2 for r in partition):
                 raise ConfigError(f"partition ranges must be [start, stop) pairs, got {partition}")
 

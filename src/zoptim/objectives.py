@@ -40,7 +40,7 @@ def _orthogonal(rng, n):
 
 
 class BlockQuadratic:
-    """F(x) = 0.5 x^T H x with block-diagonal H; see make_block_quadratic."""
+    """F(x) = 0.5 x^T H x with block-diagonal H: known gradient, smoothness and optimum."""
 
     def __init__(self, d, regime, seed):
         d = int(d)
@@ -118,11 +118,6 @@ class BlockQuadratic:
         return (self._rows(x) @ self.stack).reshape(self.d)
 
 
-def make_block_quadratic(d, regime, seed):
-    """Block-diagonal quadratic with known gradient, smoothness, and optimum."""
-    return BlockQuadratic(d, regime, seed)
-
-
 def smoothing_norm_moments(smoothing, d):
     """(E|v|, E|v|^2) of the perturbation law used for smoothing."""
     if smoothing == BALL:
@@ -153,10 +148,11 @@ def smoothed_gradient(quad, x, epsilon, smoothing=BALL):
 
 
 class NoisySample:
-    """Stochastic oracle f(x; xi) = F(x) + tilt(xi) . x.
+    """Stochastic oracle f(x; xi) = F(x) + tilt(xi) . x around the mean objective F = base.
 
     tilt(xi) ~ N(0, (sigma^2/d) I) is replay-keyed by xi, so
-    E[grad f] = grad F and E|grad f - grad F|^2 = sigma^2 exactly.
+    E[grad f] = grad F and E|grad f - grad F|^2 = sigma^2 exactly;
+    objective_at(xi) is f(.; xi), with gradient base.gradient(x) + tilt(xi).
     """
 
     def __init__(self, base, sigma, xi_seed):
@@ -171,12 +167,6 @@ class NoisySample:
         rng = keyed_generator(self.xi_seed, _TILT_TAG, int(xi))
         return rng.standard_normal(self.d) * (self.sigma / math.sqrt(self.d))
 
-    def value(self, x, xi):
-        return self.base.value(x) + float(self.tilt(xi) @ np.asarray(x, dtype=np.float64))
-
-    def gradient(self, x, xi):
-        return self.base.gradient(x) + self.tilt(xi)
-
     def objective_at(self, xi):
         """Deterministic single-sample objective f(.; xi)."""
         tilt = self.tilt(xi)
@@ -186,17 +176,6 @@ class NoisySample:
 
         return f
 
-    def mean_value(self, x):
-        return self.base.value(x)
-
-    def mean_gradient(self, x):
-        return self.base.gradient(x)
-
-
-def sample_noisy(base, sigma, xi_seed):
-    """Bounded-variance stochastic wrapper around a deterministic objective."""
-    return NoisySample(base, sigma, xi_seed)
-
 
 def noise_for_run(base, sigma, noise_seed, seed):
     """Observation noise of the run with this seed, None when sigma is 0, and
@@ -205,7 +184,7 @@ def noise_for_run(base, sigma, noise_seed, seed):
     if sigma == 0:
         return None
     xi_seed = int(np.random.SeedSequence(entropy=(noise_seed, seed)).generate_state(1)[0])
-    return sample_noisy(base, sigma, xi_seed)
+    return NoisySample(base, sigma, xi_seed)
 
 
 @dataclass(frozen=True)
@@ -390,11 +369,6 @@ class LayeredChain:
         x = np.asarray(x, dtype=np.float64)
         start = self.slices[j - 1][0]
         return Prefix(j, activations[j - 1], x[:start].tobytes())
-
-
-def make_chain(p, widths, seed):
-    """Layered tanh chain objective exposing per-block sequential structure."""
-    return LayeredChain(p, widths, seed)
 
 
 def equal_energy_point(quad, f0, seed):

@@ -13,8 +13,10 @@ import pytest
 
 from zoptim import (
     AdamState,
+    BlockQuadratic,
     EvalCounter,
     ExperimentConfig,
+    LayeredChain,
     MeazoState,
     Partition,
     PerturbationSpec,
@@ -28,8 +30,6 @@ from zoptim import (
     efficient_grouped_eval,
     equal_energy_point,
     grouped_zo_gradient,
-    make_block_quadratic,
-    make_chain,
     mc_squared_moment,
     meazo_bound,
     meazo_step,
@@ -185,7 +185,7 @@ def test_scalar_adaptive_step_size_window_wider_than_sgd(bcgd_sweeps):
 
 
 def test_prefix_caching_block_forward_counts():
-    chain = make_chain(p=16, widths=1, seed=0)
+    chain = LayeredChain(p=16, widths=1, seed=0)
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-4, base_seed=0)
     x = keyed_generator(0, 0xACC2).standard_normal(chain.d) * 0.1
 
@@ -205,7 +205,7 @@ def test_prefix_caching_block_forward_counts():
 
 
 def test_uniform_scaled_estimator_unbiased_for_quadratic_gradient():
-    quad = make_block_quadratic(9, regime="heterogeneous", seed=0)
+    quad = BlockQuadratic(9, regime="heterogeneous", seed=0)
     x = keyed_generator(0, 0xACC7).standard_normal(9) * 0.05
     grad = quad.gradient(x)
     h = quad.hessian
@@ -224,7 +224,7 @@ def test_uniform_scaled_estimator_unbiased_for_quadratic_gradient():
 
 
 def test_smoothing_inequalities_nonnegative_slack():
-    quad = make_block_quadratic(9, regime="heterogeneous", seed=0)
+    quad = BlockQuadratic(9, regime="heterogeneous", seed=0)
     rng = keyed_generator(0, 0xACC5)
     points = [rng.standard_normal(9) * 0.2 for _ in range(100)]
     for smoothing in ("ball", "sphere-limit"):
@@ -237,7 +237,7 @@ def test_smoothing_inequalities_nonnegative_slack():
 
 
 def test_scalar_and_coordinate_adaptive_agree_in_one_dimension():
-    quad = make_block_quadratic(1, regime="heterogeneous", seed=0)
+    quad = BlockQuadratic(1, regime="heterogeneous", seed=0)
     spec = PerturbationSpec(distribution=RADEMACHER, epsilon=1e-6, base_seed=4)
     meazo = MeazoState(eta=1e-2, beta=0.999, zeta=1e-8)
     adam = AdamState(dim=1, eta=1e-2, beta1=0.0, beta2=0.999, zeta=1e-8)
@@ -252,7 +252,7 @@ def test_scalar_and_coordinate_adaptive_agree_in_one_dimension():
 
 
 def test_trajectory_average_gradient_below_stationarity_bounds():
-    quad = make_block_quadratic(9, regime="heterogeneous", seed=0)
+    quad = BlockQuadratic(9, regime="heterogeneous", seed=0)
     q, epsilon, sigma, radius, f0 = 10, 1e-6, 0.0, 0.4, 0.05
     L = quad.smoothness
     G = L * radius
@@ -310,7 +310,7 @@ def test_deterministic_traces_and_state_memory_shape(tmp_path):
 
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-6, base_seed=0)
     for d in (9, 100):
-        quad = make_block_quadratic(d, regime="heterogeneous", seed=0)
+        quad = BlockQuadratic(d, regime="heterogeneous", seed=0)
         state = MeazoState(eta=1e-3)
         x = np.full(d, 0.1)
         for t in range(5):

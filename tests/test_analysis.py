@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from zoptim import analysis
 from zoptim import (
+    BlockQuadratic,
     InvalidArgumentError,
     PreconditionError,
     bound_check_run,
@@ -17,7 +18,6 @@ from zoptim import (
     check_smoothing_inequalities,
     classical_sgd_bound,
     collapse_study,
-    make_block_quadratic,
     mc_squared_moment,
     meazo_bound,
     moment_report,
@@ -89,21 +89,20 @@ def reference_mc_squared_moment(g, q, distribution, n, seed=0, batch=32768):
 @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
 @pytest.mark.parametrize("d", [1, 2, 8])
 @pytest.mark.parametrize("q", [1, 3])
-def test_buffered_monte_carlo_moment_is_bit_identical_to_the_reference(distribution, d, q):
+def test_buffered_monte_carlo_moment_is_bit_identical_to_the_reference(monkeypatch, distribution,
+                                                                       d, q):
     g = np.random.default_rng(d * 10 + q).standard_normal(d)
-    for n in (1, 63, 64, 133):
-        got = mc_squared_moment(g, q, distribution, n, seed=4, batch=64)
-        want = reference_mc_squared_moment(g, q, distribution, n, seed=4, batch=64)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    got = mc_squared_moment(g, q, distribution, 40_000, seed=4)
-    want = reference_mc_squared_moment(g, q, distribution, 40_000, seed=4)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "MC_BATCH", 64)
+        for n in (1, 63, 64, 133):
+            _assert_moment_matches_reference(g, q, distribution, n)
+    _assert_moment_matches_reference(g, q, distribution, 40_000)
 
 
-def _assert_moment_matches_reference(g, q, distribution, n, batch):
-    got = mc_squared_moment(g, q, distribution, n, seed=4, batch=batch)
-    want = reference_mc_squared_moment(g, q, distribution, n, seed=4, batch=batch)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (n, batch)
+def _assert_moment_matches_reference(g, q, distribution, n):
+    got = mc_squared_moment(g, q, distribution, n, seed=4)
+    want = reference_mc_squared_moment(g, q, distribution, n, seed=4, batch=analysis.MC_BATCH)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), n
 
 
 def test_numpy_sums_a_row_block_in_row_order_and_a_column_pairwise():
@@ -135,11 +134,12 @@ def test_chunked_monte_carlo_moment_is_bit_identical_to_the_reference(monkeypatc
                                                                      d, q):
     g = np.random.default_rng(d * 10 + q).standard_normal(d)
     batch = 16
+    monkeypatch.setattr(analysis, "MC_BATCH", batch)
     # Buffers of 1 and 5 trials split each batch into chunks; 16 and 40 do not.
     for rows in (1, 5, batch, 40):
         monkeypatch.setattr(analysis, "MC_BUFFER_BYTES", 8 * q * d * rows)
         for n in (1, batch - 1, batch, batch + 1, 3 * batch + 5):
-            _assert_moment_matches_reference(g, q, distribution, n, batch)
+            _assert_moment_matches_reference(g, q, distribution, n)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=120)
@@ -154,12 +154,12 @@ def test_chunked_monte_carlo_moment_is_bit_identical_to_the_reference(monkeypatc
 def test_monte_carlo_moment_equals_the_reference_for_any_buffer(distribution, d, q, batch, rows,
                                                                  n):
     g = np.random.default_rng(d).standard_normal(d)
-    budget = analysis.MC_BUFFER_BYTES
-    analysis.MC_BUFFER_BYTES = 8 * q * d * rows
+    saved = analysis.MC_BATCH, analysis.MC_BUFFER_BYTES
+    analysis.MC_BATCH, analysis.MC_BUFFER_BYTES = batch, 8 * q * d * rows
     try:
-        _assert_moment_matches_reference(g, q, distribution, n, batch)
+        _assert_moment_matches_reference(g, q, distribution, n)
     finally:
-        analysis.MC_BUFFER_BYTES = budget
+        analysis.MC_BATCH, analysis.MC_BUFFER_BYTES = saved
 
 
 def test_monte_carlo_moment_memory_does_not_grow_with_the_batch():
@@ -174,12 +174,11 @@ def test_monte_carlo_moment_memory_does_not_grow_with_the_batch():
     assert peak < 4 * 2**20
 
 
-@pytest.mark.parametrize("field", ["n", "q", "batch"])
+@pytest.mark.parametrize("field", ["n", "q"])
 def test_monte_carlo_moment_rejects_counts_below_one(field):
-    args = {"n": 10, "q": 1, "batch": 8, field: 0}
+    args = {"n": 10, "q": 1, field: 0}
     with pytest.raises(InvalidArgumentError, match=f"{field} must be >= 1"):
-        mc_squared_moment(np.array([1.0, 0.0]), args["q"], GAUSSIAN, args["n"],
-                          batch=args["batch"])
+        mc_squared_moment(np.array([1.0, 0.0]), args["q"], GAUSSIAN, args["n"])
 
 
 def test_moment_report_rejects_cases_it_cannot_run():
@@ -224,7 +223,7 @@ def test_collapse_metric_hand_case():
 
 
 def test_smoothing_inequalities_hold_on_random_points():
-    quad = make_block_quadratic(4, regime="heterogeneous", seed=2)
+    quad = BlockQuadratic(4, regime="heterogeneous", seed=2)
     rng = np.random.default_rng(0)
     points = [rng.normal(size=4) * 0.1 for _ in range(20)]
     for smoothing in ("ball", "sphere-limit"):
@@ -310,7 +309,7 @@ def test_collapse_study_reports_per_dimension_rows():
 
 @pytest.mark.parametrize("T", [0, -1])
 def test_bound_check_run_rejects_a_step_count_below_one(T):
-    quad = make_block_quadratic(4, regime="homogeneous", seed=0)
+    quad = BlockQuadratic(4, regime="homogeneous", seed=0)
     with pytest.raises(InvalidArgumentError, match="T must be >= 1"):
         bound_check_run(quad, optimizer="zo-sgd", eta=1e-5, q=2, epsilon=1e-6,
                         distribution=GAUSSIAN, sigma=0.0, noise_seed=0, x0=np.zeros(4), T=T,
@@ -318,7 +317,7 @@ def test_bound_check_run_rejects_a_step_count_below_one(T):
 
 
 def test_bound_check_run_tracks_the_trust_region():
-    quad = make_block_quadratic(4, regime="homogeneous", seed=0)
+    quad = BlockQuadratic(4, regime="homogeneous", seed=0)
     x0 = np.full(4, 1e-3)
     out = bound_check_run(
         quad,

@@ -423,6 +423,16 @@ def test_out_of_domain_and_mistyped_fields_exit_two(tmp_path, over):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["zo-sgd", "meazo-grouped"])
+def test_an_empty_partition_exits_two_naming_the_field(tmp_path, capsys, name):
+    cfg = write_cfg(tmp_path, run_cfg(partition=[], optimizer={"name": name, "eta": 1e-3}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config.partition" in err and "concatenate" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, payload",
     [

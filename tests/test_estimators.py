@@ -1,5 +1,7 @@
 """Finite-difference estimators: exactness, grouping, replay, and accounting."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,10 @@ from zoptim import (
     DISTRIBUTIONS,
     GAUSSIAN,
     UNIFORM,
+    BlockQuadratic,
     EvalCounter,
     InvalidArgumentError,
+    LayeredChain,
     NumericFailureError,
     Partition,
     PerturbationSpec,
@@ -18,8 +22,6 @@ from zoptim import (
     chain_as_objective,
     efficient_grouped_eval,
     grouped_zo_gradient,
-    make_block_quadratic,
-    make_chain,
     projected_gradient,
     sample_direction,
     step_directions,
@@ -46,7 +48,7 @@ def test_projected_gradient_is_exact_on_affine_objectives():
 
 
 def test_projected_gradient_equals_directional_derivative_on_quadratics():
-    quad = make_block_quadratic(9, regime="heterogeneous", seed=0)
+    quad = BlockQuadratic(9, regime="heterogeneous", seed=0)
     rng = np.random.default_rng(5)
     x = rng.standard_normal(9) * 0.2
     u = rng.standard_normal(9)
@@ -74,6 +76,23 @@ def test_projected_gradient_raises_on_nonfinite_objective():
     with pytest.raises(NumericFailureError) as err:
         projected_gradient(bad, np.zeros(2), np.ones(2), 1e-6)
     assert err.value.point is not None
+
+    # The + point is evaluated first; a failure books every value returned
+    # and names a copy of the failing point, not the array f was given.
+    x, u, eps = np.array([0.5, -1.0]), np.array([1.0, 2.0]), 0.25
+    for bad_sign, booked in ((1.0, 1), (-1.0, 2)):
+        seen = []
+
+        def f(point, bad_sign=bad_sign):
+            seen.append(point)
+            return math.inf if np.array_equal(point, x + bad_sign * eps * u) else 1.0
+
+        counter = EvalCounter()
+        with pytest.raises(NumericFailureError) as err:
+            projected_gradient(f, x, u, eps, counter)
+        assert counter.full_forward_calls == booked == len(seen)
+        assert err.value.point.tobytes() == (x + bad_sign * eps * u).tobytes()
+        assert not np.shares_memory(err.value.point, seen[-1])
 
 
 def test_zo_gradient_combines_scalars_and_directions():
@@ -121,6 +140,13 @@ def test_partition_validates_coverage_and_disjointness():
         Partition(4, [[0, 1], [2, 4]])
     with pytest.raises(InvalidArgumentError):
         Partition(4, [[0, 1, 2, 3], []])
+
+
+def test_partition_needs_at_least_one_block():
+    for build in (lambda: Partition(4, []), lambda: Partition(4, iter([])),
+                  lambda: Partition.from_ranges(4, [])):
+        with pytest.raises(InvalidArgumentError, match="^a partition needs at least one block$"):
+            build()
 
 
 def test_partition_constructors():
@@ -174,7 +200,7 @@ def test_grouped_estimator_masks_one_direction_per_sample():
 
 @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
 def test_grouped_estimator_with_one_block_matches_ungrouped_bitwise(distribution):
-    quad = make_block_quadratic(4, regime="heterogeneous", seed=1)
+    quad = BlockQuadratic(4, regime="heterogeneous", seed=1)
     x = np.full(4, 0.1)
     spec = PerturbationSpec(distribution=distribution, epsilon=1e-5, base_seed=6)
     part = Partition(4, [np.arange(4)])
@@ -192,7 +218,7 @@ def test_grouped_estimator_rejects_partition_dimension_mismatch():
 
 
 def test_grouped_full_evaluation_count_is_2qp():
-    quad = make_block_quadratic(4, regime="homogeneous", seed=0)
+    quad = BlockQuadratic(4, regime="homogeneous", seed=0)
     part = Partition.from_ranges(4, [(0, 2), (2, 4)])
     counter = EvalCounter()
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-6)
@@ -201,7 +227,7 @@ def test_grouped_full_evaluation_count_is_2qp():
 
 
 def test_efficient_grouped_eval_matches_naive_grouped_bitwise():
-    chain = make_chain(3, 2, seed=4)
+    chain = LayeredChain(3, 2, seed=4)
     part = Partition.from_ranges(chain.d, chain.slices)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(chain.d) * 0.3
@@ -214,7 +240,7 @@ def test_efficient_grouped_eval_matches_naive_grouped_bitwise():
 
 def test_efficient_grouped_eval_block_forward_count_formula():
     p, q = 3, 2
-    chain = make_chain(p, 2, seed=4)
+    chain = LayeredChain(p, 2, seed=4)
     x = np.zeros(chain.d)
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-5, base_seed=9)
     counter = EvalCounter()
@@ -230,7 +256,7 @@ def test_efficient_grouped_eval_block_forward_count_formula():
 
 def test_efficient_grouped_eval_makes_one_forward_call_per_step():
     p, q = 4, 3
-    chain = make_chain(p, [2, 3, 1, 2, 2], seed=1)
+    chain = LayeredChain(p, [2, 3, 1, 2, 2], seed=1)
     calls = []
     forward = chain.forward
 
@@ -257,7 +283,7 @@ def test_efficient_grouped_eval_names_the_first_failure_in_per_point_order():
     # (sample, block, + before -) meets sample 1 first, though block 1 is
     # forwarded first.
     p, q = 3, 3
-    chain = make_chain(p, 2, seed=4)
+    chain = LayeredChain(p, 2, seed=4)
     part = Partition.from_ranges(chain.d, chain.slices)
     x = np.random.default_rng(5).standard_normal(chain.d) * 0.3
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-5, base_seed=6)
@@ -296,7 +322,7 @@ def estimate_or_failure(estimator, *args, **kwargs):
 def test_layerwise_pass_equals_per_block_resumption_and_naive_grouped(
         widths, q, log_epsilon, distribution, start, seed):
     p = len(widths) - 1
-    chain = make_chain(p, widths, seed)
+    chain = LayeredChain(p, widths, seed)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(chain.d)
     if start == "signed zeros":
@@ -331,7 +357,7 @@ def test_layerwise_pass_equals_per_block_resumption_and_naive_grouped(
 
 
 def test_efficient_grouped_eval_requires_sequential_structure():
-    quad = make_block_quadratic(4, regime="homogeneous", seed=0)
+    quad = BlockQuadratic(4, regime="homogeneous", seed=0)
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-6)
     with pytest.raises(InvalidArgumentError):
         efficient_grouped_eval(quad, np.zeros(4), spec, 1, 0)
@@ -395,7 +421,7 @@ def scattered_partition(d, p, seed):
 @pytest.mark.parametrize("q", [1, 3])
 @pytest.mark.parametrize("p", [1, 3])
 def test_point_matrix_estimators_match_the_per_direction_loops_bitwise(distribution, d, q, p):
-    quad = make_block_quadratic(d, regime="heterogeneous", seed=2)
+    quad = BlockQuadratic(d, regime="heterogeneous", seed=2)
     x = signed_zero_point(d, d + q)
     spec = PerturbationSpec(distribution=distribution, epsilon=1e-5, base_seed=11)
     dirs = step_directions(spec, 4, q, d)
@@ -417,7 +443,7 @@ def test_point_matrix_estimators_match_the_per_direction_loops_bitwise(distribut
 @pytest.mark.parametrize("grouped", [False, True])
 def test_point_matrix_estimators_stop_at_the_first_nonfinite_point(grouped):
     d, q = 9, 3
-    quad = make_block_quadratic(d, regime="heterogeneous", seed=2)
+    quad = BlockQuadratic(d, regime="heterogeneous", seed=2)
     x = signed_zero_point(d, 1)
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-5, base_seed=5)
     dirs = step_directions(spec, 0, q, d)

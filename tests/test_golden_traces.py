@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 from zoptim import (
+    BlockQuadratic,
     ExperimentConfig,
     bound_check_run,
     coarse_fine_sweep,
     collapse_study,
     equal_energy_point,
-    make_block_quadratic,
     run,
     write_trace_csv,
 )
@@ -159,7 +159,7 @@ BOUND_CASES = {
 @pytest.mark.parametrize("name", sorted(BOUND_CASES))
 def test_bound_check_run_matches_the_golden_hash(name):
     optimizer, eta, sigma, want = BOUND_CASES[name]
-    quad = make_block_quadratic(9, "heterogeneous", 0)
+    quad = BlockQuadratic(9, "heterogeneous", 0)
     out = [
         bound_check_run(quad, optimizer, eta, 2, 1e-4, "gaussian", sigma, 5,
                         equal_energy_point(quad, 1.0, seed), 50, seed, zeta=1.0, radius=2.0)

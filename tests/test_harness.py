@@ -159,6 +159,7 @@ BAD_MUTATIONS = [
     {"coarse_grid": [1e-3, 1e-3]},
     {"partition": "layers:x:y"},
     {"grouped_eval": "sometimes"},
+    {"partition": []},
 ]
 
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from zoptim import (
+    BlockQuadratic,
     InvalidArgumentError,
+    LayeredChain,
+    NoisySample,
     StalePrefixError,
     equal_energy_point,
-    make_block_quadratic,
-    make_chain,
-    sample_noisy,
     smoothed_gradient,
     smoothed_value,
     smoothing_norm_moments,
@@ -18,7 +18,7 @@ from zoptim.objectives import noise_for_run
 
 
 def test_heterogeneous_quadratic_block_spectrum():
-    quad = make_block_quadratic(9, regime="heterogeneous", seed=0)
+    quad = BlockQuadratic(9, regime="heterogeneous", seed=0)
     assert quad.n_blocks == 3 and quad.block_size == 3
     np.testing.assert_allclose(quad.block_centers, [1.0, 10.0**1.5, 1000.0])
     want = np.concatenate([c * np.linspace(0.9, 1.1, 3) for c in quad.block_centers])
@@ -29,12 +29,12 @@ def test_heterogeneous_quadratic_block_spectrum():
 
 
 def test_homogeneous_quadratic_has_equal_block_centers():
-    quad = make_block_quadratic(9, regime="homogeneous", seed=0)
+    quad = BlockQuadratic(9, regime="homogeneous", seed=0)
     np.testing.assert_allclose(quad.block_centers, np.full(3, 10.0**1.5))
 
 
 def test_quadratic_hessian_is_block_diagonal_and_symmetric():
-    quad = make_block_quadratic(9, regime="heterogeneous", seed=0)
+    quad = BlockQuadratic(9, regime="heterogeneous", seed=0)
     h = quad.hessian
     np.testing.assert_allclose(h, h.T)
     assert np.all(h[0:3, 3:9] == 0.0)
@@ -44,7 +44,7 @@ def test_quadratic_hessian_is_block_diagonal_and_symmetric():
 
 
 def test_quadratic_value_and_gradient_are_consistent():
-    quad = make_block_quadratic(4, regime="heterogeneous", seed=2)
+    quad = BlockQuadratic(4, regime="heterogeneous", seed=2)
     rng = np.random.default_rng(3)
     x = rng.standard_normal(4)
     assert quad.value(x) == pytest.approx(0.5 * x @ quad.hessian @ x)
@@ -62,7 +62,7 @@ def _dense_reference(quad):
 
 @pytest.mark.parametrize("d", [1, 9, 100, 1024])
 def test_block_stack_oracles_match_a_dense_reference(d):
-    quad = make_block_quadratic(d, regime="heterogeneous", seed=5)
+    quad = BlockQuadratic(d, regime="heterogeneous", seed=5)
     ref = _dense_reference(quad)
     x = np.random.default_rng(d).standard_normal(d)
 
@@ -90,13 +90,13 @@ def test_block_stack_oracles_match_a_dense_reference(d):
 
 def test_quadratic_rejects_non_square_dimension_and_bad_regime():
     with pytest.raises(InvalidArgumentError):
-        make_block_quadratic(8, regime="heterogeneous", seed=0)
+        BlockQuadratic(8, regime="heterogeneous", seed=0)
     with pytest.raises(InvalidArgumentError):
-        make_block_quadratic(9, regime="isotropic", seed=0)
+        BlockQuadratic(9, regime="isotropic", seed=0)
 
 
 def test_single_coordinate_blocks_have_unit_jitter():
-    quad = make_block_quadratic(1, regime="heterogeneous", seed=0)
+    quad = BlockQuadratic(1, regime="heterogeneous", seed=0)
     np.testing.assert_allclose(quad.eigenvalues, [1.0])
 
 
@@ -108,7 +108,7 @@ def test_smoothing_norm_moments():
 
 
 def test_smoothed_value_adds_the_trace_term():
-    quad = make_block_quadratic(4, regime="homogeneous", seed=1)
+    quad = BlockQuadratic(4, regime="homogeneous", seed=1)
     x = np.full(4, 0.2)
     eps = 1e-2
     for smoothing in ("ball", "sphere-limit"):
@@ -118,35 +118,39 @@ def test_smoothed_value_adds_the_trace_term():
 
 
 def test_smoothed_gradient_is_exact_for_quadratics():
-    quad = make_block_quadratic(9, regime="heterogeneous", seed=0)
+    quad = BlockQuadratic(9, regime="heterogeneous", seed=0)
     x = np.linspace(-1, 1, 9)
     np.testing.assert_array_equal(smoothed_gradient(quad, x, 1e-2), quad.gradient(x))
 
 
 def test_noisy_sample_is_replayable_and_unbiased():
-    quad = make_block_quadratic(4, regime="homogeneous", seed=0)
-    noisy = sample_noisy(quad, sigma=0.5, xi_seed=11)
+    quad = BlockQuadratic(4, regime="homogeneous", seed=0)
+    noisy = NoisySample(quad, sigma=0.5, xi_seed=11)
     x = np.full(4, 0.3)
-    assert noisy.value(x, xi=3) == noisy.value(x, xi=3)
-    assert noisy.value(x, xi=3) != noisy.value(x, xi=4)
-    assert noisy.mean_value(x) == quad.value(x)
-    np.testing.assert_array_equal(noisy.mean_gradient(x), quad.gradient(x))
+    assert noisy.base is quad
     f3 = noisy.objective_at(3)
-    assert f3(x) == noisy.value(x, xi=3)
+    assert f3(x) == noisy.objective_at(3)(x)
+    assert f3(x) != noisy.objective_at(4)(x)
+    assert f3(x) == quad.value(x) + float(noisy.tilt(3) @ x)
+    np.testing.assert_array_equal(noisy.tilt(3), noisy.tilt(3))
+    # The tilts average to zero, so the mean gradient is the base gradient.
+    n = 5000
+    mean_tilt = np.mean([noisy.tilt(xi) for xi in range(n)], axis=0)
+    np.testing.assert_allclose(mean_tilt, 0.0, atol=5 * (0.5 / np.sqrt(4)) / np.sqrt(n))
 
 
 def test_noisy_sample_gradient_noise_has_variance_sigma_squared():
-    quad = make_block_quadratic(4, regime="homogeneous", seed=0)
+    quad = BlockQuadratic(4, regime="homogeneous", seed=0)
     sigma = 0.7
-    noisy = sample_noisy(quad, sigma=sigma, xi_seed=5)
+    noisy = NoisySample(quad, sigma=sigma, xi_seed=5)
     sq = [float(noisy.tilt(xi) @ noisy.tilt(xi)) for xi in range(20000)]
     assert np.mean(sq) == pytest.approx(sigma**2, rel=0.05)
 
 
 def test_noisy_sample_rejects_negative_sigma():
-    quad = make_block_quadratic(4, regime="homogeneous", seed=0)
+    quad = BlockQuadratic(4, regime="homogeneous", seed=0)
     with pytest.raises(InvalidArgumentError):
-        sample_noisy(quad, sigma=-0.1, xi_seed=0)
+        NoisySample(quad, sigma=-0.1, xi_seed=0)
     # A run is noiseless only at sigma 0, never at a negative or NaN sigma.
     assert noise_for_run(quad, 0.0, 0, 0) is None
     for sigma in (-0.1, float("nan")):
@@ -155,24 +159,24 @@ def test_noisy_sample_rejects_negative_sigma():
 
 
 def test_chain_parameter_layout_and_dimension():
-    chain = make_chain(3, [2, 4, 3, 1], seed=0)
+    chain = LayeredChain(3, [2, 4, 3, 1], seed=0)
     assert chain.slices == [(0, 12), (12, 27), (27, 31)]
     assert chain.d == 31
-    square = make_chain(2, 3, seed=0)
+    square = LayeredChain(2, 3, seed=0)
     assert square.d == 2 * (3 * 3 + 3)
 
 
 def test_chain_rejects_bad_widths():
     with pytest.raises(InvalidArgumentError):
-        make_chain(2, [2, 2], seed=0)
+        LayeredChain(2, [2, 2], seed=0)
     with pytest.raises(InvalidArgumentError):
-        make_chain(2, [2, 0, 2], seed=0)
+        LayeredChain(2, [2, 0, 2], seed=0)
     with pytest.raises(InvalidArgumentError):
-        make_chain(0, 2, seed=0)
+        LayeredChain(0, 2, seed=0)
 
 
 def test_chain_prefix_resume_is_bit_identical_to_full_forward():
-    chain = make_chain(4, 3, seed=2)
+    chain = LayeredChain(4, 3, seed=2)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(chain.d) * 0.5
     full_loss, acts, forwarded = chain.forward(x)
@@ -185,7 +189,7 @@ def test_chain_prefix_resume_is_bit_identical_to_full_forward():
 
 
 def test_chain_prefix_allows_changes_at_or_after_its_block():
-    chain = make_chain(3, 2, seed=3)
+    chain = LayeredChain(3, 2, seed=3)
     rng = np.random.default_rng(4)
     x = rng.standard_normal(chain.d) * 0.5
     _, acts, _ = chain.forward(x)
@@ -198,7 +202,7 @@ def test_chain_prefix_allows_changes_at_or_after_its_block():
 
 
 def test_chain_stale_prefix_is_rejected():
-    chain = make_chain(3, 2, seed=3)
+    chain = LayeredChain(3, 2, seed=3)
     rng = np.random.default_rng(4)
     x = rng.standard_normal(chain.d) * 0.5
     _, acts, _ = chain.forward(x)
@@ -210,7 +214,7 @@ def test_chain_stale_prefix_is_rejected():
 
 
 def test_chain_forward_prefix_counts_only_the_requested_blocks():
-    chain = make_chain(3, 2, seed=0)
+    chain = LayeredChain(3, 2, seed=0)
     x = np.zeros(chain.d)
     acts, forwarded = chain.forward_prefix(x, 2)
     assert forwarded == 2
@@ -237,7 +241,7 @@ def test_chain_batched_forward_equals_per_row_forward_bitwise():
         p = int(rng.integers(1, 7))
         widths = [int(w) for w in rng.integers(1, 9, size=p + 1)]
         widths[int(rng.integers(0, p + 1))] = 1
-        chain = make_chain(p, widths, seed=case)
+        chain = LayeredChain(p, widths, seed=case)
         x = rng.standard_normal(chain.d) * 0.7
         _, acts, _ = chain.forward(x)
         for n in (1, 2, 8):
@@ -263,7 +267,7 @@ def test_chain_batched_forward_equals_per_row_forward_bitwise():
 
 
 def test_chain_batched_forward_rejects_a_single_stale_row():
-    chain = make_chain(3, [2, 1, 3, 2], seed=5)
+    chain = LayeredChain(3, [2, 1, 3, 2], seed=5)
     x = np.random.default_rng(6).standard_normal(chain.d)
     x[0] = 0.0
     _, acts, _ = chain.forward(x)
@@ -283,7 +287,7 @@ def test_chain_batched_forward_rejects_a_single_stale_row():
 
 
 def test_chain_forward_of_moved_points_checks_its_arguments():
-    chain = make_chain(2, [2, 1, 3], seed=5)
+    chain = LayeredChain(2, [2, 1, 3], seed=5)
     x = np.zeros(chain.d)
     _, acts, _ = chain.forward(x)
     moved = np.ones((2, chain.d))
@@ -298,7 +302,7 @@ def test_chain_forward_of_moved_points_checks_its_arguments():
 
 
 def test_equal_energy_point_hits_the_requested_level_in_every_mode():
-    quad = make_block_quadratic(9, regime="heterogeneous", seed=0)
+    quad = BlockQuadratic(9, regime="heterogeneous", seed=0)
     f0 = 0.05
     x = equal_energy_point(quad, f0, seed=3)
     assert quad.value(x) == pytest.approx(f0, rel=1e-9)
@@ -309,6 +313,6 @@ def test_equal_energy_point_hits_the_requested_level_in_every_mode():
 
 
 def test_equal_energy_point_rejects_negative_level():
-    quad = make_block_quadratic(4, regime="homogeneous", seed=0)
+    quad = BlockQuadratic(4, regime="homogeneous", seed=0)
     with pytest.raises(InvalidArgumentError):
         equal_energy_point(quad, -1.0, seed=0)

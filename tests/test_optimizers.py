@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zoptim.perturb
 from zoptim import (
     AdamState,
+    BlockQuadratic,
     DegenerateScaleError,
     EvalCounter,
     FzooState,
@@ -22,7 +25,6 @@ from zoptim import (
     fzoo_step,
     grouped_meazo_step,
     grouped_zo_gradient,
-    make_block_quadratic,
     meazo_step,
     radazo_step,
     step_directions,
@@ -99,7 +101,7 @@ def test_scalar_adaptive_state_stays_one_scalar_for_any_dimension():
     for d in (1, 50):
         state = MeazoState(eta=1e-3)
         spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-6, base_seed=0)
-        quad = make_block_quadratic(d if d == 1 else 49, regime="homogeneous", seed=0)
+        quad = BlockQuadratic(d if d == 1 else 49, regime="homogeneous", seed=0)
         x = np.full(quad.d, 0.1)
         for t in range(3):
             _, scalars = zo_gradient(quad.value, x, spec, 2, t)
@@ -141,7 +143,7 @@ def test_a_direction_of_the_wrong_length_is_not_a_count_mismatch():
 
 
 def test_grouped_scalar_adaptive_with_one_block_is_bit_identical_to_ungrouped():
-    quad = make_block_quadratic(4, regime="heterogeneous", seed=1)
+    quad = BlockQuadratic(4, regime="heterogeneous", seed=1)
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-6, base_seed=5)
     part = Partition(4, [np.arange(4)])
     plain = MeazoState(eta=1e-3)
@@ -158,6 +160,39 @@ def test_grouped_scalar_adaptive_with_one_block_is_bit_identical_to_ungrouped():
         )
         assert x_plain.tobytes() == x_grouped.tobytes()
     assert grouped.v[0] == plain.v
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    distribution=st.sampled_from(DISTRIBUTIONS),
+    d=st.integers(1, 64),
+    q=st.integers(1, 8),
+    base_seed=st.integers(0, 2**64 - 1),
+    steps=st.integers(1, 4),
+)
+def test_one_block_grouping_equals_ungrouped_for_any_law_and_size(distribution, d, q, base_seed,
+                                                                  steps):
+    curvature = np.linspace(0.5, 2.0, d)
+
+    def f(x):
+        return 0.5 * float(curvature @ (x * x)) - float(x.sum())
+
+    spec = PerturbationSpec(distribution=distribution, epsilon=1e-4, base_seed=base_seed)
+    part = Partition(d, [np.arange(d)])
+    # A short EMA memory lets a last-bit difference in the mean scalar reach v.
+    plain = Method("meazo", 1e-2, spec, q, d=d, beta=0.5)
+    grouped = Method("meazo-grouped", 1e-2, spec, q, d=d, partition=part, beta=0.5)
+    x_plain = np.linspace(-1.0, 1.0, d)
+    x_grouped = x_plain.copy()
+    for t in range(steps):
+        est, scalars = zo_gradient(f, x_plain, spec, q, t)
+        grouped_est, grouped_scalars = grouped_zo_gradient(f, x_grouped, spec, q, part, t)
+        assert grouped_est.tobytes() == est.tobytes()
+        assert grouped_scalars[:, 0].tobytes() == scalars.tobytes()
+        x_plain = plain.step(f, x_plain, t)
+        x_grouped = grouped.step(f, x_grouped, t)
+        assert x_grouped.tobytes() == x_plain.tobytes()
+        assert grouped.state.v[0] == plain.state.v
 
 
 def test_grouped_scalar_adaptive_equalizes_block_step_lengths():
@@ -277,7 +312,7 @@ def reference_fzoo_step(f, x, state, step, counter=None):
 @pytest.mark.parametrize("d", [1, 9, 100])
 @pytest.mark.parametrize("q", [2, 5])
 def test_forward_only_step_matches_its_old_loops_bitwise(distribution, d, q):
-    quad = make_block_quadratic(d, regime="heterogeneous", seed=2)
+    quad = BlockQuadratic(d, regime="heterogeneous", seed=2)
     x = np.random.default_rng(d + q).standard_normal(d) * 0.2
     x[1::3] = -0.0
     spec = PerturbationSpec(distribution=distribution, epsilon=1e-5, base_seed=11)
@@ -328,7 +363,7 @@ def draw_count(monkeypatch):
 
 
 def test_each_direction_is_drawn_once_per_step(draw_count):
-    quad = make_block_quadratic(9, regime="heterogeneous", seed=0)
+    quad = BlockQuadratic(9, regime="heterogeneous", seed=0)
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-6, base_seed=3)
     q, t = 3, 7
     x = np.full(9, 0.1)
@@ -353,7 +388,7 @@ def test_each_direction_is_drawn_once_per_step(draw_count):
 
 
 def test_a_given_direction_block_matches_the_self_drawn_one():
-    quad = make_block_quadratic(9, regime="heterogeneous", seed=0)
+    quad = BlockQuadratic(9, regime="heterogeneous", seed=0)
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-6, base_seed=3)
     x = np.full(9, 0.1)
     est, scalars = zo_gradient(quad.value, x, spec, 3, 5)
@@ -365,7 +400,7 @@ def test_a_given_direction_block_matches_the_self_drawn_one():
 
 
 def test_method_steps_as_its_estimator_and_rule_do_by_hand(draw_count):
-    quad = make_block_quadratic(9, regime="heterogeneous", seed=0)
+    quad = BlockQuadratic(9, regime="heterogeneous", seed=0)
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-6, base_seed=3)
     q, t = 3, 7
     x = np.full(9, 0.1)
