@@ -7,16 +7,21 @@ example made with ``git archive``); the change side is the tree this script
 lives in. A seeded generator writes ``--configs`` experiment configs over
 all six optimizers, both objectives (chains of 1 to 8 blocks, with one
 width or one per layer), observation noise, partitions, ``eval_every``,
-``stop_at_threshold`` and step sizes up to 1e3. One child process per tree
-runs every config through ``zoptim.cli.main(["run", ...])`` with that
-tree's ``src`` first on ``PYTHONPATH``.
+``stop_at_threshold`` and step sizes up to 1e3. Every fifth config is also
+swept: without its ``eta`` and with a ``coarse_grid`` of two or three
+neighbouring step sizes of the 1-5 ladder from 1e-6 to 5e2, drawn by a
+second generator so that the run configs do not depend on the sweeps. One
+child process per tree runs every config through
+``zoptim.cli.main(["run", ...])`` and every swept one through
+``main(["sweep", ...])``, with that tree's ``src`` first on ``PYTHONPATH``.
 
 Every run (config, seed) whose trace CSV bytes or ``summary.json`` entry
 (without ``wall_time_s``) differ is listed with the parent's final loss and
-divergence sentinel, and every config whose exit code differs is listed
-too. The last line is a JSON summary; ``parent_final_off`` counts the
-differing runs whose parent final loss was non-finite or above its
-sentinel.
+divergence sentinel, every sweep whose ``sweep.json`` or winner trace CSVs
+differ is listed with the differing files, and every config whose exit
+code differs is listed too. The last line is a JSON summary;
+``parent_final_off`` counts the differing runs whose parent final loss was
+non-finite or above its sentinel.
 """
 
 import argparse
@@ -31,8 +36,11 @@ import tempfile
 CHANGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OPTIMIZERS = ("zo-sgd", "zo-adam", "radazo", "meazo", "meazo-grouped", "fzoo")
 DISTRIBUTIONS = ("gaussian", "uniform", "rademacher", "ternary")
+LADDER = [float(f"{m}e{k}") for k in range(-6, 3) for m in (1, 5)]
+SWEEP_EVERY = 5
 
-# Runs every config file of a directory, in name order; an exception that
+# Runs every config file of a directory, in name order: a sweep config
+# (named s*.json) through sweep, any other through run. An exception that
 # escapes main is recorded by name instead of ending the loop.
 CHILD = r"""
 import json, os, sys
@@ -41,8 +49,9 @@ configs, outputs = sys.argv[1], sys.argv[2]
 codes = {}
 for name in sorted(os.listdir(configs)):
     out = os.path.join(outputs, name[:-5])
+    command = "sweep" if name.startswith("s") else "run"
     try:
-        codes[name] = cli.main(["run", "--config", os.path.join(configs, name), "--out", out])
+        codes[name] = cli.main([command, "--config", os.path.join(configs, name), "--out", out])
     except Exception as exc:
         codes[name] = f"uncaught {type(exc).__name__}"
 json.dump({"codes": codes, "factor": harness.DIVERGENCE_FACTOR},
@@ -91,6 +100,14 @@ def make_config(rng):
     return config
 
 
+def make_sweep(config, rng):
+    """The config searched over two or three step sizes among four ladder neighbours."""
+    start = rng.randrange(len(LADDER) - 3)
+    grid = sorted(rng.sample(LADDER[start:start + 4], rng.randint(2, 3)))
+    optimizer = {k: v for k, v in config["optimizer"].items() if k != "eta"}
+    return {**config, "optimizer": optimizer, "coarse_grid": grid}
+
+
 def run_tree(tree, configs, outputs):
     os.makedirs(outputs)
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(tree), "src")}
@@ -114,6 +131,17 @@ def read_outputs(directory):
     return runs
 
 
+def read_files(directory):
+    """{file name: bytes} of one output directory; empty if it was not made."""
+    if not os.path.isdir(directory):
+        return {}
+    out = {}
+    for name in os.listdir(directory):
+        with open(os.path.join(directory, name), "rb") as fh:
+            out[name] = fh.read()
+    return out
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the commit to compare with")
@@ -121,18 +149,22 @@ def main():
     parser.add_argument("--seed", type=int, default=0, help="seed of the config generator")
     args = parser.parse_args()
 
-    rng = random.Random(args.seed)
+    rng, sweep_rng = random.Random(args.seed), random.Random(f"{args.seed} sweep")
     with tempfile.TemporaryDirectory() as tmp:
         configs = os.path.join(tmp, "configs")
         os.makedirs(configs)
         for i in range(args.configs):
+            config = make_config(rng)
             with open(os.path.join(configs, f"c{i:05d}.json"), "w") as fh:
-                json.dump(make_config(rng), fh)
+                json.dump(config, fh)
+            if i % SWEEP_EVERY == 0:
+                with open(os.path.join(configs, f"s{i:05d}.json"), "w") as fh:
+                    json.dump(make_sweep(config, sweep_rng), fh)
         sides = {side: run_tree(tree, configs, os.path.join(tmp, side))
                  for side, tree in (("parent", args.parent), ("change", CHANGE))}
 
         factor = sides["parent"]["factor"]
-        n_runs = differing = off = 0
+        n_runs = differing = off = n_sweeps = differing_sweeps = 0
         codes_moved = {}
         for name in sorted(os.listdir(configs)):
             codes = [sides[side]["codes"][name] for side in ("parent", "change")]
@@ -140,6 +172,16 @@ def main():
                 key = f"{codes[0]} -> {codes[1]}"
                 codes_moved[key] = codes_moved.get(key, 0) + 1
                 print(f"{name}: exit code {key}")
+            if name.startswith("s"):
+                parent, change = (read_files(os.path.join(tmp, side, name[:-5]))
+                                  for side in ("parent", "change"))
+                n_sweeps += 1
+                files = sorted(f for f in set(parent) | set(change)
+                               if parent.get(f) != change.get(f))
+                if files:
+                    differing_sweeps += 1
+                    print(f"{name}: {', '.join(files)} differ")
+                continue
             parent, change = (read_outputs(os.path.join(tmp, side, name[:-5]))
                               for side in ("parent", "change"))
             n_runs += len(parent)
@@ -159,6 +201,7 @@ def main():
                       f"{final!r}, sentinel {sentinel!r}, off {final_off}")
     print(json.dumps({"configs": args.configs, "seed": args.seed, "parent_runs": n_runs,
                       "differing_runs": differing, "parent_final_off": off,
+                      "sweeps": n_sweeps, "differing_sweeps": differing_sweeps,
                       "exit_codes_moved": codes_moved}))
 
 

@@ -294,14 +294,20 @@ def classical_sgd_bound(L, sigma, eta, T, f0_minus_fstar):
     )
 
 
+def _study_method(optimizer, eta, spec, q, d, beta1, beta2, zeta):
+    """The named optimizer's Method, or InvalidArgumentError if it keeps no second moment."""
+    method = Method(optimizer, eta, spec, q, d, beta1=beta1, beta2=beta2, beta=beta2, zeta=zeta)
+    if not hasattr(method.state, "vhat"):
+        raise InvalidArgumentError(f"{optimizer} keeps no second moment to study")
+    return method
+
+
 def _run_one(objective, grad, optimizer, d, eta, q, epsilon, distribution, beta1, beta2,
              zeta, x0, threshold, max_steps, tail, seed):
     """Drive one optimizer until the loss threshold, recording v-hat spread."""
     spec = PerturbationSpec(distribution=distribution, epsilon=epsilon, base_seed=seed)
-    method = Method(optimizer, eta, spec, q, d, beta1=beta1, beta2=beta2, beta=beta2, zeta=zeta)
+    method = _study_method(optimizer, eta, spec, q, d, beta1, beta2, zeta)
     state = method.state
-    if not hasattr(state, "vhat"):
-        raise InvalidArgumentError(f"{optimizer} keeps no second moment to study")
 
     x = x0.copy()
     target_errs = []
@@ -353,9 +359,14 @@ def collapse_study(dims=(9, 25, 49, 100, 1024), optimizers=("fo-adam", "zo-adam"
     """
     if tail < 1 or max_steps < 1:
         raise InvalidArgumentError(f"tail and max_steps must be >= 1, got {tail} and {max_steps}")
+    # Every dimension and optimizer is checked before the first step.
+    quads = [BlockQuadratic(d=d, regime=regime, seed=quad_seed) for d in dims]
+    spec = PerturbationSpec(distribution=distribution, epsilon=epsilon, base_seed=seed)
+    for opt in optimizers:
+        _study_method(opt, eta, spec, q, 1, beta1, beta2, zeta)
     results = []
-    for d in dims:
-        quad = BlockQuadratic(d=d, regime=regime, seed=quad_seed)
+    for quad in quads:
+        d = quad.d
         rng = keyed_generator(seed, 0xF162, d)
         x0 = rng.standard_normal(d)
         x0 *= x0_norm / np.linalg.norm(x0)

@@ -36,14 +36,13 @@ def cmd_run(args):
 
 
 def _sweep(args):
-    config = harness.load_config(args.config)
-    sweep = harness.coarse_fine_sweep(config)
+    sweep = harness.coarse_fine_sweep(harness.load_config(args.config))
     os.makedirs(args.out, exist_ok=True)
-    return config, sweep
+    return sweep
 
 
 def cmd_sweep(args):
-    config, sweep = _sweep(args)
+    sweep = _sweep(args)
     payload = {
         "metric": sweep.metric,
         "best_eta": sweep.best_eta,
@@ -55,13 +54,13 @@ def cmd_sweep(args):
     if sweep.all_diverged:
         print("every run diverged at every step size", file=sys.stderr)
         return 4
-    for trace in sweep.traces_by_eta[sweep.best_eta]:
+    for trace in sweep.best_traces:
         harness.write_trace_csv(trace, os.path.join(args.out, f"trace_seed{trace.seed}.csv"))
     return 0
 
 
 def cmd_robustness(args):
-    config, sweep = _sweep(args)
+    sweep = _sweep(args)
     if sweep.all_diverged:
         _write_json({"all_diverged": True}, os.path.join(args.out, "robustness.json"))
         print("every run diverged at every step size", file=sys.stderr)
@@ -163,30 +162,31 @@ _REDUCTION_FIELDS = {
 }
 
 
-def _bound_side(cfg, quad, key, label):
-    side = read_fields(cfg[key], _BOUND_SIDE_FIELDS, key)
-    eta, T, beta, zeta = side["eta"], side["T"], side["beta"], side["zeta"]
-    d, q, epsilon, sigma = quad.d, cfg["q"], cfg["epsilon"], cfg["sigma"]
-    f0, radius, n_seeds = cfg["f0"], cfg["radius"], cfg["seeds"]
-    G = quad.smoothness * radius
-
-    runs = []
+def _side_bound(cfg, quad, label, side):
+    """The stationarity bound one side's runs are checked against."""
+    d, q, epsilon, sigma, L = quad.d, cfg["q"], cfg["epsilon"], cfg["sigma"], quad.smoothness
     try:
-        for seed in range(n_seeds):
-            x0 = equal_energy_point(quad, f0, seed)
-            runs.append(
-                analysis.bound_check_run(
-                    quad, label, eta, q, epsilon, cfg["distribution"], sigma,
-                    cfg["noise_seed"], x0, T, seed, beta=beta, zeta=zeta, radius=radius,
-                )
-            )
         if label == "meazo":
             constants = analysis.theorem_constants(
-                d, q, epsilon, quad.smoothness, sigma, G, beta, zeta,
+                d, q, epsilon, L, sigma, L * cfg["radius"], side["beta"], side["zeta"],
             )
-            bound = analysis.meazo_bound(constants, f0, eta, T, epsilon, quad.smoothness)
-        else:
-            bound = analysis.zosgd_bound(d, q, epsilon, quad.smoothness, sigma, eta, T, f0)
+            return analysis.meazo_bound(constants, cfg["f0"], side["eta"], side["T"], epsilon, L)
+        return analysis.zosgd_bound(d, q, epsilon, L, sigma, side["eta"], side["T"], cfg["f0"])
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"invalid {label} bound setup: {exc}") from exc
+
+
+def _side_report(cfg, quad, label, side, bound):
+    eta, T, n_seeds = side["eta"], side["T"], cfg["seeds"]
+    try:
+        runs = [
+            analysis.bound_check_run(
+                quad, label, eta, cfg["q"], cfg["epsilon"], cfg["distribution"], cfg["sigma"],
+                cfg["noise_seed"], equal_energy_point(quad, cfg["f0"], seed), T, seed,
+                beta=side["beta"], zeta=side["zeta"], radius=cfg["radius"],
+            )
+            for seed in range(n_seeds)
+        ]
     except InvalidArgumentError as exc:
         raise ConfigError(f"invalid {label} bound setup: {exc}") from exc
     empirical = float(np.mean([r["avg_grad_norm_sq"] for r in runs]))
@@ -212,12 +212,11 @@ def cmd_verify_bounds(args):
     except InvalidArgumentError as exc:
         raise ConfigError(f"invalid quadratic: {exc}") from exc
 
-    sides = [
-        _bound_side(cfg, quad, "meazo", "meazo"),
-        _bound_side(cfg, quad, "zosgd", "zo-sgd"),
-    ]
-
+    # Every section is read and every bound computed before the first run.
+    sides = {label: read_fields(cfg[key], _BOUND_SIDE_FIELDS, key)
+             for key, label in (("meazo", "meazo"), ("zosgd", "zo-sgd"))}
     r = read_fields(cfg["reduction"], _REDUCTION_FIELDS, "reduction")
+    bounds = {label: _side_bound(cfg, quad, label, side) for label, side in sides.items()}
     try:
         zb = analysis.zosgd_bound(
             r["d"], r["q"], r["epsilon"], r["L"], r["sigma"], r["eta"], r["T"], r["f0"]
@@ -227,12 +226,14 @@ def cmd_verify_bounds(args):
         raise ConfigError(f"invalid reduction setup: {exc}") from exc
     rel = abs(zb - cb) / cb if cb else math.inf
     red_pass = rel <= r["tol"]
-    ok = red_pass and all(s["pass"] for s in sides)
+
+    reports = [_side_report(cfg, quad, label, side, bounds[label]) for label, side in sides.items()]
+    ok = red_pass and all(s["pass"] for s in reports)
 
     os.makedirs(args.out, exist_ok=True)
     _write_json(
         {
-            "sides": sides,
+            "sides": reports,
             "reduction": {
                 "two_point_bound": zb,
                 "classical_bound": cb,

@@ -1,5 +1,6 @@
-"""Experiment harness: validated configs, deterministic trace files, and
-coarse-to-fine step-size sweeps with robustness summaries.
+"""Experiment harness: validated configs, deterministic trace files,
+coarse-to-fine step-size sweeps that keep every step size's summary row but
+only the winner's traces, and robustness summaries.
 
 A config fully determines a run. Two runs with the same config must write
 byte-identical trace CSVs, so the elapsed column is a deterministic 0.0
@@ -527,7 +528,7 @@ class SweepResult:
     bracket: tuple
     all_diverged: bool
     metric: str
-    traces_by_eta: dict
+    best_traces: list  # the winner's runs, one per seed
 
 
 def _evaluate_eta(config, eta):
@@ -545,43 +546,38 @@ def _evaluate_eta(config, eta):
     return row, traces
 
 
-def _argmin_eta(rows):
-    best = None
-    for row in sorted(rows, key=lambda r: r["eta"]):
-        if best is None or row["mean_metric"] < best["mean_metric"]:
-            best = row
-    return best["eta"]
-
-
 def coarse_fine_sweep(config):
-    """Two-stage step-size search; the final winner minimizes the mean
-    metric over every evaluated step size, ties to the smaller one. When
-    every coarse run diverges there is no fine stage and the bracket is the
-    whole grid."""
+    """Two-stage step-size search; the winner minimizes the mean metric over
+    every evaluated step size, ties to the smaller one. Only the running
+    winner's traces are kept, so a sweep holds at most two step sizes' runs
+    at once. When every coarse run diverges there is no fine stage and the
+    bracket is the whole grid."""
     grid = sorted(config.coarse_grid or COARSE_GRID)
     rows = []
-    traces_by_eta = {}
+    best = None  # (mean metric, eta, traces) of the winner so far
 
     def evaluate(etas):
-        """Run each step size not run yet; True when every run so far diverged."""
+        nonlocal best
         for eta in etas:
-            if eta not in traces_by_eta:
-                row, traces_by_eta[eta] = _evaluate_eta(config, eta)
-                rows.append(row)
-        return all(row["n_diverged"] == len(config.seeds) for row in rows)
+            row, traces = _evaluate_eta(config, eta)
+            rows.append(row)
+            if best is None or (row["mean_metric"], eta) < best[:2]:
+                best = (row["mean_metric"], eta, traces)
+            del traces  # a loser's runs go before the next step size runs
 
-    all_diverged = evaluate(grid)
+    evaluate(grid)
+    all_diverged = all(row["n_diverged"] == len(config.seeds) for row in rows)
     bracket = (grid[0], grid[-1])
     if not all_diverged:
-        cands, bracket = fine_candidates(grid, _argmin_eta(rows))
-        all_diverged = evaluate(cands)
+        cands, bracket = fine_candidates(grid, best[1])
+        evaluate(cands)
     return SweepResult(
         rows=sorted(rows, key=lambda r: r["eta"]),
-        best_eta=_argmin_eta(rows),
+        best_eta=best[1],
         bracket=bracket,
         all_diverged=all_diverged,
         metric=config.metric,
-        traces_by_eta=traces_by_eta,
+        best_traces=best[2],
     )
 
 

@@ -296,6 +296,8 @@ class Method:
         cls, self._update = _METHODS[name]
         if cls is GroupedMeazoState and partition is None:
             raise InvalidArgumentError(f"{name} requires a partition")
+        if cls in (MeazoState, FzooState) and partition is not None:
+            raise InvalidArgumentError(f"{name} does not support a partition")
         args = {"eta": eta, "spec": spec, "q": q, "dim": d,
                 "p": partition.p if partition is not None else 1, **consts}
         self.state = cls(**{f.name: args[f.name] for f in fields(cls) if f.name in args})

@@ -161,10 +161,9 @@ def bcgd_sweeps():
 
 
 def median_steps_to_threshold(sweep):
-    traces = sweep.traces_by_eta[sweep.best_eta]
     vals = [
         tr.steps_to_threshold if tr.steps_to_threshold is not None else math.inf
-        for tr in traces
+        for tr in sweep.best_traces
     ]
     return float(np.median(vals))
 

@@ -344,6 +344,44 @@ def test_verify_bounds_rejects_missing_and_failing_setups(tmp_path):
     assert main(["verify-bounds", "--config", cfg2, "--out", out]) == 3
 
 
+@pytest.mark.parametrize(
+    "over",
+    [{"zosgd": {"eta": 5e-5, "T": 0}}, {"reduction": {**bounds_cfg()["reduction"], "tol": -1}}],
+    ids=["zosgd-zero-T", "reduction-negative-tol"],
+)
+def test_verify_bounds_reads_every_section_before_any_run(tmp_path, monkeypatch, over):
+    calls = []
+    monkeypatch.setattr(cli.analysis, "bound_check_run", lambda *a, **k: calls.append(a))
+    # The meazo side also breaks its step-size precondition (exit 3 on its own);
+    # the malformed section is found first.
+    cfg = write_cfg(tmp_path, bounds_cfg(meazo={"eta": 1e-4, "T": 50, "beta": 0.9}, **over))
+    out = tmp_path / "out"
+    assert main(["verify-bounds", "--config", cfg, "--out", str(out)]) == 2
+    assert calls == []
+    assert not (out / "bounds.json").exists()
+
+
+@pytest.mark.parametrize(
+    "over, named",
+    [
+        ({"optimizers": ["zo-adam", "meazo", "bogus"]}, "'bogus'"),
+        ({"optimizers": ["meazo", "zo-sgd"]}, "zo-sgd keeps no second moment"),
+        ({"dims": [4, 8]}, "got 8"),
+    ],
+    ids=["unknown-optimizer", "no-second-moment", "nonsquare-d"],
+)
+def test_fig2_checks_every_entry_before_the_first_step(tmp_path, monkeypatch, capsys, over,
+                                                       named):
+    calls = []
+    monkeypatch.setattr(cli.analysis, "_run_one", lambda *a: calls.append(a))
+    cfg = write_cfg(tmp_path, {"dims": [4], "optimizers": ["meazo"], "max_steps": 5, **over})
+    out = tmp_path / "out"
+    assert main(["fig2", "--config", cfg, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 def test_fig2_writes_rows_and_series(tmp_path):
     cfg = write_cfg(
         tmp_path,

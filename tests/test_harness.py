@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from zoptim import (
     write_summary,
     write_trace_csv,
 )
+from zoptim import harness
 from zoptim.harness import (
     COUNT,
     DIVERGENCE_FACTOR,
@@ -42,7 +44,6 @@ from zoptim.harness import (
     REQUIRED,
     SEED,
     _X0_TAG,
-    _argmin_eta,
     _seed_metric,
     read_fields,
 )
@@ -547,13 +548,72 @@ def test_fine_candidates_hand_cases():
         fine_candidates(COARSE_GRID, 2e-4)
 
 
-def test_step_size_ties_break_toward_the_smaller_one():
-    rows = [
-        {"eta": 1e-3, "mean_metric": 1.0},
-        {"eta": 1e-4, "mean_metric": 1.0},
-        {"eta": 1e-2, "mean_metric": 2.0},
-    ]
-    assert _argmin_eta(rows) == 1e-4
+def _argmin_eta(rows):
+    """The reference winner: the first row, by step size, of least mean metric."""
+    best = None
+    for row in sorted(rows, key=lambda r: r["eta"]):
+        if best is None or row["mean_metric"] < best["mean_metric"]:
+            best = row
+    return best["eta"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.data())
+def test_the_running_winner_matches_the_reference_argmin(data):
+    # Few metric values, so ties are common; +inf is a diverged step size.
+    etas = [k / 64 for k in data.draw(st.lists(st.integers(1, 200), min_size=2, max_size=12,
+                                               unique=True))]
+    metric = {eta: data.draw(st.sampled_from([0.5, 1.0, 2.0, math.inf])) for eta in etas}
+    n_grid = data.draw(st.integers(2, len(etas)))
+    grid, fine = etas[:n_grid], data.draw(st.permutations(etas[n_grid:]))
+    made, order, coarse_winner = {}, [], []
+
+    def fake_evaluate_eta(config, eta):
+        order.append(eta)
+        made[eta] = [object()]
+        row = {"eta": eta, "mean_metric": metric[eta],
+               "n_diverged": len(config.seeds) if metric[eta] == math.inf else 0}
+        return row, made[eta]
+
+    def fake_fine_candidates(grid_arg, winner):
+        coarse_winner.append(winner)
+        return fine, (min(grid_arg), max(grid_arg))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_evaluate_eta", fake_evaluate_eta)
+        mp.setattr(harness, "fine_candidates", fake_fine_candidates)
+        sweep = coarse_fine_sweep(quad_config(optimizer={"name": "zo-sgd"}, coarse_grid=grid))
+
+    coarse_rows = [{"eta": eta, "mean_metric": metric[eta]} for eta in grid]
+    assert sweep.all_diverged == all(metric[eta] == math.inf for eta in grid)
+    assert order == sorted(grid) + ([] if sweep.all_diverged else fine)
+    assert coarse_winner == ([] if sweep.all_diverged else [_argmin_eta(coarse_rows)])
+    assert sweep.best_eta == _argmin_eta([{"eta": eta, "mean_metric": metric[eta]}
+                                          for eta in order])
+    assert sweep.best_traces is made[sweep.best_eta]
+
+
+def test_a_sweep_keeps_at_most_two_step_sizes_traces_alive(monkeypatch):
+    refs = []  # (eta, weak reference) of every trace a run returned
+    real_run = harness.run
+
+    def alive():
+        return {eta for eta, ref in refs if ref() is not None}
+
+    def tracked_run(config):
+        assert len(alive()) <= 1  # the winner so far; a loser is gone before the next run
+        traces = real_run(config)
+        refs.extend((trace.eta, weakref.ref(trace)) for trace in traces)
+        assert len(alive()) <= 2
+        return traces
+
+    monkeypatch.setattr(harness, "run", tracked_run)
+    sweep = coarse_fine_sweep(quad_config(
+        optimizer={"name": "zo-sgd"}, T=20, q=1, seeds=[0, 1], coarse_grid=[1e-6, 1e-5, 1e-4]))
+    assert len({eta for eta, _ in refs}) == len(sweep.rows) > 2
+    assert alive() == {sweep.best_eta}
+    assert [(tr.seed, tr.eta) for tr in sweep.best_traces] == [(0, sweep.best_eta),
+                                                                (1, sweep.best_eta)]
 
 
 def test_sweep_refines_around_the_coarse_winner():
@@ -570,7 +630,7 @@ def test_sweep_refines_around_the_coarse_winner():
     assert etas == sorted(etas)
     assert len(etas) == 14
     assert sweep.best_eta >= 1e-4
-    assert sweep.best_eta in sweep.traces_by_eta
+    assert [tr.eta for tr in sweep.best_traces] == [sweep.best_eta]
     curve = robustness_curve(sweep)
     winner_row = [r for r in curve if r["eta"] == sweep.best_eta][0]
     assert winner_row["eta_ratio"] == 1.0
@@ -588,6 +648,9 @@ def test_sweep_where_everything_diverges_is_flagged():
     sweep = coarse_fine_sweep(cfg)
     assert sweep.all_diverged
     assert len(sweep.rows) == 2
+    # Every diverged step size ties at the divergence sentinel: the smallest wins.
+    assert sweep.best_eta == 100.0
+    assert [(tr.eta, tr.diverged) for tr in sweep.best_traces] == [(100.0, True)]
     with pytest.raises(InvalidArgumentError):
         robustness_curve(sweep)
     with pytest.raises(InvalidArgumentError):
@@ -608,7 +671,7 @@ def test_robust_log_width_hand_case():
         bracket=(1e-4, 1e-2),
         all_diverged=False,
         metric="final",
-        traces_by_eta={},
+        best_traces=[],
     )
     width = robust_log_width(sweep, factor=10.0)
     assert width["lo_eta"] == 1e-4

@@ -435,6 +435,13 @@ def test_method_builds_each_state_and_rejects_what_it_cannot_step():
         Method("fo-adam", 0.1, spec, 2, 4).step(lambda x: 0.0, np.zeros(4), 0)
 
 
+@pytest.mark.parametrize("name", ["meazo", "fzoo"])
+def test_method_rejects_a_partition_its_step_cannot_use(name):
+    spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-4, base_seed=0)
+    with pytest.raises(InvalidArgumentError, match=f"{name} does not support a partition"):
+        Method(name, 0.1, spec, 2, 4, partition=Partition.contiguous(4, 2))
+
+
 # The step rules and the trace's v-hat statistics before their means became
 # np.add.reduce(a, axis) / n; the new reductions must give the same bytes.
 def reference_meazo_step(state, x, scalars, directions):
