@@ -20,7 +20,9 @@ from .objectives import (
     smoothing_norm_moments,
 )
 from .optimizers import Method, zo_adam_step
-from .perturb import GAUSSIAN, UNIFORM, PerturbationSpec, _empty, batch_directions, keyed_generator
+from .perturb import (
+    GAUSSIAN, UNIFORM, PerturbationSpec, _draw_scratch, _empty, batch_directions, keyed_generator,
+)
 
 MC_BATCH = 32768
 MC_BUFFER_BYTES = 1 << 20
@@ -44,18 +46,34 @@ def predicted_squared_moment(g, q, distribution):
     )
 
 
+def _mc_buffer_bytes(distribution, q, d, size):
+    """(fixed, per_trial): with batches of size trials estimated rows at a time,
+    mc_squared_moment's working arrays take fixed + rows * per_trial bytes.
+
+    Per trial: the q directions (8 q d), their projections (8 q), the estimate
+    row (8 d) and _draw's temporaries. Fixed: the estimate buffer's carry row,
+    the four (d,) sums, and at d = 1 the whole batch's estimates, which must be
+    summed as one column.
+    """
+    fixed = 8 * d * ((size if d == 1 else 0) + 1 + 4)
+    per_trial = 8 * (q * d + q + (d if d > 1 else 0)) + _draw_scratch(distribution, q, d)
+    return fixed, per_trial
+
+
 def mc_squared_moment(g, q, distribution, n, seed=0):
     """Monte Carlo estimate of E[ghat_k^2] over n independent q-sample draws.
 
     On an affine objective the projected gradient equals the directional
     derivative exactly, so the estimator reduces to closed-form linear
     algebra over the sampled directions. A batch of up to MC_BATCH trials
-    is summed as one array but estimated max(1, MC_BUFFER_BYTES // (8 q d))
-    trials at a time in reused buffers, so directions take at most
-    max(MC_BUFFER_BYTES, 8 q d) bytes whatever n is. Row 0 carries the
-    batch's sums of est^2 and est^4, as numpy adds the rows of a C-contiguous
-    (rows, d >= 2) array in order; a (rows, 1) column is summed pairwise, so
-    at d = 1 the estimate buffer holds a whole batch.
+    is summed as one array but estimated a chunk of trials at a time in
+    reused buffers. A chunk holds as many trials as fit in MC_BUFFER_BYTES
+    across every working array (_mc_buffer_bytes), and at least one, so the
+    working set stays within max(MC_BUFFER_BYTES, one trial's bytes)
+    whatever n is. Row 0 carries the batch's sums of est^2 and est^4, as
+    numpy adds the rows of a C-contiguous (rows, d >= 2) array in order; a
+    (rows, 1) column is summed pairwise, so at d = 1 the estimate buffer
+    holds a whole batch, inside the same budget.
     """
     g = np.asarray(g, dtype=np.float64)
     d = g.size
@@ -64,7 +82,8 @@ def mc_squared_moment(g, q, distribution, n, seed=0):
             raise InvalidArgumentError(f"{name} must be >= 1, got {value}")
     rng = keyed_generator(seed, 0x3C0)
     size = min(MC_BATCH, n)
-    rows = min(size, max(1, MC_BUFFER_BYTES // (8 * q * d)))
+    fixed, per_trial = _mc_buffer_bytes(distribution, q, d, size)
+    rows = min(size, max(1, (MC_BUFFER_BYTES - fixed) // per_trial))
     u = _empty((rows, q, d), "direction buffers")
     s = np.empty((rows, q))
     est = np.empty(((size if d == 1 else rows) + 1, d))

@@ -16,7 +16,7 @@ import numpy as np
 from . import analysis, harness
 from .errors import ConfigError, InvalidArgumentError, PreconditionError, ZoptimError
 from .harness import (
-    COUNT, NONNEG, OMIT, POSITIVE, REQUIRED, SEED, _write_json, load_json, read_fields,
+    COUNT, NONEMPTY, NONNEG, OMIT, POSITIVE, REQUIRED, SEED, _write_json, load_json, read_fields,
 )
 from .objectives import REGIMES, BlockQuadratic, equal_energy_point
 from .perturb import DISTRIBUTIONS
@@ -114,8 +114,8 @@ def cmd_verify_moments(args):
 
     # Each case draws from its own generator and its numpy work releases the
     # GIL, so the cases run in parallel; map keeps the reports in case order.
-    # A running case's buffers stay within analysis.MC_BUFFER_BYTES (or one
-    # trial's q x d directions) at any n, so the cases need no memory cap.
+    # A running case's working arrays stay within analysis.MC_BUFFER_BYTES
+    # (or one trial's arrays) at any n, so the cases need no memory cap.
     with ThreadPoolExecutor(max_workers=min(len(cases), _cpu_count())) as pool:
         reports = list(pool.map(_moment_case_report, range(len(cases)), cases))
 
@@ -152,9 +152,9 @@ _BOUNDS_FIELDS = {
     "radius": (float, REQUIRED), "seeds": (COUNT, 10), "meazo": (object, REQUIRED),
     "zosgd": (object, REQUIRED), "reduction": (object, REQUIRED),
 }
-_BOUND_SIDE_FIELDS = {
-    "eta": (float, REQUIRED), "T": (COUNT, REQUIRED), "beta": (float, 0.999), "zeta": (float, 1.0),
-}
+# zo-sgd keeps no second moment, so its side takes no beta or zeta.
+_ZOSGD_SIDE_FIELDS = {"eta": (float, REQUIRED), "T": (COUNT, REQUIRED)}
+_MEAZO_SIDE_FIELDS = {**_ZOSGD_SIDE_FIELDS, "beta": (float, 0.999), "zeta": (float, 1.0)}
 _REDUCTION_FIELDS = {
     "d": (int, REQUIRED), "q": (float, REQUIRED), "epsilon": (POSITIVE, REQUIRED),
     "L": (float, REQUIRED), "sigma": (NONNEG, REQUIRED), "eta": (float, REQUIRED),
@@ -183,7 +183,7 @@ def _side_report(cfg, quad, label, side, bound):
             analysis.bound_check_run(
                 quad, label, eta, cfg["q"], cfg["epsilon"], cfg["distribution"], cfg["sigma"],
                 cfg["noise_seed"], equal_energy_point(quad, cfg["f0"], seed), T, seed,
-                beta=side["beta"], zeta=side["zeta"], radius=cfg["radius"],
+                **{k: side[k] for k in ("beta", "zeta") if k in side}, radius=cfg["radius"],
             )
             for seed in range(n_seeds)
         ]
@@ -213,8 +213,8 @@ def cmd_verify_bounds(args):
         raise ConfigError(f"invalid quadratic: {exc}") from exc
 
     # Every section is read and every bound computed before the first run.
-    sides = {label: read_fields(cfg[key], _BOUND_SIDE_FIELDS, key)
-             for key, label in (("meazo", "meazo"), ("zosgd", "zo-sgd"))}
+    sides = {"meazo": read_fields(cfg["meazo"], _MEAZO_SIDE_FIELDS, "meazo"),
+             "zo-sgd": read_fields(cfg["zosgd"], _ZOSGD_SIDE_FIELDS, "zosgd")}
     r = read_fields(cfg["reduction"], _REDUCTION_FIELDS, "reduction")
     bounds = {label: _side_bound(cfg, quad, label, side) for label, side in sides.items()}
     try:
@@ -253,12 +253,13 @@ def cmd_verify_bounds(args):
 # Every key but series is a collapse_study argument; an absent one takes
 # collapse_study's default.
 _FIG2_FIELDS = {
-    "dims": ([int], OMIT), "optimizers": ([object], OMIT), "eta": (float, OMIT),
-    "q": (int, OMIT), "threshold": (float, OMIT), "beta1": (float, OMIT),
-    "beta2": (float, OMIT), "zeta": (float, OMIT), "epsilon": (float, OMIT),
-    "distribution": (DISTRIBUTIONS, OMIT), "x0_norm": (float, OMIT), "seed": (SEED, OMIT),
-    "max_steps": (int, OMIT), "tail": (int, OMIT), "regime": (REGIMES, OMIT),
-    "quad_seed": (SEED, OMIT), "series": (bool, False),
+    "dims": ([COUNT, NONEMPTY], OMIT), "optimizers": ([object, NONEMPTY], OMIT),
+    "eta": (POSITIVE, OMIT), "q": (COUNT, OMIT), "threshold": (POSITIVE, OMIT),
+    "beta1": (float, OMIT), "beta2": (float, OMIT), "zeta": (POSITIVE, OMIT),
+    "epsilon": (POSITIVE, OMIT), "distribution": (DISTRIBUTIONS, OMIT),
+    "x0_norm": (POSITIVE, OMIT), "seed": (SEED, OMIT), "max_steps": (COUNT, OMIT),
+    "tail": (COUNT, OMIT), "regime": (REGIMES, OMIT), "quad_seed": (SEED, OMIT),
+    "series": (bool, False),
 }
 
 

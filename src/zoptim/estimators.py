@@ -10,6 +10,13 @@ direction block from step_directions, or draws it when none is given; a
 caller whose update needs the same directions passes the block, so each
 direction is drawn once per step and held for that step only.
 
+zo_scalars returns only a step's projected-gradient scalars; zo_gradient
+and grouped_zo_gradient combine the same scalars with the directions, and
+the scalar-state step rules, which sum c_i * u_i themselves, call
+zo_scalars alone. Its 2 q p points are built and evaluated a chunk of (sample, block)
+pairs at a time, each chunk within STEP_BUFFER_BYTES, so a grouped step's
+working set does not grow with the block count p.
+
 _evaluate is the one place where perturbed points are evaluated, counted
 and checked, projected_gradient's two included, so it is the one place a
 batched oracle call will change; _direction_sum is the one sample-order sum
@@ -162,16 +169,44 @@ def _step_block(spec, step, q, d, directions):
 
 
 _SIGNS = np.array([[1.0], [-1.0]])
+STEP_BUFFER_BYTES = 1 << 18  # the bytes of one chunk of a step's points (_point_values)
 
 
-def _point_estimate(f, x, spec, q, step, counter, directions, partition):
-    """The estimate over the partition's p blocks (p=1 without one) and its (q, p) scalars.
+def _point_values(f, x, epsilon, directions, masks, counter):
+    """f at the step's 2 q p points: by sample, then block, then + before -.
 
-    The step's perturbed points form one (q, p, 2, d) array: by sample, then
-    block, then + before -, each block's direction masked to exact +0.0
-    outside it. Its rows are evaluated in that order, one f call each, up to
-    the first non-finite value, which NumericFailureError names.
+    The point of sample i, block j and sign s is x + (eps * where(m_j, u_i,
+    0.0)) * s (without masks, p = 1 and m_1 is every coordinate). The points
+    are built and evaluated a chunk of (sample, block) pairs at a time, each
+    chunk in at most STEP_BUFFER_BYTES (or one pair's 24 d bytes): its
+    moved directions and their + and - rows. A chunk holds whole samples
+    when a sample's p pairs fit, and a run of one sample's blocks otherwise.
     """
+    q, d = directions.shape
+    p = 1 if masks is None else len(masks)
+    pairs = max(1, STEP_BUFFER_BYTES // (24 * d))
+    samples, blocks = (pairs // p, p) if pairs >= p else (1, pairs)
+    values = []
+    for i in range(0, q, samples):
+        u = directions[i:i + samples, None]
+        for j in range(0, p, blocks):
+            moved = epsilon * (u if masks is None else np.where(masks[j:j + blocks], u, 0.0))
+            values.append(_evaluate(f, _signed_points(x, moved), counter))
+    return values[0] if len(values) == 1 else np.concatenate(values)
+
+
+def _signed_points(x, moved):
+    """x + moved * (+1, -1) as rows, each moved row's + point before its - point.
+
+    x + (-m) is x - m to the bit, so one product with (+1, -1) gives both signs.
+    """
+    points = moved[..., None, :] * _SIGNS
+    points += x
+    return points.reshape(-1, x.size)
+
+
+def _point_scalars(f, x, spec, q, step, counter, directions, partition):
+    """The step's (q, d) directions and the zo_scalars of its points."""
     if q < 1:
         raise InvalidArgumentError(f"q must be >= 1, got {q}")
     x = np.asarray(x, dtype=np.float64)
@@ -179,15 +214,23 @@ def _point_estimate(f, x, spec, q, step, counter, directions, partition):
     if partition is not None and partition.d != d:
         raise InvalidArgumentError(f"partition is over {partition.d} coordinates, x has {d}")
     directions = _step_block(spec, step, q, d, directions)
-    u = directions[:, None]
-    if partition is not None:
-        u = np.where(partition.masks, u, 0.0)
-    # x + (-m) is x - m to the bit, so one product with (+1, -1) gives both signs.
-    points = x + (spec.epsilon * u)[:, :, None] * _SIGNS
-    values = _evaluate(f, points.reshape(-1, d), counter)
-    scalars = ((values[0::2] - values[1::2]) / (2.0 * spec.epsilon)).reshape(q, -1)
-    coord_scalars = scalars if partition is None else scalars.take(partition.block_of, axis=1)
-    return _combine(coord_scalars, directions, spec.distribution), scalars
+    masks = None if partition is None else partition.masks
+    values = _point_values(f, x, spec.epsilon, directions, masks, counter)
+    scalars = (values[0::2] - values[1::2]) / (2.0 * spec.epsilon)
+    return directions, (scalars if partition is None else scalars.reshape(q, -1))
+
+
+def zo_scalars(f, x, spec, q, step, counter=None, directions=None, partition=None):
+    """The step's projected-gradient scalars, (f(x+eps v) - f(x-eps v)) / (2 eps).
+
+    v is sample i's direction u_i masked to block j of the partition (u_i
+    itself without one). Returns shape (q,) without a partition and (q, p)
+    with one. directions is the step's (q, d) block from step_directions,
+    drawn here when omitted. The 2 q p points are evaluated by sample, then
+    block, then + before -, one f call each, up to the first non-finite
+    value, which NumericFailureError names.
+    """
+    return _point_scalars(f, x, spec, q, step, counter, directions, partition)[1]
 
 
 def _combine(coord_scalars, directions, distribution):
@@ -206,10 +249,10 @@ def zo_gradient(f, x, spec, q, step, counter=None, directions=None):
     directions is the step's (q, d) block from step_directions(spec, step,
     q, d), drawn here when omitted; pass it when the update needs the same
     directions, so each is drawn once per step. Returns (estimate, the q
-    projected-gradient scalars), which the scalar-state optimizers need.
+    projected-gradient scalars of zo_scalars).
     """
-    est, scalars = _point_estimate(f, x, spec, q, step, counter, directions, None)
-    return est, scalars.reshape(q)
+    directions, scalars = _point_scalars(f, x, spec, q, step, counter, directions, None)
+    return _combine(scalars, directions, spec.distribution), scalars
 
 
 def grouped_zo_gradient(f, x, spec, q, partition, step, counter=None, directions=None):
@@ -220,7 +263,9 @@ def grouped_zo_gradient(f, x, spec, q, partition, step, counter=None, directions
     the uniform d-scaling). directions is the step's (q, d) block, drawn
     here when omitted. Returns (estimate, scalars of shape (q, p)).
     """
-    return _point_estimate(f, x, spec, q, step, counter, directions, partition)
+    directions, scalars = _point_scalars(f, x, spec, q, step, counter, directions, partition)
+    return _combine(scalars.take(partition.block_of, axis=1), directions,
+                    spec.distribution), scalars
 
 
 def efficient_grouped_eval(chain, x, spec, q, step, counter=None, directions=None):

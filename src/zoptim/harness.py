@@ -36,6 +36,7 @@ REQUIRED = object()  # field default: the key must be present
 OMIT = object()  # field default: an absent key is left out of what is read
 # Field kinds with a domain, beside int and float: kind -> (int or float, test, domain).
 SEED, COUNT, POSITIVE, NONNEG = "seed", "count", "positive", "nonneg"
+NONEMPTY = "nonempty"  # [kind, NONEMPTY]: a list of kind with at least one entry
 _DOMAINS = {
     SEED: (int, lambda v: 0 <= v < 2**64, "in [0, 2**64)"), COUNT: (int, lambda v: v >= 1, ">= 1"),
     POSITIVE: (float, lambda v: v > 0, "> 0"), NONNEG: (float, lambda v: v >= 0, ">= 0"),
@@ -59,6 +60,8 @@ def _read(value, kind, name):
     if isinstance(kind, list):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{name} must be a list, got {value!r}")
+        if NONEMPTY in kind[1:] and not value:
+            raise ConfigError(f"{name} must list at least one entry")
         return [_read(v, kind[0], f"{name} entry") for v in value]
     if kind is bool:
         if not isinstance(value, bool):
@@ -86,7 +89,8 @@ def read_fields(raw, fields, where):
 
     fields maps each key to (kind, default). A kind is int, float, bool,
     SEED, COUNT, POSITIVE, NONNEG, a tuple of allowed values, object (any
-    value) or [kind] (a list of that kind). An absent key takes its default:
+    value), [kind] (a list of that kind) or [kind, NONEMPTY] (such a list
+    with at least one entry). An absent key takes its default:
     REQUIRED makes it an error and OMIT leaves it out. Keys not in fields are an error. where
     names raw in messages.
     """

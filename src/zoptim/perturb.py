@@ -226,13 +226,25 @@ def _draw(distribution, rng, shape, out=None):
         return rng.standard_normal(shape, out=out)
     if distribution == UNIFORM:
         z = rng.standard_normal(shape, out=out)
-        z /= np.linalg.norm(z, axis=-1, keepdims=True)
+        # np.linalg.norm's steps (x * x, add.reduce, sqrt) with one temporary, not two.
+        z /= np.sqrt(np.add.reduce(np.square(z), axis=-1, keepdims=True))
         return z
     if distribution == RADEMACHER:
-        return np.subtract(rng.integers(0, 2, size=shape) * 2.0, 1.0, out=out)
+        z = np.multiply(rng.integers(0, 2, size=shape), 2.0, out=out)
+        z -= 1.0
+        return z
     if distribution == TERNARY:
         return np.subtract(rng.integers(0, 3, size=shape), 1.0, out=out)
     raise InvalidArgumentError(f"unknown distribution {distribution!r}")
+
+
+def _draw_scratch(distribution, rows, d):
+    """Bytes of the temporaries _draw makes beside its output for rows directions of d:
+    a uniform draw's squares and then norms, an integer law's int64 draws, none for a
+    Gaussian one."""
+    if distribution == GAUSSIAN:
+        return 0
+    return 8 * rows * (d + 1 if distribution == UNIFORM else d)
 
 
 def sample_direction(spec, coord, d):

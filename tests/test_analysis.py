@@ -127,6 +127,12 @@ def test_numpy_sums_a_row_block_in_row_order_and_a_column_pairwise():
     assert column.sum(axis=0)[0] != in_order[0]
 
 
+def buffer_for(rows, distribution, q, d, n):
+    """The MC_BUFFER_BYTES that makes mc_squared_moment estimate rows trials per chunk."""
+    fixed, per_trial = analysis._mc_buffer_bytes(distribution, q, d, min(analysis.MC_BATCH, n))
+    return fixed + rows * per_trial
+
+
 @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 100, 1024])
 @pytest.mark.parametrize("q", [1, 3, 10])
@@ -135,11 +141,21 @@ def test_chunked_monte_carlo_moment_is_bit_identical_to_the_reference(monkeypatc
     g = np.random.default_rng(d * 10 + q).standard_normal(d)
     batch = 16
     monkeypatch.setattr(analysis, "MC_BATCH", batch)
+    chunks = []
+
+    def recording(distribution, shape, d, rng, out=None):
+        chunks.append(shape[0])
+        return batch_directions(distribution, shape, d, rng, out)
+
+    monkeypatch.setattr(analysis, "batch_directions", recording)
     # Buffers of 1 and 5 trials split each batch into chunks; 16 and 40 do not.
     for rows in (1, 5, batch, 40):
-        monkeypatch.setattr(analysis, "MC_BUFFER_BYTES", 8 * q * d * rows)
         for n in (1, batch - 1, batch, batch + 1, 3 * batch + 5):
+            monkeypatch.setattr(analysis, "MC_BUFFER_BYTES",
+                                buffer_for(rows, distribution, q, d, n))
+            chunks.clear()
             _assert_moment_matches_reference(g, q, distribution, n)
+            assert chunks[0] == min(rows, batch, n) and max(chunks) == chunks[0], (rows, n)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=120)
@@ -155,7 +171,8 @@ def test_monte_carlo_moment_equals_the_reference_for_any_buffer(distribution, d,
                                                                  n):
     g = np.random.default_rng(d).standard_normal(d)
     saved = analysis.MC_BATCH, analysis.MC_BUFFER_BYTES
-    analysis.MC_BATCH, analysis.MC_BUFFER_BYTES = batch, 8 * q * d * rows
+    analysis.MC_BATCH = batch
+    analysis.MC_BUFFER_BYTES = buffer_for(rows, distribution, q, d, n)
     try:
         _assert_moment_matches_reference(g, q, distribution, n)
     finally:
@@ -172,6 +189,23 @@ def test_monte_carlo_moment_memory_does_not_grow_with_the_batch():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+@pytest.mark.parametrize("d", [1, 2, 8, 64])
+@pytest.mark.parametrize("q", [1, 4])
+def test_monte_carlo_moment_working_set_fits_the_buffer_budget(distribution, d, q):
+    # Every working array counts: directions, projections, estimates (a whole
+    # batch at d = 1) and the draw's own temporaries.
+    g = np.random.default_rng(d).standard_normal(d)
+    mc_squared_moment(g, q, distribution, 10, seed=1)  # the generator's first-use allocations
+    tracemalloc.start()
+    try:
+        mc_squared_moment(g, q, distribution, 40_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * analysis.MC_BUFFER_BYTES, peak
 
 
 @pytest.mark.parametrize("field", ["n", "q"])

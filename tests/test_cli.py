@@ -361,6 +361,19 @@ def test_verify_bounds_reads_every_section_before_any_run(tmp_path, monkeypatch,
     assert not (out / "bounds.json").exists()
 
 
+@pytest.mark.parametrize("key", ["beta", "zeta"])
+def test_verify_bounds_zosgd_side_takes_no_second_moment_keys(tmp_path, monkeypatch, capsys, key):
+    # zo-sgd keeps no second moment: a beta or zeta on its side is an unknown key.
+    calls = []
+    monkeypatch.setattr(cli.analysis, "bound_check_run", lambda *a, **k: calls.append(a))
+    cfg = write_cfg(tmp_path, bounds_cfg(zosgd={"eta": 5e-5, "T": 100, key: 7.0}))
+    out = tmp_path / "out"
+    assert main(["verify-bounds", "--config", cfg, "--out", str(out)]) == 2
+    assert f"unknown zosgd keys: ['{key}']" in capsys.readouterr().err
+    assert calls == []
+    assert not (out / "bounds.json").exists()
+
+
 @pytest.mark.parametrize(
     "over, named",
     [
@@ -372,6 +385,37 @@ def test_verify_bounds_reads_every_section_before_any_run(tmp_path, monkeypatch,
 )
 def test_fig2_checks_every_entry_before_the_first_step(tmp_path, monkeypatch, capsys, over,
                                                        named):
+    calls = []
+    monkeypatch.setattr(cli.analysis, "_run_one", lambda *a: calls.append(a))
+    cfg = write_cfg(tmp_path, {"dims": [4], "optimizers": ["meazo"], "max_steps": 5, **over})
+    out = tmp_path / "out"
+    assert main(["fig2", "--config", cfg, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "over, named",
+    [
+        ({"dims": []}, "config.dims must list at least one entry"),
+        ({"optimizers": []}, "config.optimizers must list at least one entry"),
+        ({"x0_norm": -1}, "config.x0_norm must be > 0"),
+        ({"threshold": -1}, "config.threshold must be > 0"),
+        ({"eta": 0}, "config.eta must be > 0"),
+        ({"q": 0}, "config.q must be >= 1"),
+        ({"epsilon": -1e-6}, "config.epsilon must be > 0"),
+        ({"zeta": 0}, "config.zeta must be > 0"),
+        ({"max_steps": 2.5}, "config.max_steps must be an integer"),
+        ({"tail": -3}, "config.tail must be >= 1"),
+        ({"dims": [4, 0]}, "config.dims entry must be >= 1"),
+    ],
+    ids=["empty-dims", "empty-optimizers", "negative-x0-norm", "negative-threshold", "zero-eta",
+         "zero-q", "negative-epsilon", "zero-zeta", "fractional-max-steps", "negative-tail",
+         "zero-d"],
+)
+def test_fig2_fields_outside_their_domain_exit_two_before_any_step(tmp_path, monkeypatch, capsys,
+                                                                    over, named):
     calls = []
     monkeypatch.setattr(cli.analysis, "_run_one", lambda *a: calls.append(a))
     cfg = write_cfg(tmp_path, {"dims": [4], "optimizers": ["meazo"], "max_steps": 5, **over})

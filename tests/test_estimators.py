@@ -26,7 +26,10 @@ from zoptim import (
     sample_direction,
     step_directions,
     zo_gradient,
+    zo_scalars,
 )
+from zoptim import estimators
+from zoptim.estimators import _SIGNS
 
 
 def affine(a, b=0.0):
@@ -474,3 +477,82 @@ def test_point_matrix_estimators_stop_at_the_first_nonfinite_point(grouped):
         assert err.value.point.tobytes() == ref.value.point.tobytes() == calls[k].tobytes()
         assert str(err.value) == str(ref.value)
         assert got == want and got.full_forward_calls == k + 1
+
+
+def unchunked_points(x, spec, directions, partition):
+    """Every point of a step as one array, the expression the chunks must reproduce."""
+    u = directions[:, None]
+    if partition is not None:
+        u = np.where(partition.masks, u, 0.0)
+    return (x + (spec.epsilon * u)[:, :, None] * _SIGNS).reshape(-1, x.size)
+
+
+COORDINATES = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-0.0, 0.0, math.inf, -math.inf,
+                                                               math.nan]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=st.data(), d=st.integers(1, 24), q=st.integers(1, 4), blocks=st.integers(0, 5),
+       seed=st.integers(0, 2**16), fail=st.booleans())
+def test_chunked_points_equal_the_unchunked_expression(data, d, q, blocks, seed, fail):
+    # blocks == 0 is the ungrouped estimator. Budgets from below one pair's
+    # 24 d bytes to above the whole step's force every chunk shape.
+    x = np.array(data.draw(st.lists(COORDINATES, min_size=d, max_size=d)))
+    partition = scattered_partition(d, min(blocks, d), seed) if blocks else None
+    p = partition.p if partition else 1
+    budget = data.draw(st.integers(1, 24 * d * q * p + 64))
+    spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-3, base_seed=seed)
+    dirs = step_directions(spec, 3, q, d)
+    want = unchunked_points(x, spec, dirs, partition)
+    values = np.random.default_rng(seed).standard_normal(len(want))
+    bad = data.draw(st.integers(0, len(want) - 1)) if fail else None
+    rows, chunks = [], []
+
+    def f(row):
+        rows.append(row.copy())
+        return math.nan if len(rows) - 1 == bad else values[len(rows) - 1]
+
+    def recording(x, moved):
+        chunks.append(moved.size)
+        return signed_points(x, moved)
+
+    signed_points = estimators._signed_points
+    saved = estimators.STEP_BUFFER_BYTES, estimators._signed_points
+    estimators.STEP_BUFFER_BYTES, estimators._signed_points = budget, recording
+    counter = EvalCounter()
+    try:
+        if fail:
+            with pytest.raises(NumericFailureError) as err:
+                zo_scalars(f, x, spec, q, 3, counter, dirs, partition)
+            assert err.value.point.tobytes() == want[bad].tobytes()
+            assert counter.full_forward_calls == len(rows) == bad + 1
+        else:
+            scalars = zo_scalars(f, x, spec, q, 3, counter, dirs, partition)
+            pairs = (values[0::2] - values[1::2]) / (2.0 * spec.epsilon)
+            assert scalars.tobytes() == pairs.tobytes()
+            assert scalars.shape == ((q, p) if partition else (q,))
+            assert counter.full_forward_calls == len(want)
+    finally:
+        estimators.STEP_BUFFER_BYTES, estimators._signed_points = saved
+    assert b"".join(r.tobytes() for r in rows) == want[:len(rows)].tobytes()
+    # A chunk's moved directions and their two signed rows fit the budget, or are one pair.
+    assert all(24 * size <= max(budget, 24 * d) for size in chunks)
+    if not fail and q * p > 1 and budget < 24 * d * q * p:
+        assert len(chunks) > 1
+
+
+def test_zo_gradient_and_grouped_zo_gradient_are_their_scalars_combined():
+    quad = BlockQuadratic(9, regime="heterogeneous", seed=2)
+    x = signed_zero_point(9, 3)
+    spec = PerturbationSpec(distribution=UNIFORM, epsilon=1e-5, base_seed=4)
+    part = scattered_partition(9, 3, 1)
+    for partition, estimate in ((None, zo_gradient), (part, grouped_zo_gradient)):
+        args = (quad.value, x, spec, 4) + ((partition,) if partition else ()) + (6,)
+        est, scalars = estimate(*args)
+        alone = zo_scalars(quad.value, x, spec, 4, 6, partition=partition)
+        assert scalars.tobytes() == alone.tobytes()
+        ref = (reference_grouped_zo_gradient(quad.value, x, spec, 4, partition,
+                                             step_directions(spec, 6, 4, 9))
+               if partition else
+               reference_zo_gradient(quad.value, x, spec, 4, step_directions(spec, 6, 4, 9)))
+        assert est.tobytes() == ref[0].tobytes()

@@ -1,6 +1,7 @@
 """Optimizer step rules: hand-computed single steps, equivalences, state shape."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -518,3 +519,28 @@ def test_vhat_stats_match_the_mean_version_on_per_coordinate_moments():
         state.v = rng.standard_normal(dim) ** 2 * 10.0 ** rng.integers(-8, 9, size=dim)
         state.t = 3
         assert stats_bytes(_vhat_stats(state)) == stats_bytes(reference_vhat_stats(state))
+
+
+def step_peak(method, f, x):
+    """tracemalloc peak of one Method.step after a warm-up step."""
+    x = method.step(f, x, 0)
+    tracemalloc.start()
+    try:
+        method.step(f, x, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("p", [1, 8, 32])
+def test_grouped_step_memory_does_not_grow_with_the_block_count(p):
+    # The paper's claim: MEAZO's adaptivity at ZO-SGD's memory; a grouped
+    # step's points are built a bounded chunk at a time.
+    d, q = 1024, 10
+    quad = BlockQuadratic(d, regime="heterogeneous", seed=0)
+    spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-6, base_seed=0)
+    x0 = np.random.default_rng(0).standard_normal(d) * 0.1
+    plain = step_peak(Method("meazo", 1e-4, spec, q, d), quad.value, x0)
+    grouped = step_peak(Method("meazo-grouped", 1e-4, spec, q, d,
+                               partition=Partition.contiguous(d, p)), quad.value, x0)
+    assert grouped <= 1.5 * plain, (grouped, plain)

@@ -115,6 +115,26 @@ def test_batch_directions_into_out_equals_a_fresh_draw(distribution, shape):
     assert big[: shape[0]].tobytes() == want.tobytes()
 
 
+def reference_draw(distribution, rng, shape):
+    """The uniform and Rademacher draws as np.linalg.norm and a fresh product made them."""
+    if distribution == UNIFORM:
+        z = rng.standard_normal(shape)
+        return z / np.linalg.norm(z, axis=-1, keepdims=True)
+    if distribution == RADEMACHER:
+        return np.subtract(rng.integers(0, 2, size=shape) * 2.0, 1.0)
+    return _draw(distribution, rng, shape)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(distribution=st.sampled_from(DISTRIBUTIONS), rows=st.integers(1, 40),
+       d=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), into=st.booleans())
+def test_draws_equal_the_norm_and_product_expressions_bitwise(distribution, rows, d, seed, into):
+    want = reference_draw(distribution, keyed_generator(seed, 5), (rows, d))
+    out = np.full((rows, d), np.nan) if into else None
+    got = _draw(distribution, keyed_generator(seed, 5), (rows, d), out)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_batch_directions_rejects_a_mismatched_out():
     rng = keyed_generator(0, 1)
     for buf in (np.empty((7, 3, 5)), np.empty((1, 3, 4)), np.empty((7, 3, 4), dtype=np.float32)):
