@@ -1,10 +1,9 @@
 """Traced peak memory of one optimizer step, per method and block count.
 
-    python bench/step_memory.py [--d 1024] [--q 10] [--p 1 8 32] \\
-        [--parent <checkout>] [--out BENCH_16.json]
+    python bench/step_memory.py [--parent <checkout>]
 
-For zo-sgd, meazo, zo-adam and meazo-grouped over p contiguous blocks, it
-builds ``Method`` on ``BlockQuadratic(d)`` with Gaussian directions, takes
+For zo-sgd, meazo, zo-adam and meazo-grouped over P contiguous blocks, it
+builds ``Method`` on ``BlockQuadratic(D)`` with Q Gaussian directions, takes
 one warm-up step, and then reports the ``tracemalloc`` peak of one more
 ``Method.step`` (the bytes Python allocates during the step, not RSS) and
 the bytes of the arrays the state carries from step to step.
@@ -12,8 +11,8 @@ the bytes of the arrays the state carries from step to step.
 Without ``--parent`` it measures the tree this script lives in and prints a
 table. With ``--parent``, a second checkout of the commit to compare
 against, each tree is measured in a fresh child process with its own
-``src`` on ``PYTHONPATH``, and both tables go under ``step_memory`` in
-``--out`` (other keys already in that file are kept).
+``src`` on ``PYTHONPATH``, and both tables go under ``step_memory`` in OUT
+(other keys already in that file are kept).
 """
 
 import argparse
@@ -24,9 +23,22 @@ import sys
 import tracemalloc
 
 CHANGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+D, Q, P = 1024, 10, (1, 8, 32)
+OUT = os.path.join(CHANGE, "BENCH_16.json")
 
 
-def measure(d, q, ps):
+def step_peak(method, f, x):
+    """tracemalloc peak of one Method.step after a warm-up step."""
+    x = method.step(f, x, 0)
+    tracemalloc.start()
+    try:
+        method.step(f, x, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def measure():
     """{label: {"step_peak_bytes", "state_bytes"}} for one tree (the zoptim on sys.path)."""
     import numpy as np
 
@@ -34,21 +46,15 @@ def measure(d, q, ps):
     from zoptim.estimators import Partition
     from zoptim.optimizers import Method
 
-    quad = BlockQuadratic(d=d, regime="heterogeneous", seed=0)
+    quad = BlockQuadratic(d=D, regime="heterogeneous", seed=0)
     spec = PerturbationSpec(distribution="gaussian", epsilon=1e-6, base_seed=0)
-    x0 = np.random.default_rng(0).standard_normal(d) * 0.1
+    x0 = np.random.default_rng(0).standard_normal(D) * 0.1
     cases = [(name, name, None) for name in ("zo-sgd", "meazo", "zo-adam")]
-    cases += [(f"meazo-grouped p={p}", "meazo-grouped", Partition.contiguous(d, p)) for p in ps]
+    cases += [(f"meazo-grouped p={p}", "meazo-grouped", Partition.contiguous(D, p)) for p in P]
     out = {}
     for label, name, partition in cases:
-        method = Method(name, 1e-4, spec, q, d, partition=partition)
-        x = method.step(quad.value, x0, 0)
-        tracemalloc.start()
-        try:
-            method.step(quad.value, x, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        method = Method(name, 1e-4, spec, Q, D, partition=partition)
+        peak = step_peak(method, quad.value, x0)
         state = sum(v.nbytes for v in vars(method.state).values() if isinstance(v, np.ndarray))
         out[label] = {"step_peak_bytes": peak, "state_bytes": state}
     return out
@@ -65,42 +71,37 @@ def table(rows):
     return "\n".join(lines)
 
 
-def run_tree(tree, args):
+def run_tree(tree):
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(tree), "src")}
-    argv = [sys.executable, os.path.abspath(__file__), "--json", "--d", str(args.d),
-            "--q", str(args.q), "--p", *map(str, args.p)]
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child"],
+                          env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--d", type=int, default=1024)
-    parser.add_argument("--q", type=int, default=10)
-    parser.add_argument("--p", type=int, nargs="+", default=[1, 8, 32])
     parser.add_argument("--parent", help="checkout of the commit to compare against")
-    parser.add_argument("--out", default="BENCH_16.json")
-    parser.add_argument("--json", action="store_true", help="print this tree's rows as JSON")
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
 
-    if args.json:
-        print(json.dumps(measure(args.d, args.q, args.p)))
+    if args.child:
+        print(json.dumps(measure()))
         return
     if args.parent is None:
         sys.path.insert(0, os.path.join(CHANGE, "src"))
-        print(table(measure(args.d, args.q, args.p)))
+        print(table(measure()))
         return
 
-    result = {"d": args.d, "q": args.q}
+    result = {"d": D, "q": Q}
     for side, tree in (("parent", args.parent), ("change", CHANGE)):
-        result[side] = run_tree(tree, args)
+        result[side] = run_tree(tree)
         print(f"{side}:\n{table(result[side])}")
     payload = {}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
+    if os.path.exists(OUT):
+        with open(OUT) as fh:
             payload = json.load(fh)
     payload["step_memory"] = result
-    with open(args.out, "w") as fh:
+    with open(OUT, "w") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
 

@@ -180,26 +180,29 @@ def _point_values(f, x, epsilon, directions, masks, counter):
     are built and evaluated a chunk of (sample, block) pairs at a time, each
     chunk in at most STEP_BUFFER_BYTES (or one pair's 24 d bytes): its
     moved directions and their + and - rows. A chunk holds whole samples
-    when a sample's p pairs fit, and a run of one sample's blocks otherwise.
+    when a sample's p pairs fit, and a run of one sample's blocks otherwise;
+    a step that fits one chunk skips the loop.
     """
     q, d = directions.shape
     p = 1 if masks is None else len(masks)
     pairs = max(1, STEP_BUFFER_BYTES // (24 * d))
+    if q * p <= pairs:
+        return _evaluate(f, _signed_points(x, epsilon, directions[:, None], masks), counter)
     samples, blocks = (pairs // p, p) if pairs >= p else (1, pairs)
-    values = []
-    for i in range(0, q, samples):
-        u = directions[i:i + samples, None]
-        for j in range(0, p, blocks):
-            moved = epsilon * (u if masks is None else np.where(masks[j:j + blocks], u, 0.0))
-            values.append(_evaluate(f, _signed_points(x, moved), counter))
-    return values[0] if len(values) == 1 else np.concatenate(values)
+    return np.concatenate([
+        _evaluate(f, _signed_points(x, epsilon, directions[i:i + samples, None],
+                                    None if masks is None else masks[j:j + blocks]), counter)
+        for i in range(0, q, samples) for j in range(0, p, blocks)])
 
 
-def _signed_points(x, moved):
-    """x + moved * (+1, -1) as rows, each moved row's + point before its - point.
+def _signed_points(x, epsilon, u, masks):
+    """x + (eps * where(m_j, u_i, 0.0)) * (+1, -1) as rows, for each row u_i of u
+    (samples, 1, d) and block m_j of masks (u_i whole without masks), each + point
+    before its - point.
 
     x + (-m) is x - m to the bit, so one product with (+1, -1) gives both signs.
     """
+    moved = epsilon * (u if masks is None else np.where(masks, u, 0.0))
     points = moved[..., None, :] * _SIGNS
     points += x
     return points.reshape(-1, x.size)

@@ -261,9 +261,10 @@ def fzoo_step(f, x, state, step, counter=None):
 
 # name -> (state class, update(method, x, t, estimate, scalars, directions)).
 # An update looks its step rule up when it runs, so a wrapper put on the
-# module's function is the one called. The scalar-state updates (_SCALAR_ONLY)
-# get no estimate: they sum c_i u_i themselves. fo-adam steps on an analytic
-# gradient passed to zo_adam_step; fzoo_step estimates and updates in one.
+# module's function is the one called. Updates whose state is MeazoState or
+# GroupedMeazoState get no estimate: they sum c_i u_i themselves. fo-adam
+# steps on an analytic gradient passed to zo_adam_step; fzoo_step estimates
+# and updates in one.
 _METHODS = {
     "zo-sgd": (SgdState, lambda m, x, t, est, s, u: zo_sgd_step(x, est, m.state.eta)),
     "zo-adam": (AdamState, lambda m, x, t, est, s, u: zo_adam_step(m.state, x, est)),
@@ -276,7 +277,6 @@ _METHODS = {
     "fzoo": (FzooState, None),
     "fo-adam": (AdamState, None),
 }
-_SCALAR_ONLY = {"meazo", "meazo-grouped"}
 
 
 class Method:
@@ -318,7 +318,7 @@ class Method:
         dirs = step_directions(spec, t, q, self.d)
         if self.chain is not None and self.partition is not None:
             est, scalars = efficient_grouped_eval(self.chain, x, spec, q, t, counter, dirs)
-        elif self.name in _SCALAR_ONLY:
+        elif isinstance(self.state, (MeazoState, GroupedMeazoState)):
             est, scalars = None, zo_scalars(f, x, spec, q, t, counter, dirs, self.partition)
         elif self.partition is None:
             est, scalars = zo_gradient(f, x, spec, q, t, counter, dirs)

@@ -512,9 +512,10 @@ def test_chunked_points_equal_the_unchunked_expression(data, d, q, blocks, seed,
         rows.append(row.copy())
         return math.nan if len(rows) - 1 == bad else values[len(rows) - 1]
 
-    def recording(x, moved):
-        chunks.append(moved.size)
-        return signed_points(x, moved)
+    def recording(*args):
+        points = signed_points(*args)
+        chunks.append(points.size // 2)  # the chunk's moved directions
+        return points
 
     signed_points = estimators._signed_points
     saved = estimators.STEP_BUFFER_BYTES, estimators._signed_points

@@ -1,7 +1,8 @@
 """Optimizer step rules: hand-computed single steps, equivalences, state shape."""
 
 import math
-import tracemalloc
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,9 @@ from zoptim import (
 )
 from zoptim.harness import _vhat_stats
 from zoptim.perturb import DISTRIBUTIONS, GAUSSIAN, RADEMACHER
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from step_memory import step_peak  # noqa: E402  (the bench table's own measurement)
 
 
 def test_zo_sgd_step_is_a_plain_move_along_the_estimate():
@@ -519,17 +523,6 @@ def test_vhat_stats_match_the_mean_version_on_per_coordinate_moments():
         state.v = rng.standard_normal(dim) ** 2 * 10.0 ** rng.integers(-8, 9, size=dim)
         state.t = 3
         assert stats_bytes(_vhat_stats(state)) == stats_bytes(reference_vhat_stats(state))
-
-
-def step_peak(method, f, x):
-    """tracemalloc peak of one Method.step after a warm-up step."""
-    x = method.step(f, x, 0)
-    tracemalloc.start()
-    try:
-        method.step(f, x, 1)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("p", [1, 8, 32])
