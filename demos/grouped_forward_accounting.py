@@ -18,7 +18,9 @@ from zoptim import (
     PerturbationSpec,
     chain_as_objective,
     efficient_grouped_eval,
-    grouped_zo_gradient,
+    gradient_estimate,
+    step_directions,
+    zo_gradient,
 )
 
 
@@ -28,14 +30,15 @@ def main():
     spec = PerturbationSpec(distribution="gaussian", epsilon=1e-4, base_seed=0)
     x = np.random.default_rng(0).standard_normal(chain.d) * 0.1
 
+    partition = Partition.from_ranges(chain.d, list(chain.slices))
     efficient = EvalCounter()
-    est_eff, _ = efficient_grouped_eval(chain, x, spec, q, 0, efficient)
+    scalars = efficient_grouped_eval(chain, x, spec, q, 0, efficient)
+    est_eff = gradient_estimate(scalars, step_directions(spec, 0, q, chain.d), spec.distribution,
+                                partition)
 
     naive = EvalCounter()
-    partition = Partition.from_ranges(chain.d, list(chain.slices))
-    est_naive, _ = grouped_zo_gradient(
-        chain_as_objective(chain, naive), x, spec, q, partition, 0, naive
-    )
+    est_naive = zo_gradient(chain_as_objective(chain, naive), x, spec, q, 0, naive,
+                            partition=partition)
 
     predicted = p * q * (p + 1) + p - 1
     print(f"chain with p={p} blocks, q={q} sample, d={chain.d} parameters")

@@ -75,7 +75,7 @@ def cmd_robustness(args):
 
 
 _MOMENT_CASE_FIELDS = {
-    "g": ([float], REQUIRED), "q": (int, 1), "distribution": (DISTRIBUTIONS, "gaussian"),
+    "g": ([float], REQUIRED), "q": (COUNT, 1), "distribution": (DISTRIBUTIONS, "gaussian"),
     "n": (COUNT, 200_000), "tol": (NONNEG, 0.05), "seed": (SEED, 0),
 }
 
@@ -107,9 +107,12 @@ def cmd_verify_moments(args):
         case = read_fields(case, _MOMENT_CASE_FIELDS, f"cases[{i}]")
         case["g"] = np.asarray(case["g"], dtype=np.float64)
         try:
-            analysis.predicted_squared_moment(case["g"], case["q"], case["distribution"])
+            predicted = analysis.predicted_squared_moment(case["g"], case["q"],
+                                                          case["distribution"])
         except InvalidArgumentError as exc:
             raise ConfigError(f"invalid moment case cases[{i}]: {exc}") from exc
+        if not predicted.all():  # the relative error of a zero moment is 0/0
+            raise ConfigError(f"invalid moment case cases[{i}]: g predicts a zero second moment")
         cases.append(case)
 
     # Each case draws from its own generator and its numpy work releases the
@@ -146,19 +149,19 @@ def cmd_verify_moments(args):
 
 
 _BOUNDS_FIELDS = {
-    "d": (int, REQUIRED), "regime": (REGIMES, "heterogeneous"), "quad_seed": (SEED, 0),
+    "d": (COUNT, REQUIRED), "regime": (REGIMES, "heterogeneous"), "quad_seed": (SEED, 0),
     "q": (COUNT, 10), "epsilon": (POSITIVE, 1e-6), "distribution": (DISTRIBUTIONS, "gaussian"),
-    "sigma": (NONNEG, 0.0), "noise_seed": (SEED, 0), "f0": (float, REQUIRED),
-    "radius": (float, REQUIRED), "seeds": (COUNT, 10), "meazo": (object, REQUIRED),
+    "sigma": (NONNEG, 0.0), "noise_seed": (SEED, 0), "f0": (NONNEG, REQUIRED),
+    "radius": (POSITIVE, REQUIRED), "seeds": (COUNT, 10), "meazo": (object, REQUIRED),
     "zosgd": (object, REQUIRED), "reduction": (object, REQUIRED),
 }
 # zo-sgd keeps no second moment, so its side takes no beta or zeta.
-_ZOSGD_SIDE_FIELDS = {"eta": (float, REQUIRED), "T": (COUNT, REQUIRED)}
+_ZOSGD_SIDE_FIELDS = {"eta": (POSITIVE, REQUIRED), "T": (COUNT, REQUIRED)}
 _MEAZO_SIDE_FIELDS = {**_ZOSGD_SIDE_FIELDS, "beta": (float, 0.999), "zeta": (float, 1.0)}
 _REDUCTION_FIELDS = {
-    "d": (int, REQUIRED), "q": (float, REQUIRED), "epsilon": (POSITIVE, REQUIRED),
-    "L": (float, REQUIRED), "sigma": (NONNEG, REQUIRED), "eta": (float, REQUIRED),
-    "T": (int, REQUIRED), "f0": (float, REQUIRED), "tol": (NONNEG, 1e-6),
+    "d": (COUNT, REQUIRED), "q": (POSITIVE, REQUIRED), "epsilon": (POSITIVE, REQUIRED),
+    "L": (POSITIVE, REQUIRED), "sigma": (NONNEG, REQUIRED), "eta": (POSITIVE, REQUIRED),
+    "T": (COUNT, REQUIRED), "f0": (NONNEG, REQUIRED), "tol": (NONNEG, 1e-6),
 }
 
 

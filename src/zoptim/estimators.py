@@ -1,7 +1,7 @@
 """Finite-difference gradient estimators.
 
 Central-difference projected gradients, the q-sample estimator (with the
-d-scaled uniform-sphere variant), the grouped/block estimator, and the
+d-scaled uniform-sphere variant) and its grouped/block form, and the
 prefix-caching grouped evaluation for layered objectives, with exact
 forward-call accounting. The last makes one layer-wise LayeredChain.forward
 call per step and books the pq(p+1) + p - 1 block forwards of resuming each
@@ -10,12 +10,13 @@ direction block from step_directions, or draws it when none is given; a
 caller whose update needs the same directions passes the block, so each
 direction is drawn once per step and held for that step only.
 
-zo_scalars returns only a step's projected-gradient scalars; zo_gradient
-and grouped_zo_gradient combine the same scalars with the directions, and
-the scalar-state step rules, which sum c_i * u_i themselves, call
-zo_scalars alone. Its 2 q p points are built and evaluated a chunk of (sample, block)
-pairs at a time, each chunk within STEP_BUFFER_BYTES, so a grouped step's
-working set does not grow with the block count p.
+Each returns one thing: zo_scalars a step's projected-gradient scalars,
+(q,) or (q, p) with a partition, efficient_grouped_eval the same (q, p) over
+a chain, gradient_estimate the d-vector estimate of scalars and directions,
+and zo_gradient the estimate of its own zo_scalars call. Only the
+vector-state step rules build an estimate. zo_scalars evaluates its 2 q p
+points a chunk of (sample, block) pairs at a time, each chunk within
+STEP_BUFFER_BYTES, so a grouped step's working set does not grow with p.
 
 _evaluate is the one place where perturbed points are evaluated, counted
 and checked, projected_gradient's two included, so it is the one place a
@@ -208,21 +209,6 @@ def _signed_points(x, epsilon, u, masks):
     return points.reshape(-1, x.size)
 
 
-def _point_scalars(f, x, spec, q, step, counter, directions, partition):
-    """The step's (q, d) directions and the zo_scalars of its points."""
-    if q < 1:
-        raise InvalidArgumentError(f"q must be >= 1, got {q}")
-    x = np.asarray(x, dtype=np.float64)
-    d = x.size
-    if partition is not None and partition.d != d:
-        raise InvalidArgumentError(f"partition is over {partition.d} coordinates, x has {d}")
-    directions = _step_block(spec, step, q, d, directions)
-    masks = None if partition is None else partition.masks
-    values = _point_values(f, x, spec.epsilon, directions, masks, counter)
-    scalars = (values[0::2] - values[1::2]) / (2.0 * spec.epsilon)
-    return directions, (scalars if partition is None else scalars.reshape(q, -1))
-
-
 def zo_scalars(f, x, spec, q, step, counter=None, directions=None, partition=None):
     """The step's projected-gradient scalars, (f(x+eps v) - f(x-eps v)) / (2 eps).
 
@@ -233,42 +219,49 @@ def zo_scalars(f, x, spec, q, step, counter=None, directions=None, partition=Non
     block, then + before -, one f call each, up to the first non-finite
     value, which NumericFailureError names.
     """
-    return _point_scalars(f, x, spec, q, step, counter, directions, partition)[1]
+    if q < 1:
+        raise InvalidArgumentError(f"q must be >= 1, got {q}")
+    x = np.asarray(x, dtype=np.float64)
+    d = x.size
+    if partition is not None and partition.d != d:
+        raise InvalidArgumentError(f"partition is over {partition.d} coordinates, x has {d}")
+    directions = _step_block(spec, step, q, d, directions)
+    masks = None if partition is None else partition.masks
+    values = _point_values(f, x, spec.epsilon, directions, masks, counter)
+    scalars = (values[0::2] - values[1::2]) / (2.0 * spec.epsilon)
+    return scalars if partition is None else scalars.reshape(q, -1)
 
 
-def _combine(coord_scalars, directions, distribution):
-    """(1/q) sum_i c_i * u_i, added in sample order from zeros, d-scaled for uniform-sphere
-    directions; c_i holds sample i's scalar for each coordinate (or one for all)."""
+def gradient_estimate(scalars, directions, distribution, partition=None):
+    """(1/q) sum_i sum_j c_ij (m_j * u_i), d-scaled for uniform-sphere directions.
+
+    scalars c are a step's (q,) scalars, or its (q, p) scalars with the
+    partition whose block j m_j masks; directions u is its (q, d) block.
+    Products are added in sample order from zeros, so one block gives the
+    bits of no partition.
+    """
     q, d = directions.shape
-    est = _direction_sum(coord_scalars, directions, d) / q
+    shape = (q,) if partition is None else (q, partition.p)
+    if np.shape(scalars) != shape:
+        raise InvalidArgumentError(f"scalars must have shape {shape}, got {np.shape(scalars)}")
+    if partition is not None:
+        scalars = np.take(scalars, partition.block_of, axis=1)
+    est = _direction_sum(scalars, directions, d) / q
     if distribution == UNIFORM:
         est = est * d
     return est
 
 
-def zo_gradient(f, x, spec, q, step, counter=None, directions=None):
-    """q-sample estimator (1/q) sum_i pg_i u_i, d-scaled for uniform-sphere directions.
+def zo_gradient(f, x, spec, q, step, counter=None, directions=None, partition=None):
+    """The q-sample estimate: gradient_estimate of the step's zo_scalars.
 
-    directions is the step's (q, d) block from step_directions(spec, step,
-    q, d), drawn here when omitted; pass it when the update needs the same
-    directions, so each is drawn once per step. Returns (estimate, the q
-    projected-gradient scalars of zo_scalars).
+    With a partition it is the block estimator, whose one-block case is
+    bit-identical to none. directions is the step's (q, d) block from
+    step_directions(spec, step, q, d), drawn here when omitted.
     """
-    directions, scalars = _point_scalars(f, x, spec, q, step, counter, directions, None)
-    return _combine(scalars, directions, spec.distribution), scalars
-
-
-def grouped_zo_gradient(f, x, spec, q, partition, step, counter=None, directions=None):
-    """Block estimator (1/q) sum_i sum_j pg_{ij} (m_j * u_i).
-
-    One direction per sample, masked per block; zo_gradient is the same
-    computation with one block, so p=1 is bit-identical to it (including
-    the uniform d-scaling). directions is the step's (q, d) block, drawn
-    here when omitted. Returns (estimate, scalars of shape (q, p)).
-    """
-    directions, scalars = _point_scalars(f, x, spec, q, step, counter, directions, partition)
-    return _combine(scalars.take(partition.block_of, axis=1), directions,
-                    spec.distribution), scalars
+    directions = _step_block(spec, step, q, np.size(x), directions)
+    scalars = zo_scalars(f, x, spec, q, step, counter, directions, partition)
+    return gradient_estimate(scalars, directions, spec.distribution, partition)
 
 
 def efficient_grouped_eval(chain, x, spec, q, step, counter=None, directions=None):
@@ -278,9 +271,9 @@ def efficient_grouped_eval(chain, x, spec, q, step, counter=None, directions=Non
     2q points starts from x's activation h_{j-1} and forwards blocks j..p
     only. One chain.forward(x, moved=eps U) call runs every point layer by
     layer, next to x's own prefix: exactly p q (p+1) + p - 1 block
-    forwards, and the estimate matches grouped_zo_gradient on the same
-    replay stream bit for bit. directions is the step's (q, d) block, drawn
-    here when omitted. Returns (estimate, scalars of shape (q, p)).
+    forwards, and the (q, p) scalars it returns match zo_scalars with the
+    chain's layers partition on the same replay stream bit for bit.
+    directions is the step's (q, d) block, drawn here when omitted.
     """
     if q < 1:
         raise InvalidArgumentError(f"q must be >= 1, got {q}")
@@ -308,6 +301,4 @@ def efficient_grouped_eval(chain, x, spec, q, step, counter=None, directions=Non
         point[start:stop] = (np.subtract if minus else np.add)(x[start:stop], moved[i, start:stop])
         _finite_or_raise(float(losses[j, minus * q + i]), point)
 
-    scalars = np.ascontiguousarray(((losses[:, :q] - losses[:, q:]) / (2.0 * epsilon)).T)
-    coord_scalars = np.repeat(scalars, [stop - start for start, stop in chain.slices], axis=1)
-    return _combine(coord_scalars, directions, spec.distribution), scalars
+    return np.ascontiguousarray(((losses[:, :q] - losses[:, q:]) / (2.0 * epsilon)).T)

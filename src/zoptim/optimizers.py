@@ -1,11 +1,10 @@
 """Step rules for the zeroth-order optimizers, and the method table.
 
-All steps consume projected-gradient scalars and/or estimate vectors
-produced by the estimators module. Directions are never kept in any state:
-the scalar-state optimizers receive the step's (q, d) direction block, the
-one its estimator used, and hold it for that step only. The Adam-family
-steps double as first-order reference optimizers when fed an analytic
-gradient.
+Every step reads a step's projected-gradient scalars and its (q, d)
+direction block, held for that step only, never in any state. The
+scalar-state rules sum c_i * u_i themselves; the vector-state rules step on
+the estimate gradient_estimate builds. The Adam-family steps double as
+first-order reference optimizers when fed an analytic gradient.
 
 The methods differ only in the state they keep and in their update rule.
 Method is the one place that maps an optimizer name to both; the harness,
@@ -20,11 +19,11 @@ import numpy as np
 
 from .errors import DegenerateScaleError, InvalidArgumentError, NumericFailureError
 from .estimators import (
+    Partition,
     _direction_sum,
     _evaluate,
     efficient_grouped_eval,
-    grouped_zo_gradient,
-    zo_gradient,
+    gradient_estimate,
     zo_scalars,
 )
 from .perturb import PerturbationSpec, step_directions
@@ -259,20 +258,20 @@ def fzoo_step(f, x, state, step, counter=None):
     return x - state.eta * g, sigma
 
 
-# name -> (state class, update(method, x, t, estimate, scalars, directions)).
+# name -> (state class, update(method, x, t, scalars, directions)).
 # An update looks its step rule up when it runs, so a wrapper put on the
-# module's function is the one called. Updates whose state is MeazoState or
-# GroupedMeazoState get no estimate: they sum c_i u_i themselves. fo-adam
-# steps on an analytic gradient passed to zo_adam_step; fzoo_step estimates
-# and updates in one.
+# module's function is the one called. The vector-state updates step on the
+# estimate gradient_estimate builds from the scalars and directions; the
+# scalar-state ones sum c_i u_i themselves. fo-adam steps on an analytic
+# gradient passed to zo_adam_step; fzoo_step estimates and updates in one.
 _METHODS = {
-    "zo-sgd": (SgdState, lambda m, x, t, est, s, u: zo_sgd_step(x, est, m.state.eta)),
-    "zo-adam": (AdamState, lambda m, x, t, est, s, u: zo_adam_step(m.state, x, est)),
-    "radazo": (AdamState, lambda m, x, t, est, s, u: radazo_step(m.state, x, est)),
-    "meazo": (MeazoState, lambda m, x, t, est, s, u: meazo_step(m.state, x, s, u)),
+    "zo-sgd": (SgdState, lambda m, x, t, s, u: zo_sgd_step(x, m.estimate(s, u), m.state.eta)),
+    "zo-adam": (AdamState, lambda m, x, t, s, u: zo_adam_step(m.state, x, m.estimate(s, u))),
+    "radazo": (AdamState, lambda m, x, t, s, u: radazo_step(m.state, x, m.estimate(s, u))),
+    "meazo": (MeazoState, lambda m, x, t, s, u: meazo_step(m.state, x, s, u)),
     # Draws its block a second time for the update: the benchmark's tracer
     # tests pin perturb.regen_ratio == 2.0 on it (ROADMAP item 6).
-    "meazo-grouped": (GroupedMeazoState, lambda m, x, t, est, s, u: grouped_meazo_step(
+    "meazo-grouped": (GroupedMeazoState, lambda m, x, t, s, u: grouped_meazo_step(
         m.state, x, s, m.partition, step_directions(m.spec, t, m.q, m.d))),
     "fzoo": (FzooState, None),
     "fo-adam": (AdamState, None),
@@ -283,9 +282,9 @@ class Method:
     """One optimizer by name: the state it keeps and the step it takes.
 
     consts are hyper-parameters by state field name; the state takes those
-    it declares. With a partition the step uses the grouped estimator,
-    prefix-cached over chain when one is given, and the plain q-sample
-    estimator without one.
+    it declares. A step reads its scalars from efficient_grouped_eval over
+    chain when a chain and its layers partition are given, and from
+    zo_scalars (grouped with a partition) otherwise.
     """
 
     @staticmethod
@@ -301,11 +300,18 @@ class Method:
             raise InvalidArgumentError(f"{name} requires a partition")
         if cls in (MeazoState, FzooState) and partition is not None:
             raise InvalidArgumentError(f"{name} does not support a partition")
+        if chain is not None and partition is not None and not np.array_equal(
+                partition.block_of, Partition.from_ranges(chain.d, chain.slices).block_of):
+            raise InvalidArgumentError("with a chain, the partition must be the chain's layers")
         args = {"eta": eta, "spec": spec, "q": q, "dim": d,
                 "p": partition.p if partition is not None else 1, **consts}
         self.state = cls(**{f.name: args[f.name] for f in fields(cls) if f.name in args})
         self.name, self.spec, self.q, self.d = name, spec, q, d
         self.partition, self.chain = partition, chain
+
+    def estimate(self, scalars, directions):
+        """The step's gradient estimate from its scalars and directions."""
+        return gradient_estimate(scalars, directions, self.spec.distribution, self.partition)
 
     def step(self, f, x, t, counter=None):
         """One step of f from x at step t; returns the next point."""
@@ -317,11 +323,7 @@ class Method:
         spec, q = self.spec, self.q
         dirs = step_directions(spec, t, q, self.d)
         if self.chain is not None and self.partition is not None:
-            est, scalars = efficient_grouped_eval(self.chain, x, spec, q, t, counter, dirs)
-        elif isinstance(self.state, (MeazoState, GroupedMeazoState)):
-            est, scalars = None, zo_scalars(f, x, spec, q, t, counter, dirs, self.partition)
-        elif self.partition is None:
-            est, scalars = zo_gradient(f, x, spec, q, t, counter, dirs)
+            scalars = efficient_grouped_eval(self.chain, x, spec, q, t, counter, dirs)
         else:
-            est, scalars = grouped_zo_gradient(f, x, spec, q, self.partition, t, counter, dirs)
-        return self._update(self, x, t, est, scalars, dirs)
+            scalars = zo_scalars(f, x, spec, q, t, counter, dirs, self.partition)
+        return self._update(self, x, t, scalars, dirs)

@@ -29,7 +29,7 @@ from zoptim import (
     collapse_study,
     efficient_grouped_eval,
     equal_energy_point,
-    grouped_zo_gradient,
+    gradient_estimate,
     mc_squared_moment,
     meazo_bound,
     meazo_step,
@@ -41,6 +41,7 @@ from zoptim import (
     write_trace_csv,
     zo_adam_step,
     zo_gradient,
+    zo_scalars,
     zosgd_bound,
 )
 from zoptim.perturb import GAUSSIAN, RADEMACHER, UNIFORM, keyed_generator
@@ -189,15 +190,14 @@ def test_prefix_caching_block_forward_counts():
     x = keyed_generator(0, 0xACC2).standard_normal(chain.d) * 0.1
 
     efficient = EvalCounter()
-    est_eff, _ = efficient_grouped_eval(chain, x, spec, 1, 0, efficient)
+    part = Partition.from_ranges(chain.d, list(chain.slices))
+    est_eff = gradient_estimate(efficient_grouped_eval(chain, x, spec, 1, 0, efficient),
+                                step_directions(spec, 0, 1, chain.d), GAUSSIAN, part)
     assert efficient.block_forward_calls == 16 * 1 * 17 + 15 == 287
     assert efficient.full_forward_calls == 0
 
     naive = EvalCounter()
-    part = Partition.from_ranges(chain.d, list(chain.slices))
-    est_naive, _ = grouped_zo_gradient(
-        chain_as_objective(chain, naive), x, spec, 1, part, 0, naive
-    )
+    est_naive = zo_gradient(chain_as_objective(chain, naive), x, spec, 1, 0, naive, partition=part)
     assert naive.block_forward_calls == 2 * 1 * 16 * 16 == 512
     assert round(512 / 287, 3) == 1.784
     assert est_eff.tobytes() == est_naive.tobytes()
@@ -243,9 +243,9 @@ def test_scalar_and_coordinate_adaptive_agree_in_one_dimension():
     x_m = np.array([0.5])
     x_a = x_m.copy()
     for t in range(100):
-        est, scalars = zo_gradient(quad.value, x_a, spec, 1, t)
+        est = zo_gradient(quad.value, x_a, spec, 1, t)
         x_a = zo_adam_step(adam, x_a, est)
-        _, scalars_m = zo_gradient(quad.value, x_m, spec, 1, t)
+        scalars_m = zo_scalars(quad.value, x_m, spec, 1, t)
         x_m = meazo_step(meazo, x_m, scalars_m, step_directions(spec, t, 1, 1))
         assert abs(x_m[0] - x_a[0]) <= 1e-12
 
@@ -313,7 +313,7 @@ def test_deterministic_traces_and_state_memory_shape(tmp_path):
         state = MeazoState(eta=1e-3)
         x = np.full(d, 0.1)
         for t in range(5):
-            _, scalars = zo_gradient(quad.value, x, spec, 2, t)
+            scalars = zo_scalars(quad.value, x, spec, 2, t)
             x = meazo_step(state, x, scalars, step_directions(spec, t, 2, d))
         assert isinstance(state.v, float)
         adam = AdamState(dim=d, eta=1e-3)

@@ -583,6 +583,42 @@ def test_negative_verify_tolerance_is_a_config_error(tmp_path, capsys, command, 
     assert not out.exists()
 
 
+REDUCTION = bounds_cfg()["reduction"]
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("verify-bounds", bounds_cfg(reduction={**REDUCTION, "f0": -1.0}),
+         "reduction.f0 must be >= 0"),
+        ("verify-bounds", bounds_cfg(reduction={**REDUCTION, "d": 9.5}),
+         "reduction.d must be an integer"),
+        ("verify-bounds", bounds_cfg(reduction={**REDUCTION, "T": 0}), "reduction.T must be >= 1"),
+        ("verify-bounds", bounds_cfg(reduction={**REDUCTION, "L": -1.0}),
+         "reduction.L must be > 0"),
+        ("verify-bounds", bounds_cfg(f0=-1.0), "config.f0 must be >= 0"),
+        ("verify-bounds", bounds_cfg(radius=0.0), "config.radius must be > 0"),
+        ("verify-bounds", bounds_cfg(d=0), "config.d must be >= 1"),
+        ("verify-bounds", bounds_cfg(meazo={"eta": -1e-4, "T": 20}), "meazo.eta must be > 0"),
+        ("verify-bounds", bounds_cfg(zosgd={"eta": 0.0, "T": 20}), "zosgd.eta must be > 0"),
+        ("verify-moments", {"cases": [{"g": [1.0, 0.0], "n": 100}, {"g": [0.0, 0.0], "n": 100}]},
+         "cases[1]: g predicts a zero second moment"),
+        ("verify-moments", {"cases": [{"g": [1.0, 0.0], "q": 1.5, "n": 100}]},
+         "cases[0].q must be an integer"),
+    ],
+    ids=["reduction-negative-f0", "reduction-fractional-d", "reduction-zero-T",
+         "reduction-negative-L", "bounds-negative-f0", "bounds-zero-radius", "bounds-zero-d",
+         "meazo-negative-eta", "zosgd-zero-eta", "moments-zero-g", "moments-fractional-q"],
+)
+def test_out_of_domain_verify_fields_exit_two_naming_the_field(tmp_path, capsys, command,
+                                                                payload, message):
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 CONTRACT_POOL = (None, True, "x", -1, 0, 0.5, 1.5, [], {}, [1], float("nan"), float("inf"))
 CONTRACT_BASE = {
     "objective": {
@@ -629,12 +665,61 @@ CONTRACT_BASES = {
 }
 
 
+# The kind each number, flag and named-choice field of CONTRACT_BASES is
+# read as: "int" and "count" (>= 1) and "seed" (>= 0) take integral numbers,
+# "float", "positive" (> 0) and "nonneg" (>= 0) any finite number, "flag" a
+# boolean, and "choice" one of its names, which no pool value is.
+CONTRACT_KINDS = {
+    "run": {
+        "objective.kind": "choice", "objective.d": "int", "objective.regime": "choice",
+        "objective.seed": "seed", "objective.sigma": "nonneg", "objective.noise_seed": "seed",
+        "optimizer.name": "choice", "optimizer.eta": "float", "optimizer.beta": "float",
+        "optimizer.zeta": "float", "T": "count", "q": "count", "epsilon": "positive",
+        "distribution": "choice", "eval_every": "count", "threshold": "positive",
+        "stop_at_threshold": "flag", "x0.mode": "choice", "x0.scale": "float",
+        "wall_clock": "flag", "grouped_eval": "choice", "metric": "choice",
+    },
+    "verify-bounds": {
+        "d": "count", "regime": "choice", "quad_seed": "seed", "q": "count",
+        "epsilon": "positive", "distribution": "choice", "sigma": "nonneg",
+        "noise_seed": "seed", "f0": "nonneg", "radius": "positive", "seeds": "count",
+        "meazo.eta": "positive", "meazo.T": "count", "meazo.beta": "float",
+        "meazo.zeta": "float", "zosgd.eta": "positive", "zosgd.T": "count",
+        "reduction.d": "count", "reduction.q": "positive", "reduction.epsilon": "positive",
+        "reduction.L": "positive", "reduction.sigma": "nonneg", "reduction.eta": "positive",
+        "reduction.T": "count", "reduction.f0": "nonneg", "reduction.tol": "nonneg",
+    },
+    "fig2": {
+        "eta": "positive", "q": "count", "threshold": "positive", "max_steps": "count",
+        "x0_norm": "positive", "seed": "seed", "regime": "choice", "quad_seed": "seed",
+        "tail": "count", "epsilon": "positive", "beta1": "float", "beta2": "float",
+        "zeta": "positive", "distribution": "choice", "series": "flag",
+    },
+    "verify-moments": {
+        "cases.0.q": "count", "cases.0.distribution": "choice", "cases.0.n": "count",
+        "cases.0.tol": "nonneg", "cases.0.seed": "seed",
+    },
+}
+
+
+def in_kind(value, kind):
+    """Whether a pool value lies inside a CONTRACT_KINDS kind."""
+    if kind in ("flag", "choice"):
+        return kind == "flag" and isinstance(value, bool)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        return False
+    if kind in ("int", "count", "seed") and value != int(value):
+        return False
+    low = {"count": 1, "seed": 0, "nonneg": 0}.get(kind)
+    return value > 0 if kind == "positive" else low is None or value >= low
+
+
 def contract_fields(raw, path=()):
     """Every key path of a config, nested sections and the first entry of a
-    list of sections included."""
+    list of sections included, with its value."""
     items = raw.items() if isinstance(raw, dict) else [(0, raw[0])]
     for key, value in items:
-        yield path + (key,)
+        yield path + (key,), value
         if isinstance(value, dict) or (value and isinstance(value, list)
                                        and isinstance(value[0], dict)):
             yield from contract_fields(value, path + (key,))
@@ -643,13 +728,17 @@ def contract_fields(raw, path=()):
 def test_every_field_set_to_every_pool_value_exits_with_a_contract_code(tmp_path):
     # Exit codes: 0 success, 2 bad config, 3 numeric failure or failed
     # verification, 4 every run diverged; a traceback escaping main would
-    # fail the test.
+    # fail the test. A value outside its field's kind is a bad config.
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "out"
     n = 0
     for command, base in CONTRACT_BASES.items():
         seen = set()
-        for path in contract_fields(base):
+        kinds = CONTRACT_KINDS[command]
+        for path, base_value in contract_fields(base):
+            kind = kinds.get(".".join(map(str, path)))
+            # Every field but a list or a section has a kind here.
+            assert kind is not None or isinstance(base_value, (list, dict)), (command, path)
             for value in CONTRACT_POOL:
                 raw = json.loads(json.dumps(base))
                 section = raw
@@ -659,6 +748,8 @@ def test_every_field_set_to_every_pool_value_exits_with_a_contract_code(tmp_path
                 cfg.write_text(json.dumps(raw))
                 code = main([command, "--config", str(cfg), "--out", str(out / str(n))])
                 assert code in (0, 2, 3, 4), (command, path, value, code)
+                if kind is not None and not in_kind(value, kind):
+                    assert code == 2, (command, path, value, code)
                 seen.add(code)
                 n += 1
         assert {0, 2} <= seen, command

@@ -21,7 +21,7 @@ from zoptim import (
     ReplayCoordinate,
     chain_as_objective,
     efficient_grouped_eval,
-    grouped_zo_gradient,
+    gradient_estimate,
     projected_gradient,
     sample_direction,
     step_directions,
@@ -101,7 +101,8 @@ def test_projected_gradient_raises_on_nonfinite_objective():
 def test_zo_gradient_combines_scalars_and_directions():
     a = np.array([1.5, -2.0, 0.25, 1.0])
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-6, base_seed=13)
-    est, scalars = zo_gradient(affine(a), np.zeros(4), spec, q=3, step=8)
+    est = zo_gradient(affine(a), np.zeros(4), spec, q=3, step=8)
+    scalars = zo_scalars(affine(a), np.zeros(4), spec, q=3, step=8)
     dirs = [sample_direction(spec, ReplayCoordinate(8, i, 0), 4) for i in range(3)]
     assert scalars == pytest.approx([float(a @ u) for u in dirs], rel=1e-9)
     want = sum(s * u for s, u in zip(scalars, dirs)) / 3
@@ -111,7 +112,8 @@ def test_zo_gradient_combines_scalars_and_directions():
 def test_zo_gradient_applies_dimension_scaling_for_uniform_sphere():
     a = np.array([1.0, 2.0])
     spec = PerturbationSpec(distribution=UNIFORM, epsilon=1e-6, base_seed=2)
-    est, scalars = zo_gradient(affine(a), np.zeros(2), spec, q=1, step=0)
+    est = zo_gradient(affine(a), np.zeros(2), spec, q=1, step=0)
+    scalars = zo_scalars(affine(a), np.zeros(2), spec, q=1, step=0)
     u = sample_direction(spec, ReplayCoordinate(0, 0, 0), 2)
     np.testing.assert_allclose(est, 2 * scalars[0] * u, rtol=1e-12)
 
@@ -122,7 +124,7 @@ def test_zo_gradient_long_run_mean_approaches_the_gradient():
     total = np.zeros(3)
     steps = 4000
     for t in range(steps):
-        est, _ = zo_gradient(affine(a), np.zeros(3), spec, q=4, step=t)
+        est = zo_gradient(affine(a), np.zeros(3), spec, q=4, step=t)
         total += est
     np.testing.assert_allclose(total / steps, a, atol=0.08)
 
@@ -193,7 +195,7 @@ def test_grouped_estimator_masks_one_direction_per_sample():
     a = np.array([1.0, -2.0, 3.0, 0.5])
     part = Partition.from_ranges(4, [(0, 2), (2, 4)])
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-6, base_seed=3)
-    est, scalars = grouped_zo_gradient(affine(a), np.zeros(4), spec, 2, part, step=5)
+    scalars = zo_scalars(affine(a), np.zeros(4), spec, 2, step=5, partition=part)
     assert scalars.shape == (2, 2)
     for i in range(2):
         u = sample_direction(spec, ReplayCoordinate(5, i, 0), 4)
@@ -207,8 +209,10 @@ def test_grouped_estimator_with_one_block_matches_ungrouped_bitwise(distribution
     x = np.full(4, 0.1)
     spec = PerturbationSpec(distribution=distribution, epsilon=1e-5, base_seed=6)
     part = Partition(4, [np.arange(4)])
-    grouped_est, grouped_scalars = grouped_zo_gradient(quad.value, x, spec, 3, part, step=2)
-    plain_est, plain_scalars = zo_gradient(quad.value, x, spec, 3, step=2)
+    grouped_est = zo_gradient(quad.value, x, spec, 3, step=2, partition=part)
+    plain_est = zo_gradient(quad.value, x, spec, 3, step=2)
+    grouped_scalars = zo_scalars(quad.value, x, spec, 3, step=2, partition=part)
+    plain_scalars = zo_scalars(quad.value, x, spec, 3, step=2)
     assert grouped_est.tobytes() == plain_est.tobytes()
     assert grouped_scalars[:, 0].tobytes() == plain_scalars.tobytes()
 
@@ -217,7 +221,7 @@ def test_grouped_estimator_rejects_partition_dimension_mismatch():
     part = Partition(3, [np.arange(3)])
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-6)
     with pytest.raises(InvalidArgumentError):
-        grouped_zo_gradient(affine([1.0, 1.0]), np.zeros(2), spec, 1, part, 0)
+        zo_gradient(affine([1.0, 1.0]), np.zeros(2), spec, 1, 0, partition=part)
 
 
 def test_grouped_full_evaluation_count_is_2qp():
@@ -225,7 +229,7 @@ def test_grouped_full_evaluation_count_is_2qp():
     part = Partition.from_ranges(4, [(0, 2), (2, 4)])
     counter = EvalCounter()
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-6)
-    grouped_zo_gradient(quad.value, np.zeros(4), spec, 3, part, 0, counter)
+    zo_gradient(quad.value, np.zeros(4), spec, 3, 0, counter, partition=part)
     assert counter.full_forward_calls == 2 * 3 * 2
 
 
@@ -235,10 +239,12 @@ def test_efficient_grouped_eval_matches_naive_grouped_bitwise():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(chain.d) * 0.3
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-5, base_seed=9)
-    eff_est, eff_scalars = efficient_grouped_eval(chain, x, spec, 2, step=7)
-    naive_est, naive_scalars = grouped_zo_gradient(chain.value, x, spec, 2, part, step=7)
-    assert eff_est.tobytes() == naive_est.tobytes()
+    eff_scalars = efficient_grouped_eval(chain, x, spec, 2, step=7)
+    naive_scalars = zo_scalars(chain.value, x, spec, 2, step=7, partition=part)
     assert eff_scalars.tobytes() == naive_scalars.tobytes()
+    eff_est = gradient_estimate(eff_scalars, step_directions(spec, 7, 2, chain.d),
+                                spec.distribution, part)
+    assert eff_est.tobytes() == zo_gradient(chain.value, x, spec, 2, 7, partition=part).tobytes()
 
 
 def test_efficient_grouped_eval_block_forward_count_formula():
@@ -253,7 +259,7 @@ def test_efficient_grouped_eval_block_forward_count_formula():
 
     naive = EvalCounter()
     part = Partition.from_ranges(chain.d, chain.slices)
-    grouped_zo_gradient(chain_as_objective(chain, naive), x, spec, q, part, 0)
+    zo_scalars(chain_as_objective(chain, naive), x, spec, q, 0, partition=part)
     assert naive.block_forward_calls == 2 * q * p * p
 
 
@@ -294,7 +300,7 @@ def test_efficient_grouped_eval_names_the_first_failure_in_per_point_order():
     dirs[1, slice(*chain.slices[1])] = np.nan
     dirs[2, slice(*chain.slices[0])] = np.nan
     with pytest.raises(NumericFailureError) as naive:
-        grouped_zo_gradient(chain.value, x, spec, q, part, 0, directions=dirs)
+        zo_scalars(chain.value, x, spec, q, 0, directions=dirs, partition=part)
     with pytest.raises(NumericFailureError) as efficient:
         efficient_grouped_eval(chain, x, spec, q, 0, directions=dirs)
     assert type(efficient.value.value) is float and np.isnan(efficient.value.value)
@@ -303,13 +309,12 @@ def test_efficient_grouped_eval_names_the_first_failure_in_per_point_order():
     assert str(efficient.value) == str(naive.value)
 
 
-def estimate_or_failure(estimator, *args, **kwargs):
-    """(estimate bytes, scalars bytes), or the NumericFailureError's message and point."""
+def scalars_or_failure(evaluate, *args, **kwargs):
+    """(scalars bytes, None), or the NumericFailureError's message and point."""
     try:
-        est, scalars = estimator(*args, **kwargs)
+        return evaluate(*args, **kwargs).tobytes(), None
     except NumericFailureError as exc:
         return str(exc), exc.point
-    return est.tobytes(), scalars.tobytes()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -349,9 +354,9 @@ def test_layerwise_pass_equals_per_block_resumption_and_naive_grouped(
         assert losses[j].tobytes() == resumed.tobytes()
 
     part = Partition.from_ranges(chain.d, chain.slices)
-    naive = estimate_or_failure(grouped_zo_gradient, chain_as_objective(chain), x, spec, q, part,
-                                3, directions=dirs)
-    efficient = estimate_or_failure(efficient_grouped_eval, chain, x, spec, q, 3, directions=dirs)
+    naive = scalars_or_failure(zo_scalars, chain_as_objective(chain), x, spec, q, 3,
+                               directions=dirs, partition=part)
+    efficient = scalars_or_failure(efficient_grouped_eval, chain, x, spec, q, 3, directions=dirs)
     assert efficient[0] == naive[0]
     # A naive + point adds +0.0 outside its block, which turns -0.0 into 0.0.
     np.testing.assert_array_equal(efficient[1], naive[1])
@@ -368,13 +373,13 @@ def test_efficient_grouped_eval_requires_sequential_structure():
 
 def test_estimators_reject_nonpositive_q():
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-6)
-    with pytest.raises(InvalidArgumentError):
-        zo_gradient(affine([1.0]), np.zeros(1), spec, 0, 0)
-    with pytest.raises(InvalidArgumentError):
-        grouped_zo_gradient(affine([1.0]), np.zeros(1), spec, 0, Partition(1, [[0]]), 0)
+    for estimator in (zo_gradient, zo_scalars):
+        for partition in (None, Partition(1, [[0]])):
+            with pytest.raises(InvalidArgumentError):
+                estimator(affine([1.0]), np.zeros(1), spec, 0, 0, partition=partition)
 
 
-# The per-direction loops zo_gradient and grouped_zo_gradient ran before they
+# The per-direction loops the q-sample and grouped estimators ran before they
 # became one point-matrix body; the merged body must match them bit for bit.
 def reference_zo_gradient(f, x, spec, q, directions, counter=None):
     x = np.asarray(x, dtype=np.float64)
@@ -431,12 +436,14 @@ def test_point_matrix_estimators_match_the_per_direction_loops_bitwise(distribut
     part = scattered_partition(d, min(p, d), p)
 
     got, want = EvalCounter(), EvalCounter()
-    est, scalars = zo_gradient(quad.value, x, spec, q, 4, got)
+    est = zo_gradient(quad.value, x, spec, q, 4)
+    scalars = zo_scalars(quad.value, x, spec, q, 4, got)
     ref_est, ref_scalars = reference_zo_gradient(quad.value, x, spec, q, dirs, want)
     assert est.tobytes() == ref_est.tobytes()
     assert scalars.shape == (q,) and scalars.tobytes() == ref_scalars.tobytes()
 
-    est, scalars = grouped_zo_gradient(quad.value, x, spec, q, part, 4, got)
+    est = zo_gradient(quad.value, x, spec, q, 4, partition=part)
+    scalars = zo_scalars(quad.value, x, spec, q, 4, got, partition=part)
     ref_est, ref_scalars = reference_grouped_zo_gradient(quad.value, x, spec, q, part, dirs, want)
     assert est.tobytes() == ref_est.tobytes()
     assert scalars.shape == (q, part.p) and scalars.tobytes() == ref_scalars.tobytes()
@@ -463,10 +470,7 @@ def test_point_matrix_estimators_stop_at_the_first_nonfinite_point(grouped):
         calls, ref_calls = [], []
         got, want = EvalCounter(), EvalCounter()
         with pytest.raises(NumericFailureError) as err:
-            if grouped:
-                grouped_zo_gradient(failing_at(k, calls), x, spec, q, part, 0, got, dirs)
-            else:
-                zo_gradient(failing_at(k, calls), x, spec, q, 0, got, dirs)
+            zo_gradient(failing_at(k, calls), x, spec, q, 0, got, dirs, part if grouped else None)
         with pytest.raises(NumericFailureError) as ref:
             if grouped:
                 reference_grouped_zo_gradient(failing_at(k, ref_calls), x, spec, q, part, dirs, want)
@@ -542,18 +546,26 @@ def test_chunked_points_equal_the_unchunked_expression(data, d, q, blocks, seed,
         assert len(chunks) > 1
 
 
-def test_zo_gradient_and_grouped_zo_gradient_are_their_scalars_combined():
+def test_zo_gradient_is_the_gradient_estimate_of_its_scalars():
     quad = BlockQuadratic(9, regime="heterogeneous", seed=2)
     x = signed_zero_point(9, 3)
     spec = PerturbationSpec(distribution=UNIFORM, epsilon=1e-5, base_seed=4)
     part = scattered_partition(9, 3, 1)
-    for partition, estimate in ((None, zo_gradient), (part, grouped_zo_gradient)):
-        args = (quad.value, x, spec, 4) + ((partition,) if partition else ()) + (6,)
-        est, scalars = estimate(*args)
+    dirs = step_directions(spec, 6, 4, 9)
+    for partition in (None, part):
+        est = zo_gradient(quad.value, x, spec, 4, 6, partition=partition)
         alone = zo_scalars(quad.value, x, spec, 4, 6, partition=partition)
-        assert scalars.tobytes() == alone.tobytes()
-        ref = (reference_grouped_zo_gradient(quad.value, x, spec, 4, partition,
-                                             step_directions(spec, 6, 4, 9))
-               if partition else
-               reference_zo_gradient(quad.value, x, spec, 4, step_directions(spec, 6, 4, 9)))
+        assert est.tobytes() == gradient_estimate(alone, dirs, UNIFORM, partition).tobytes()
+        ref = (reference_grouped_zo_gradient(quad.value, x, spec, 4, partition, dirs)
+               if partition else reference_zo_gradient(quad.value, x, spec, 4, dirs))
         assert est.tobytes() == ref[0].tobytes()
+        assert alone.tobytes() == ref[1].tobytes()
+
+
+def test_gradient_estimate_rejects_scalars_of_the_wrong_shape():
+    part = Partition.from_ranges(4, [(0, 2), (2, 4)])
+    dirs = np.ones((3, 4))
+    for partition, bad in ((part, (3,)), (part, (3, 1)), (part, (3, 3)), (part, (2, 2)),
+                           (None, (3, 4)), (None, (2,))):
+        with pytest.raises(InvalidArgumentError, match="scalars must have shape"):
+            gradient_estimate(np.ones(bad), dirs, GAUSSIAN, partition)

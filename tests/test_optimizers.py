@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zoptim.optimizers
 import zoptim.perturb
 from zoptim import (
     AdamState,
@@ -18,6 +19,7 @@ from zoptim import (
     FzooState,
     GroupedMeazoState,
     InvalidArgumentError,
+    LayeredChain,
     MeazoState,
     Method,
     NumericFailureError,
@@ -26,16 +28,16 @@ from zoptim import (
     SgdState,
     fzoo_step,
     grouped_meazo_step,
-    grouped_zo_gradient,
     meazo_step,
     radazo_step,
     step_directions,
     zo_adam_step,
     zo_gradient,
+    zo_scalars,
     zo_sgd_step,
 )
 from zoptim.harness import _vhat_stats
-from zoptim.perturb import DISTRIBUTIONS, GAUSSIAN, RADEMACHER
+from zoptim.perturb import DISTRIBUTIONS, GAUSSIAN, RADEMACHER, UNIFORM
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from step_memory import step_peak  # noqa: E402  (the bench table's own measurement)
@@ -109,7 +111,7 @@ def test_scalar_adaptive_state_stays_one_scalar_for_any_dimension():
         quad = BlockQuadratic(d if d == 1 else 49, regime="homogeneous", seed=0)
         x = np.full(quad.d, 0.1)
         for t in range(3):
-            _, scalars = zo_gradient(quad.value, x, spec, 2, t)
+            scalars = zo_scalars(quad.value, x, spec, 2, t)
             x = meazo_step(state, x, scalars, step_directions(spec, t, 2, quad.d))
         assert isinstance(state.v, float)
 
@@ -157,9 +159,9 @@ def test_grouped_scalar_adaptive_with_one_block_is_bit_identical_to_ungrouped():
     x_grouped = x_plain.copy()
     for t in range(50):
         dirs = step_directions(spec, t, 2, 4)
-        _, s_plain = zo_gradient(quad.value, x_plain, spec, 2, t, None, dirs)
+        s_plain = zo_scalars(quad.value, x_plain, spec, 2, t, None, dirs)
         x_plain = meazo_step(plain, x_plain, s_plain, dirs)
-        _, s_grouped = grouped_zo_gradient(quad.value, x_grouped, spec, 2, part, t)
+        s_grouped = zo_scalars(quad.value, x_grouped, spec, 2, t, partition=part)
         x_grouped = grouped_meazo_step(
             grouped, x_grouped, s_grouped, part, step_directions(spec, t, 2, 4)
         )
@@ -190,8 +192,10 @@ def test_one_block_grouping_equals_ungrouped_for_any_law_and_size(distribution, 
     x_plain = np.linspace(-1.0, 1.0, d)
     x_grouped = x_plain.copy()
     for t in range(steps):
-        est, scalars = zo_gradient(f, x_plain, spec, q, t)
-        grouped_est, grouped_scalars = grouped_zo_gradient(f, x_grouped, spec, q, part, t)
+        est = zo_gradient(f, x_plain, spec, q, t)
+        grouped_est = zo_gradient(f, x_grouped, spec, q, t, partition=part)
+        scalars = zo_scalars(f, x_plain, spec, q, t)
+        grouped_scalars = zo_scalars(f, x_grouped, spec, q, t, partition=part)
         assert grouped_est.tobytes() == est.tobytes()
         assert grouped_scalars[:, 0].tobytes() == scalars.tobytes()
         x_plain = plain.step(f, x_plain, t)
@@ -375,14 +379,14 @@ def test_each_direction_is_drawn_once_per_step(draw_count):
     want = [(t, i, 0) for i in range(q)]
 
     dirs = step_directions(spec, t, q, 9)
-    _, scalars = zo_gradient(quad.value, x, spec, q, t, None, dirs)
+    scalars = zo_scalars(quad.value, x, spec, q, t, None, dirs)
     x_plain = meazo_step(MeazoState(eta=1e-3), x, scalars, dirs)
     assert draw_count == want
 
     draw_count.clear()
     part = Partition(9, [np.arange(9)])
     dirs = step_directions(spec, t, q, 9)
-    _, scalars = grouped_zo_gradient(quad.value, x, spec, q, part, t, None, dirs)
+    scalars = zo_scalars(quad.value, x, spec, q, t, None, dirs, part)
     x_grouped = grouped_meazo_step(GroupedMeazoState(p=1, eta=1e-3), x, scalars, part, dirs)
     assert draw_count == want
     assert x_grouped.tobytes() == x_plain.tobytes()
@@ -396,12 +400,12 @@ def test_a_given_direction_block_matches_the_self_drawn_one():
     quad = BlockQuadratic(9, regime="heterogeneous", seed=0)
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-6, base_seed=3)
     x = np.full(9, 0.1)
-    est, scalars = zo_gradient(quad.value, x, spec, 3, 5)
-    est_b, scalars_b = zo_gradient(quad.value, x, spec, 3, 5, None, step_directions(spec, 5, 3, 9))
-    assert est.tobytes() == est_b.tobytes()
-    assert scalars.tobytes() == scalars_b.tobytes()
-    with pytest.raises(InvalidArgumentError):
-        zo_gradient(quad.value, x, spec, 3, 5, None, step_directions(spec, 5, 2, 9))
+    for estimator in (zo_gradient, zo_scalars):
+        drawn = estimator(quad.value, x, spec, 3, 5)
+        given = estimator(quad.value, x, spec, 3, 5, None, step_directions(spec, 5, 3, 9))
+        assert drawn.tobytes() == given.tobytes()
+        with pytest.raises(InvalidArgumentError):
+            estimator(quad.value, x, spec, 3, 5, None, step_directions(spec, 5, 2, 9))
 
 
 def test_method_steps_as_its_estimator_and_rule_do_by_hand(draw_count):
@@ -414,7 +418,7 @@ def test_method_steps_as_its_estimator_and_rule_do_by_hand(draw_count):
     assert draw_count == [(t, i, 0) for i in range(q)]
 
     dirs = step_directions(spec, t, q, 9)
-    _, scalars = zo_gradient(quad.value, x, spec, q, t, None, dirs)
+    scalars = zo_scalars(quad.value, x, spec, q, t, None, dirs)
     state = MeazoState(eta=1e-3, beta=0.9)
     assert got.tobytes() == meazo_step(state, x, scalars, dirs).tobytes()
     assert method.state == state
@@ -445,6 +449,81 @@ def test_method_rejects_a_partition_its_step_cannot_use(name):
     spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-4, base_seed=0)
     with pytest.raises(InvalidArgumentError, match=f"{name} does not support a partition"):
         Method(name, 0.1, spec, 2, 4, partition=Partition.contiguous(4, 2))
+
+
+def record_estimator_calls(monkeypatch):
+    """The names of the estimator functions Method.step calls, in call order."""
+    calls = []
+    for name in ("zo_scalars", "efficient_grouped_eval", "gradient_estimate"):
+        def recorded(*args, _fn=getattr(zoptim.optimizers, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(zoptim.optimizers, name, recorded)
+    return calls
+
+
+VECTOR_RULES = {
+    "zo-sgd": lambda state, x, est: zo_sgd_step(x, est, state.eta),
+    "zo-adam": zo_adam_step,
+    "radazo": radazo_step,
+}
+
+
+@pytest.mark.parametrize("grouped", [False, True], ids=["plain", "grouped"])
+@pytest.mark.parametrize("name", sorted(VECTOR_RULES))
+def test_vector_state_methods_step_on_the_estimate_of_one_scalars_call(monkeypatch, name,
+                                                                        grouped):
+    quad = BlockQuadratic(9, regime="heterogeneous", seed=0)
+    spec = PerturbationSpec(distribution=UNIFORM, epsilon=1e-6, base_seed=3)
+    part = Partition.contiguous(9, 3) if grouped else None
+    method = Method(name, 1e-2, spec, 3, 9, part)
+    hand = Method(name, 1e-2, spec, 3, 9, part).state
+    calls = record_estimator_calls(monkeypatch)
+    x = y = np.full(9, 0.1)
+    for t in range(3):
+        x = method.step(quad.value, x, t)
+        assert calls == ["zo_scalars", "gradient_estimate"]
+        calls.clear()
+        y = VECTOR_RULES[name](hand, y, zo_gradient(quad.value, y, spec, 3, t, partition=part))
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("name", ["meazo", "meazo-grouped"])
+def test_scalar_state_methods_build_no_estimate(monkeypatch, name):
+    quad = BlockQuadratic(9, regime="heterogeneous", seed=0)
+    spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-6, base_seed=3)
+    part = Partition.contiguous(9, 3) if name == "meazo-grouped" else None
+    method = Method(name, 1e-2, spec, 3, 9, part)
+    calls = record_estimator_calls(monkeypatch)
+    method.step(quad.value, np.full(9, 0.1), 0)
+    assert calls == ["zo_scalars"]
+
+
+@pytest.mark.parametrize("name", ["zo-sgd", "radazo", "meazo-grouped"])
+def test_a_chain_step_reads_its_scalars_from_one_layerwise_pass(monkeypatch, name):
+    chain = LayeredChain(3, [2, 3, 1, 2], seed=4)
+    part = Partition.from_ranges(chain.d, chain.slices)
+    spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-5, base_seed=9)
+    cached = Method(name, 1e-2, spec, 2, chain.d, part, chain)
+    naive = Method(name, 1e-2, spec, 2, chain.d, part)
+    calls = record_estimator_calls(monkeypatch)
+    x = y = np.random.default_rng(0).standard_normal(chain.d) * 0.3
+    for t in range(3):
+        x = cached.step(chain.value, x, t)
+        assert calls[0] == "efficient_grouped_eval" and "zo_scalars" not in calls
+        y = naive.step(chain.value, y, t)
+        calls.clear()
+        assert x.tobytes() == y.tobytes()
+
+
+def test_a_method_over_a_chain_takes_only_the_chains_layers_as_its_partition():
+    chain = LayeredChain(3, 2, seed=4)
+    (a0, b0), (a1, b1), (a2, b2) = chain.slices
+    shifted = Partition.from_ranges(chain.d, [(a0, b0 + 1), (a1 + 1, b1), (a2, b2)])
+    spec = PerturbationSpec(distribution=GAUSSIAN, epsilon=1e-5, base_seed=9)
+    for name in ("zo-sgd", "meazo-grouped"):
+        with pytest.raises(InvalidArgumentError, match="the chain's layers"):
+            Method(name, 1e-2, spec, 2, chain.d, shifted, chain)
 
 
 # The step rules and the trace's v-hat statistics before their means became
