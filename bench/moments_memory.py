@@ -3,9 +3,8 @@
     python bench/moments_memory.py --parent <checkout> [--rounds 3] [--seed 900] \\
         [--out BENCH_12.json]
 
-``<checkout>`` is a second checkout of the commit to compare against (for
-example made with ``git archive``); the change side is the tree this script
-lives in. Three configs are run:
+``<checkout>`` is a second checkout of the commit to compare against; the
+change side is the tree this script lives in. Three configs are run:
 
 - ``verify``: the moment cases of the perfbench verify workload, invocation 0
   of ``--seed``;
@@ -14,13 +13,11 @@ lives in. Three configs are run:
 - ``d1024-q10``: one case of d 1024, q 10 and n 40000.
 
 Each round runs ``python -m zoptim.cli verify-moments`` once per tree and
-config, with that tree's ``src`` on ``PYTHONPATH``, the BLAS thread variables
-cleared as perfbench does, and the first side alternating. For every run it
-records the wait4 peak RSS, wall time, user+sys CPU time and exit code, and
-whether ``moments.json`` equals the other tree's byte for byte. Per side and
-config the summary gives the median and the range of each measure. The
-result goes under ``moments_memory`` in the output file, next to the machine
-facts; other keys already in the file are kept.
+config, as ``bench/ab.py`` sets out. For every run it records the wait4 peak
+RSS, wall time, user+sys CPU time and exit code, and whether
+``moments.json`` equals the other tree's byte for byte. Per side and config
+the summary gives the median and the range of each measure. The result goes
+under ``moments_memory`` in the output file.
 """
 
 import argparse
@@ -35,12 +32,10 @@ import sys
 import tempfile
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
-from setup_child import facts  # noqa: E402  (Python, numpy, BLAS build and thread count)
-from workloads import _verify_inputs  # noqa: E402  (the verify workload's configs)
+import ab
 
-CHANGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+sys.path.insert(0, os.path.join(ab.CHANGE, "perfbench"))
+from workloads import _verify_inputs  # noqa: E402  (the verify workload's configs)
 
 
 def _unit(rng, d):
@@ -67,15 +62,14 @@ def configs(seed, work):
 
 
 def run_side(tree, config, out):
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_ENV}
-    env.update(PYTHONPATH=os.path.join(os.path.abspath(tree), "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "zoptim.cli", "verify-moments", "--config", config,
             "--out", out]
     started = time.perf_counter()
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    proc = subprocess.Popen(argv, env=ab.env(tree), stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - started
-    proc.returncode = os.waitstatus_to_exitcode(status)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
     digest = None
     if os.path.exists(os.path.join(out, "moments.json")):
         with open(os.path.join(out, "moments.json"), "rb") as fh:
@@ -102,38 +96,24 @@ def main():
     parser.add_argument("--out", default="BENCH_12.json")
     args = parser.parse_args()
 
-    sides = {"parent": args.parent, "change": CHANGE}
+    trees = ab.sides(args.parent)
     result = {}
     with tempfile.TemporaryDirectory() as work:
         for name, config in configs(args.seed, work).items():
-            runs = {side: [] for side in sides}
-            identical = []
-            for i in range(args.rounds):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                for side in order:
-                    runs[side].append(run_side(sides[side], config,
-                                               os.path.join(work, f"{name}-{side}-{i}")))
-                identical.append(runs["parent"][-1]["digest"] is not None
-                                 and runs["parent"][-1]["digest"] == runs["change"][-1]["digest"])
-                print(f"{name} round {i}: peak MB parent {runs['parent'][-1]['peak_rss_mb']:.1f} "
-                      f"change {runs['change'][-1]['peak_rss_mb']:.1f}, identical {identical[-1]}",
+            def run(side, i):
+                r = run_side(trees[side], config, os.path.join(work, f"{name}-{side}-{i}"))
+                print(f"{name} round {i} {side}: peak MB {r['peak_rss_mb']:.1f}",
                       file=sys.stderr, flush=True)
+                return r
+
+            runs = ab.alternate(args.rounds, run)
+            identical = [p["digest"] is not None and p["digest"] == c["digest"]
+                         for p, c in zip(runs["parent"], runs["change"])]
             result[name] = {"rounds": args.rounds, "moments_json_identical": identical,
                             **{side: {**summarise(r), "runs": r} for side, r in runs.items()}}
-    print(json.dumps({name: {side: r[side]["peak_rss_mb"]["median"] for side in sides}
+    print(json.dumps({name: {side: r[side]["peak_rss_mb"]["median"] for side in ab.SIDES}
                       for name, r in result.items()}))
-
-    payload = {}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            payload = json.load(fh)
-    payload["machine"] = {**{k: v for k, v in facts().items() if k != "zoptim_path"},
-                          "nproc": os.cpu_count()}
-    payload["moments_memory"] = {"seed": args.seed, **result}
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
+    ab.merge(args.out, {"seed": args.seed, **result}, "moments_memory")
 
 if __name__ == "__main__":
     main()

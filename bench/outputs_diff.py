@@ -2,18 +2,18 @@
 
     python bench/outputs_diff.py --parent <checkout> --configs 1000 --seed 0
 
-``<checkout>`` is a second checkout of the commit to compare against (for
-example made with ``git archive``); the change side is the tree this script
-lives in. A seeded generator writes ``--configs`` experiment configs over
-all six optimizers, both objectives (chains of 1 to 8 blocks, with one
-width or one per layer), observation noise, partitions, ``eval_every``,
-``stop_at_threshold`` and step sizes up to 1e3. Every fifth config is also
+``<checkout>`` is a second checkout of the commit to compare against; the
+change side is the tree this script lives in. A seeded generator writes
+``--configs`` experiment configs over all six optimizers, both objectives
+(chains of 1 to 8 blocks, with one width or one per layer), observation
+noise, partitions, ``eval_every``, ``stop_at_threshold`` and step sizes up
+to 1e3. Every fifth config is also
 swept: without its ``eta`` and with a ``coarse_grid`` of two or three
 neighbouring step sizes of the 1-5 ladder from 1e-6 to 5e2, drawn by a
 second generator so that the run configs do not depend on the sweeps. One
-child process per tree runs every config through
-``zoptim.cli.main(["run", ...])`` and every swept one through
-``main(["sweep", ...])``, with that tree's ``src`` first on ``PYTHONPATH``.
+child process per tree, run as ``bench/ab.py`` sets out, runs every config
+through ``zoptim.cli.main(["run", ...])`` and every swept one through
+``main(["sweep", ...])``.
 
 Every run (config, seed) whose trace CSV bytes or ``summary.json`` entry
 (without ``wall_time_s``) differ is listed with the parent's final loss and
@@ -29,11 +29,10 @@ import json
 import math
 import os
 import random
-import subprocess
-import sys
 import tempfile
 
-CHANGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+import ab
+
 OPTIMIZERS = ("zo-sgd", "zo-adam", "radazo", "meazo", "meazo-grouped", "fzoo")
 DISTRIBUTIONS = ("gaussian", "uniform", "rademacher", "ternary")
 LADDER = [float(f"{m}e{k}") for k in range(-6, 3) for m in (1, 5)]
@@ -54,8 +53,7 @@ for name in sorted(os.listdir(configs)):
         codes[name] = cli.main([command, "--config", os.path.join(configs, name), "--out", out])
     except Exception as exc:
         codes[name] = f"uncaught {type(exc).__name__}"
-json.dump({"codes": codes, "factor": harness.DIVERGENCE_FACTOR},
-          open(os.path.join(outputs, "codes.json"), "w"))
+print(json.dumps({"codes": codes, "factor": harness.DIVERGENCE_FACTOR}))
 """
 
 
@@ -108,15 +106,6 @@ def make_sweep(config, rng):
     return {**config, "optimizer": optimizer, "coarse_grid": grid}
 
 
-def run_tree(tree, configs, outputs):
-    os.makedirs(outputs)
-    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(tree), "src")}
-    subprocess.run([sys.executable, "-c", CHILD, configs, outputs], cwd=outputs, env=env,
-                   check=True, stderr=subprocess.DEVNULL)
-    with open(os.path.join(outputs, "codes.json")) as fh:
-        return json.load(fh)
-
-
 def read_outputs(directory):
     """{seed: (trace CSV bytes, summary entry text without wall_time_s, entry)}
     of one config's run; the text is compared, so NaN equals NaN."""
@@ -160,8 +149,11 @@ def main():
             if i % SWEEP_EVERY == 0:
                 with open(os.path.join(configs, f"s{i:05d}.json"), "w") as fh:
                     json.dump(make_sweep(config, sweep_rng), fh)
-        sides = {side: run_tree(tree, configs, os.path.join(tmp, side))
-                 for side, tree in (("parent", args.parent), ("change", CHANGE))}
+        sides = {}
+        for side, tree in ab.sides(args.parent).items():
+            os.makedirs(os.path.join(tmp, side))
+            sides[side] = ab.run_json(tree, ["-c", CHILD, configs, os.path.join(tmp, side)],
+                                      cwd=os.path.join(tmp, side))
 
         factor = sides["parent"]["factor"]
         n_runs = differing = off = n_sweeps = differing_sweeps = 0

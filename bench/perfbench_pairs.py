@@ -3,27 +3,16 @@
     python bench/perfbench_pairs.py --parent <checkout> --workload collapse-d1024 \\
         --pairs 10 --seed 100 [--seconds 22] [--out BENCH_2.json]
 
-``<checkout>`` is a second checkout of the commit to compare against (for
-example made with ``git archive``); the change side is the current
-directory. Pair i runs ``perfbench/run.py --workload W --seed (seed + i)
---trace 0`` once on each side, in each side's own directory, with the
-parent first on even pairs and the change first on odd ones. For every
-end-to-end metric of BENCHMARK.json the summary gives each side's median
-and quartiles over the pairs, the pairs the change won (ties count for
-neither side), and the failed checks. The per-pair values are kept too.
-The result goes under ``perfbench.<workload>`` in the output file; other
-keys already in it are kept.
-
-Each side runs with its own bytecode cache, ``PYTHONPYCACHEPREFIX`` set to
-``.perfbench_out/pycache`` in that side's directory, so a ``__pycache__``
-left in one tree cannot make that side start faster. The sides write that
-cache even when ``PYTHONDONTWRITEBYTECODE`` is inherited: the prefix hides
-every other cache, numpy's included, so without writing, each child would
-compile numpy from source (about 0.5 s of CPU and 3.5 MB of peak RSS per
-start on a 2-core VM). Both sides then start from warm caches of their own,
-so ``setup_s`` and ``peak_rss_mb`` leave out compiling zoptim. The file's
-``machine`` facts record the prefix and the inherited
-``PYTHONDONTWRITEBYTECODE``.
+``<checkout>`` is a second checkout of the commit to compare against; the
+change side is the tree this script lives in. Pair i runs
+``perfbench/run.py --workload W --seed (seed + i) --trace 0`` once on each
+side, in each side's own directory, as ``bench/ab.py`` sets out: the parent
+first on even pairs and the change first on odd ones, and each side with its
+own bytecode cache, so ``setup_s`` and ``peak_rss_mb`` leave out compiling
+zoptim. For every end-to-end metric of BENCHMARK.json the summary gives each
+side's median and quartiles over the pairs, the pairs the change won (ties
+count for neither side), and the failed checks. The per-pair values are kept
+too. The result goes under ``perfbench.<workload>`` in the output file.
 
 With ``--traced`` it instead runs ``--trace 1`` once per side (parent first)
 with seed ``--seed`` and stores both sides' per-layer metrics under
@@ -34,19 +23,14 @@ import argparse
 import json
 import os
 import statistics
-import subprocess
 import sys
 
-PYCACHE = os.path.join(".perfbench_out", "pycache")
+import ab
 
 
-def run_side(cwd, workload, seed, seconds, trace=0):
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
-    env = {**os.environ, "PYTHONPYCACHEPREFIX": os.path.join(cwd, PYCACHE)}
-    env.pop("PYTHONDONTWRITEBYTECODE", None)
-    proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+def run_side(tree, workload, seed, seconds, trace=0):
+    result = ab.run_json(tree, ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                                "--seconds", str(seconds), "--trace", str(trace)], cwd=tree)
     return {"failed": result["failed"], "attempted": result["attempted"],
             **{name: m["value"] for name, m in result["metrics"].items()}}
 
@@ -64,7 +48,7 @@ def summarise(runs, metrics):
         name = metric["name"]
         sign = 1 if metric["better"] == "lower" else -1
         row = {}
-        for side in ("parent", "change"):
+        for side in ab.SIDES:
             values = [r[side][name] for r in runs]
             q1, q3 = quartiles(values)
             row[side] = {"median": statistics.median(values), "q1": q1, "q3": q3}
@@ -96,54 +80,35 @@ def main():
                         help="one --trace 1 run per side instead of --trace 0 pairs")
     args = parser.parse_args()
 
-    with open("BENCHMARK.json") as fh:
+    with open(os.path.join(ab.CHANGE, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
-    sides = {"parent": os.path.abspath(args.parent), "change": os.getcwd()}
+    trees = ab.sides(args.parent)
     if args.traced:
-        store(args.out, "perfbench_traced", args.workload, {
+        ab.merge(args.out, {
             "command": f"perfbench/run.py --workload {args.workload} --seed {args.seed} "
                        f"--seconds {args.seconds} --trace 1",
-            **{side: run_side(root, args.workload, args.seed, args.seconds, trace=1)
-               for side, root in sides.items()},
-        })
+            **{side: run_side(tree, args.workload, args.seed, args.seconds, trace=1)
+               for side, tree in trees.items()},
+        }, "perfbench_traced", args.workload)
         return
 
-    runs = []
-    for i in range(args.pairs):
-        seed = args.seed + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            pair[side] = run_side(sides[side], args.workload, seed, args.seconds)
-        runs.append(pair)
-        print(f"pair {i} seed {seed}: wall_s parent {pair['parent']['wall_s']:.4g} "
-              f"change {pair['change']['wall_s']:.4g}", file=sys.stderr, flush=True)
+    def run(side, i):
+        r = run_side(trees[side], args.workload, args.seed + i, args.seconds)
+        print(f"pair {i} seed {args.seed + i} {side}: wall_s {r['wall_s']:.4g}",
+              file=sys.stderr, flush=True)
+        return r
 
-    store(args.out, "perfbench", args.workload, {
+    sides = ab.alternate(args.pairs, run)
+    runs = [{"seed": args.seed + i, "first": ab.SIDES[i % 2], "parent": parent, "change": change}
+            for i, (parent, change) in enumerate(zip(sides["parent"], sides["change"]))]
+    ab.merge(args.out, {
         "command": f"perfbench/run.py --workload {args.workload} --seconds {args.seconds} "
                    "--trace 0",
         "seeds": [r["seed"] for r in runs],
-        "failed": {side: sum(r[side]["failed"] for r in runs) for side in sides},
+        "failed": {side: sum(r[side]["failed"] for r in runs) for side in ab.SIDES},
         "summary": summarise(runs, metrics),
         "pairs": runs,
-    })
-
-
-def store(path, key, workload, result):
-    """Put result under key.workload in the JSON file at path, with the bytecode
-    settings of the runs among its machine facts, keeping other keys."""
-    payload = {}
-    if os.path.exists(path):
-        with open(path) as fh:
-            payload = json.load(fh)
-    payload.setdefault("machine", {}).update({
-        "pycache_prefix": os.path.join("<side>", PYCACHE),
-        "PYTHONDONTWRITEBYTECODE_inherited": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-    })
-    payload.setdefault(key, {})[workload] = result
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    }, "perfbench", args.workload)
 
 
 if __name__ == "__main__":

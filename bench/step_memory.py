@@ -8,23 +8,21 @@ one warm-up step, and then reports the ``tracemalloc`` peak of one more
 ``Method.step`` (the bytes Python allocates during the step, not RSS) and
 the bytes of the arrays the state carries from step to step.
 
+Each tree is measured in a child process run as ``bench/ab.py`` sets out.
 Without ``--parent`` it measures the tree this script lives in and prints a
 table. With ``--parent``, a second checkout of the commit to compare
-against, each tree is measured in a fresh child process with its own
-``src`` on ``PYTHONPATH``, and both tables go under ``step_memory`` in OUT
-(other keys already in that file are kept).
+against, both tables go under ``step_memory`` in OUT.
 """
 
 import argparse
 import json
 import os
-import subprocess
-import sys
 import tracemalloc
 
-CHANGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+import ab
+
 D, Q, P = 1024, 10, (1, 8, 32)
-OUT = os.path.join(CHANGE, "BENCH_16.json")
+OUT = os.path.join(ab.CHANGE, "BENCH_16.json")
 
 
 def step_peak(method, f, x):
@@ -71,13 +69,6 @@ def table(rows):
     return "\n".join(lines)
 
 
-def run_tree(tree):
-    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(tree), "src")}
-    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child"],
-                          env=env, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", help="checkout of the commit to compare against")
@@ -88,22 +79,14 @@ def main():
         print(json.dumps(measure()))
         return
     if args.parent is None:
-        sys.path.insert(0, os.path.join(CHANGE, "src"))
-        print(table(measure()))
+        print(table(ab.run_json(ab.CHANGE, [__file__, "--child"])))
         return
 
     result = {"d": D, "q": Q}
-    for side, tree in (("parent", args.parent), ("change", CHANGE)):
-        result[side] = run_tree(tree)
+    for side, tree in ab.sides(args.parent).items():
+        result[side] = ab.run_json(tree, [__file__, "--child"])
         print(f"{side}:\n{table(result[side])}")
-    payload = {}
-    if os.path.exists(OUT):
-        with open(OUT) as fh:
-            payload = json.load(fh)
-    payload["step_memory"] = result
-    with open(OUT, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    ab.merge(OUT, result, "step_memory")
 
 
 if __name__ == "__main__":

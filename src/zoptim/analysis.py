@@ -126,9 +126,18 @@ class MomentReport:
     standard_error: np.ndarray
 
 
+def checked_moment_prediction(g, q, distribution):
+    """predicted_squared_moment, or InvalidArgumentError if a coordinate's is
+    zero: the relative error against a zero moment is 0/0."""
+    predicted = predicted_squared_moment(g, q, distribution)
+    if not predicted.all():
+        raise InvalidArgumentError("g predicts a zero second moment")
+    return predicted
+
+
 def moment_report(g, q, distribution, n, seed=0):
     """Compare the Monte Carlo coordinate-wise second moment to the formula."""
-    predicted = predicted_squared_moment(g, q, distribution)
+    predicted = checked_moment_prediction(g, q, distribution)
     empirical, se = mc_squared_moment(g, q, distribution, n, seed=seed)
     rel = np.abs(empirical - predicted) / np.abs(predicted)
     return MomentReport(

@@ -16,7 +16,7 @@ import numpy as np
 from . import analysis, harness
 from .errors import ConfigError, InvalidArgumentError, PreconditionError, ZoptimError
 from .harness import (
-    COUNT, NONEMPTY, NONNEG, OMIT, POSITIVE, REQUIRED, SEED, _write_json, load_json, read_fields,
+    COUNT, NONEMPTY, NONNEG, OMIT, POSITIVE, REQUIRED, SEED, load_json, read_fields, write_json,
 )
 from .objectives import REGIMES, BlockQuadratic, equal_energy_point
 from .perturb import DISTRIBUTIONS
@@ -50,7 +50,7 @@ def cmd_sweep(args):
         "all_diverged": sweep.all_diverged,
         "rows": sweep.rows,
     }
-    _write_json(payload, os.path.join(args.out, "sweep.json"))
+    write_json(payload, os.path.join(args.out, "sweep.json"))
     if sweep.all_diverged:
         print("every run diverged at every step size", file=sys.stderr)
         return 4
@@ -62,7 +62,7 @@ def cmd_sweep(args):
 def cmd_robustness(args):
     sweep = _sweep(args)
     if sweep.all_diverged:
-        _write_json({"all_diverged": True}, os.path.join(args.out, "robustness.json"))
+        write_json({"all_diverged": True}, os.path.join(args.out, "robustness.json"))
         print("every run diverged at every step size", file=sys.stderr)
         return 4
     payload = {
@@ -70,7 +70,7 @@ def cmd_robustness(args):
         "curve": harness.robustness_curve(sweep),
         "width": harness.robust_log_width(sweep),
     }
-    _write_json(payload, os.path.join(args.out, "robustness.json"))
+    write_json(payload, os.path.join(args.out, "robustness.json"))
     return 0
 
 
@@ -107,12 +107,9 @@ def cmd_verify_moments(args):
         case = read_fields(case, _MOMENT_CASE_FIELDS, f"cases[{i}]")
         case["g"] = np.asarray(case["g"], dtype=np.float64)
         try:
-            predicted = analysis.predicted_squared_moment(case["g"], case["q"],
-                                                          case["distribution"])
+            analysis.checked_moment_prediction(case["g"], case["q"], case["distribution"])
         except InvalidArgumentError as exc:
             raise ConfigError(f"invalid moment case cases[{i}]: {exc}") from exc
-        if not predicted.all():  # the relative error of a zero moment is 0/0
-            raise ConfigError(f"invalid moment case cases[{i}]: g predicts a zero second moment")
         cases.append(case)
 
     # Each case draws from its own generator and its numpy work releases the
@@ -141,7 +138,7 @@ def cmd_verify_moments(args):
             }
         )
     os.makedirs(args.out, exist_ok=True)
-    _write_json({"cases": results, "all_pass": ok}, os.path.join(args.out, "moments.json"))
+    write_json({"cases": results, "all_pass": ok}, os.path.join(args.out, "moments.json"))
     if not ok:
         print("moment verification failed", file=sys.stderr)
         return 3
@@ -157,7 +154,7 @@ _BOUNDS_FIELDS = {
 }
 # zo-sgd keeps no second moment, so its side takes no beta or zeta.
 _ZOSGD_SIDE_FIELDS = {"eta": (POSITIVE, REQUIRED), "T": (COUNT, REQUIRED)}
-_MEAZO_SIDE_FIELDS = {**_ZOSGD_SIDE_FIELDS, "beta": (float, 0.999), "zeta": (float, 1.0)}
+_MEAZO_SIDE_FIELDS = {**_ZOSGD_SIDE_FIELDS, "beta": (float, 0.999), "zeta": (POSITIVE, 1.0)}
 _REDUCTION_FIELDS = {
     "d": (COUNT, REQUIRED), "q": (POSITIVE, REQUIRED), "epsilon": (POSITIVE, REQUIRED),
     "L": (POSITIVE, REQUIRED), "sigma": (NONNEG, REQUIRED), "eta": (POSITIVE, REQUIRED),
@@ -234,7 +231,7 @@ def cmd_verify_bounds(args):
     ok = red_pass and all(s["pass"] for s in reports)
 
     os.makedirs(args.out, exist_ok=True)
-    _write_json(
+    write_json(
         {
             "sides": reports,
             "reduction": {
@@ -300,7 +297,7 @@ def cmd_fig2(args):
                         f"{s['step'][i]},{s['loss'][i]!r},"
                         f"{s['grad_norm_sq'][i]!r},{s['spread'][i]!r}\n"
                     )
-    _write_json({"rows": rows}, os.path.join(args.out, "fig2.json"))
+    write_json({"rows": rows}, os.path.join(args.out, "fig2.json"))
     return 0
 
 

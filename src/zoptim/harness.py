@@ -147,14 +147,16 @@ _OBJECTIVE_FIELDS = {
     },
     "chain": {"p": (int, REQUIRED), "widths": (object, REQUIRED), "seed": (SEED, 0)},
 }
-# eta may be left out: a sweep searches it.
+# eta may be left out: a sweep searches it. Method checks the betas' open
+# intervals, which no kind holds.
 _OPTIMIZER_FIELDS = {
-    name: dict.fromkeys(["eta", *sorted(Method.hyperparameters(name))], (float, OMIT))
+    name: {key: (POSITIVE if key in ("eta", "zeta") else float, OMIT)
+           for key in ["eta", *sorted(Method.hyperparameters(name))]}
     for name in ("zo-sgd", "zo-adam", "radazo", "meazo", "meazo-grouped", "fzoo")
 }
 _X0_FIELDS = {
-    "mode": (("gaussian", "equal_energy"), "gaussian"), "scale": (float, 0.1),
-    "norm": (float, OMIT), "f0": (NONNEG, OMIT),
+    "mode": (("gaussian", "equal_energy"), "gaussian"), "scale": (NONNEG, 0.1),
+    "norm": (NONNEG, OMIT), "f0": (NONNEG, OMIT),
 }
 
 
@@ -463,7 +465,7 @@ def trace_summary(trace):
     return out
 
 
-def _write_json(payload, path):
+def write_json(payload, path):
     """payload as indented JSON at path; values JSON cannot hold are written as str()."""
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, default=str)
@@ -472,7 +474,7 @@ def _write_json(payload, path):
 
 def write_summary(traces, path):
     payload = {"runs": [trace_summary(tr) for tr in traces]}
-    _write_json(payload, path)
+    write_json(payload, path)
     return payload
 
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,15 @@ def test_moment_report_rejects_cases_it_cannot_run():
                 (np.array([]), 1, GAUSSIAN, 10)):
         with pytest.raises(InvalidArgumentError):
             moment_report(*bad)
+
+
+def test_moment_report_rejects_a_zero_prediction_before_any_draw(monkeypatch):
+    # 0/0 relative errors would come back as NaN with a numpy RuntimeWarning.
+    monkeypatch.setattr(analysis, "mc_squared_moment", lambda *a, **k: pytest.fail("drew"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match="g predicts a zero second moment"):
+            moment_report(np.zeros(2), 1, GAUSSIAN, 10)
 
 
 def test_moment_report_bundles_prediction_and_simulation():

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zoptim import TRACE_HEADER, cli, moment_report
 from zoptim.cli import main
@@ -478,6 +482,10 @@ def test_fig2_writes_rows_and_series(tmp_path):
         {"x0": "ab"},
         {"x0": 5},
         {"x0": {"mode": "equal_energy", "f0": -1.0}},
+        {"x0": {"mode": "gaussian", "scale": -0.1}},
+        {"x0": {"mode": "gaussian", "norm": -1.0}},
+        {"optimizer": {"name": "meazo", "eta": -1.0}},
+        {"optimizer": {"name": "zo-adam", "eta": 1e-3, "zeta": 0.0}},
         {"partition": [[0, 2], [2, 4]]},
         # A stop far past d must be rejected before a block is allocated.
         {"partition": [[0, 2], [2, 2**40]], "optimizer": {"name": "meazo-grouped", "eta": 1e-3}},
@@ -502,6 +510,28 @@ def test_out_of_domain_and_mistyped_fields_exit_two(tmp_path, over):
     cfg = write_cfg(tmp_path, run_cfg(**over))
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "over, named",
+    [
+        ({"x0": {"scale": -0.1}}, "x0.scale must be >= 0"),
+        ({"x0": {"norm": -1.0}}, "x0.norm must be >= 0"),
+        ({"optimizer": {"name": "meazo", "eta": -1.0}}, "optimizer.eta must be > 0"),
+        ({"optimizer": {"name": "meazo", "eta": 1e-3, "zeta": -3.0}}, "optimizer.zeta must be > 0"),
+    ],
+    ids=["negative-x0-scale", "negative-x0-norm", "negative-eta", "negative-zeta"],
+)
+def test_run_fields_outside_their_domain_exit_two_before_any_step(tmp_path, monkeypatch, capsys,
+                                                                   over, named):
+    calls = []
+    monkeypatch.setattr(cli.harness, "_run_seed", lambda *a: calls.append(a))
+    cfg = write_cfg(tmp_path, run_cfg(**over))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert calls == []
     assert not out.exists()
 
 
@@ -601,6 +631,8 @@ REDUCTION = bounds_cfg()["reduction"]
         ("verify-bounds", bounds_cfg(d=0), "config.d must be >= 1"),
         ("verify-bounds", bounds_cfg(meazo={"eta": -1e-4, "T": 20}), "meazo.eta must be > 0"),
         ("verify-bounds", bounds_cfg(zosgd={"eta": 0.0, "T": 20}), "zosgd.eta must be > 0"),
+        ("verify-bounds", bounds_cfg(meazo={"eta": 1e-4, "T": 20, "zeta": -3.0}),
+         "meazo.zeta must be > 0"),
         ("verify-moments", {"cases": [{"g": [1.0, 0.0], "n": 100}, {"g": [0.0, 0.0], "n": 100}]},
          "cases[1]: g predicts a zero second moment"),
         ("verify-moments", {"cases": [{"g": [1.0, 0.0], "q": 1.5, "n": 100}]},
@@ -608,7 +640,8 @@ REDUCTION = bounds_cfg()["reduction"]
     ],
     ids=["reduction-negative-f0", "reduction-fractional-d", "reduction-zero-T",
          "reduction-negative-L", "bounds-negative-f0", "bounds-zero-radius", "bounds-zero-d",
-         "meazo-negative-eta", "zosgd-zero-eta", "moments-zero-g", "moments-fractional-q"],
+         "meazo-negative-eta", "zosgd-zero-eta", "meazo-negative-zeta", "moments-zero-g",
+         "moments-fractional-q"],
 )
 def test_out_of_domain_verify_fields_exit_two_naming_the_field(tmp_path, capsys, command,
                                                                 payload, message):
@@ -673,10 +706,10 @@ CONTRACT_KINDS = {
     "run": {
         "objective.kind": "choice", "objective.d": "int", "objective.regime": "choice",
         "objective.seed": "seed", "objective.sigma": "nonneg", "objective.noise_seed": "seed",
-        "optimizer.name": "choice", "optimizer.eta": "float", "optimizer.beta": "float",
-        "optimizer.zeta": "float", "T": "count", "q": "count", "epsilon": "positive",
+        "optimizer.name": "choice", "optimizer.eta": "positive", "optimizer.beta": "float",
+        "optimizer.zeta": "positive", "T": "count", "q": "count", "epsilon": "positive",
         "distribution": "choice", "eval_every": "count", "threshold": "positive",
-        "stop_at_threshold": "flag", "x0.mode": "choice", "x0.scale": "float",
+        "stop_at_threshold": "flag", "x0.mode": "choice", "x0.scale": "nonneg",
         "wall_clock": "flag", "grouped_eval": "choice", "metric": "choice",
     },
     "verify-bounds": {
@@ -684,7 +717,7 @@ CONTRACT_KINDS = {
         "epsilon": "positive", "distribution": "choice", "sigma": "nonneg",
         "noise_seed": "seed", "f0": "nonneg", "radius": "positive", "seeds": "count",
         "meazo.eta": "positive", "meazo.T": "count", "meazo.beta": "float",
-        "meazo.zeta": "float", "zosgd.eta": "positive", "zosgd.T": "count",
+        "meazo.zeta": "positive", "zosgd.eta": "positive", "zosgd.T": "count",
         "reduction.d": "count", "reduction.q": "positive", "reduction.epsilon": "positive",
         "reduction.L": "positive", "reduction.sigma": "nonneg", "reduction.eta": "positive",
         "reduction.T": "count", "reduction.f0": "nonneg", "reduction.tol": "nonneg",
@@ -753,3 +786,58 @@ def test_every_field_set_to_every_pool_value_exits_with_a_contract_code(tmp_path
                 seen.add(code)
                 n += 1
         assert {0, 2} <= seen, command
+
+
+# Every number a leaf can take is at most 20, so no drawn size allocates
+# much; CAPS then bounds the counts that set how long an example runs.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 20) | st.floats(-20, 20) | st.text(max_size=3)
+    | st.sampled_from([float("nan"), float("inf"), 1e-6]),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids,
+                                                                max_size=3),
+    max_leaves=6,
+)
+CAPS = {"T": 3, "max_steps": 5, "n": 64, "seeds": 2, "dims": 16}
+
+
+def capped(value, key=None):
+    """value with every number under a CAPS key, in lists too, cut to its cap."""
+    if isinstance(value, dict):
+        return {k: capped(v, k) for k, v in value.items()}
+    if isinstance(value, list):
+        return [capped(v, key) for v in value]
+    if key in CAPS and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return min(value, CAPS[key])
+    return value
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "robustness", "verify-moments",
+                                     "verify-bounds", "fig2"])
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_random_nested_json_configs_exit_with_a_contract_code(command, data):
+    # Up to three fields or whole sections are replaced by a number (often in
+    # the field's domain) or random nested JSON, and the whole config by a
+    # value that is not an object or merged with one (an object in its place
+    # would run fig2's full default study); main returns a contract code and
+    # no exception escapes it.
+    base = CONTRACT_BASES.get(command, CONTRACT_BASE)
+    raw = json.loads(json.dumps(base))
+    changes = data.draw(st.dictionaries(
+        st.sampled_from([(), *(path for path, _ in contract_fields(base))]),
+        st.integers(0, 20) | st.floats(0, 20) | JSON, max_size=3))
+    # Inner paths first, so each path still leads through the base's sections.
+    for path in sorted(changes, key=len, reverse=True):
+        if not path:
+            raw = {**raw, **changes[path]} if isinstance(changes[path], dict) else changes[path]
+            continue
+        section = raw
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = changes[path]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump(capped(raw), fh)
+        code = main([command, "--config", cfg, "--out", os.path.join(tmp, "out")])
+    assert code in (0, 2, 3, 4), (raw, code)
