@@ -1,28 +1,28 @@
 """Traced peak memory of one optimizer step, per method and block count.
 
-    python bench/step_memory.py [--parent <checkout>]
+    python bench/step_memory.py [--parent <checkout>] [--out BENCH_16.json]
 
 For zo-sgd, meazo, zo-adam and meazo-grouped over P contiguous blocks, it
 builds ``Method`` on ``BlockQuadratic(D)`` with Q Gaussian directions, takes
 one warm-up step, and then reports the ``tracemalloc`` peak of one more
 ``Method.step`` (the bytes Python allocates during the step, not RSS) and
-the bytes of the arrays the state carries from step to step.
+the bytes of the arrays the state carries from step to step. One throwaway
+traced step runs before the first row, so that row is a steady-state peak
+too, not one that includes the process's first traced allocations.
 
 Each tree is measured in a child process run as ``bench/ab.py`` sets out.
 Without ``--parent`` it measures the tree this script lives in and prints a
 table. With ``--parent``, a second checkout of the commit to compare
-against, both tables go under ``step_memory`` in OUT.
+against, both tables go under ``step_memory`` in the file ``--out`` names.
 """
 
 import argparse
 import json
-import os
 import tracemalloc
 
 import ab
 
 D, Q, P = 1024, 10, (1, 8, 32)
-OUT = os.path.join(ab.CHANGE, "BENCH_16.json")
 
 
 def step_peak(method, f, x):
@@ -49,6 +49,7 @@ def measure():
     x0 = np.random.default_rng(0).standard_normal(D) * 0.1
     cases = [(name, name, None) for name in ("zo-sgd", "meazo", "zo-adam")]
     cases += [(f"meazo-grouped p={p}", "meazo-grouped", Partition.contiguous(D, p)) for p in P]
+    step_peak(Method("zo-sgd", 1e-4, spec, Q, D), quad.value, x0)  # the throwaway step
     out = {}
     for label, name, partition in cases:
         method = Method(name, 1e-4, spec, Q, D, partition=partition)
@@ -72,6 +73,7 @@ def table(rows):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", help="checkout of the commit to compare against")
+    parser.add_argument("--out", default="BENCH_16.json")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
 
@@ -86,7 +88,7 @@ def main():
     for side, tree in ab.sides(args.parent).items():
         result[side] = ab.run_json(tree, [__file__, "--child"])
         print(f"{side}:\n{table(result[side])}")
-    ab.merge(OUT, result, "step_memory")
+    ab.merge(args.out, result, "step_memory")
 
 
 if __name__ == "__main__":

@@ -369,7 +369,7 @@ def _run_one(objective, grad, optimizer, d, eta, q, epsilon, distribution, beta1
         "terminal_spread": float(np.mean(series["spread"][-tail:])),
         "terminal_target_err": float(np.mean(target_errs[-tail:])),
         "final_loss": float(objective(x)),
-        "vhat_final": np.atleast_1d(state.vhat),
+        "vhat_final": state.vhat,
         "series": series,
     }
 

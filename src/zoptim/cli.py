@@ -16,7 +16,8 @@ import numpy as np
 from . import analysis, harness
 from .errors import ConfigError, InvalidArgumentError, PreconditionError, ZoptimError
 from .harness import (
-    COUNT, NONEMPTY, NONNEG, OMIT, POSITIVE, REQUIRED, SEED, load_json, read_fields, write_json,
+    COUNT, DECAY, DECAY0, NONEMPTY, NONNEG, OMIT, POSITIVE, REQUIRED, SEED, load_json, read_fields,
+    write_json,
 )
 from .objectives import REGIMES, BlockQuadratic, equal_energy_point
 from .perturb import DISTRIBUTIONS
@@ -154,7 +155,7 @@ _BOUNDS_FIELDS = {
 }
 # zo-sgd keeps no second moment, so its side takes no beta or zeta.
 _ZOSGD_SIDE_FIELDS = {"eta": (POSITIVE, REQUIRED), "T": (COUNT, REQUIRED)}
-_MEAZO_SIDE_FIELDS = {**_ZOSGD_SIDE_FIELDS, "beta": (float, 0.999), "zeta": (POSITIVE, 1.0)}
+_MEAZO_SIDE_FIELDS = {**_ZOSGD_SIDE_FIELDS, "beta": (DECAY, 0.999), "zeta": (POSITIVE, 1.0)}
 _REDUCTION_FIELDS = {
     "d": (COUNT, REQUIRED), "q": (POSITIVE, REQUIRED), "epsilon": (POSITIVE, REQUIRED),
     "L": (POSITIVE, REQUIRED), "sigma": (NONNEG, REQUIRED), "eta": (POSITIVE, REQUIRED),
@@ -255,7 +256,7 @@ def cmd_verify_bounds(args):
 _FIG2_FIELDS = {
     "dims": ([COUNT, NONEMPTY], OMIT), "optimizers": ([object, NONEMPTY], OMIT),
     "eta": (POSITIVE, OMIT), "q": (COUNT, OMIT), "threshold": (POSITIVE, OMIT),
-    "beta1": (float, OMIT), "beta2": (float, OMIT), "zeta": (POSITIVE, OMIT),
+    "beta1": (DECAY0, OMIT), "beta2": (DECAY, OMIT), "zeta": (POSITIVE, OMIT),
     "epsilon": (POSITIVE, OMIT), "distribution": (DISTRIBUTIONS, OMIT),
     "x0_norm": (POSITIVE, OMIT), "seed": (SEED, OMIT), "max_steps": (COUNT, OMIT),
     "tail": (COUNT, OMIT), "regime": (REGIMES, OMIT), "quad_seed": (SEED, OMIT),

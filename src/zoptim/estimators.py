@@ -169,18 +169,17 @@ def _step_block(spec, step, q, d, directions):
     return directions
 
 
-_SIGNS = np.array([[1.0], [-1.0]])
 STEP_BUFFER_BYTES = 1 << 18  # the bytes of one chunk of a step's points (_point_values)
 
 
 def _point_values(f, x, epsilon, directions, masks, counter):
     """f at the step's 2 q p points: by sample, then block, then + before -.
 
-    The point of sample i, block j and sign s is x + (eps * where(m_j, u_i,
-    0.0)) * s (without masks, p = 1 and m_1 is every coordinate). The points
-    are built and evaluated a chunk of (sample, block) pairs at a time, each
-    chunk in at most STEP_BUFFER_BYTES (or one pair's 24 d bytes): its
-    moved directions and their + and - rows. A chunk holds whole samples
+    The points of sample i and block j are x + v and x - v for v = eps *
+    where(m_j, u_i, 0.0) (without masks, p = 1 and m_1 is every coordinate).
+    The points are built and evaluated a chunk of (sample, block) pairs at a
+    time, each chunk in at most STEP_BUFFER_BYTES (or one pair's 24 d bytes):
+    its moved directions and their + and - rows. A chunk holds whole samples
     when a sample's p pairs fit, and a run of one sample's blocks otherwise;
     a step that fits one chunk skips the loop.
     """
@@ -188,25 +187,34 @@ def _point_values(f, x, epsilon, directions, masks, counter):
     p = 1 if masks is None else len(masks)
     pairs = max(1, STEP_BUFFER_BYTES // (24 * d))
     if q * p <= pairs:
-        return _evaluate(f, _signed_points(x, epsilon, directions[:, None], masks), counter)
+        return _evaluate(f, _point_rows(x, epsilon, directions[:, None], masks), counter)
     samples, blocks = (pairs // p, p) if pairs >= p else (1, pairs)
     return np.concatenate([
-        _evaluate(f, _signed_points(x, epsilon, directions[i:i + samples, None],
-                                    None if masks is None else masks[j:j + blocks]), counter)
+        _evaluate(f, _point_rows(x, epsilon, directions[i:i + samples, None],
+                                 None if masks is None else masks[j:j + blocks]), counter)
         for i in range(0, q, samples) for j in range(0, p, blocks)])
 
 
-def _signed_points(x, epsilon, u, masks):
-    """x + (eps * where(m_j, u_i, 0.0)) * (+1, -1) as rows, for each row u_i of u
-    (samples, 1, d) and block m_j of masks (u_i whole without masks), each + point
-    before its - point.
+def _point_rows(x, epsilon, u, masks):
+    """The rows of _point_halves in evaluation order, each + point before its - point."""
+    for plus, minus in zip(*_point_halves(x, epsilon, u, masks)):
+        yield plus
+        yield minus
 
-    x + (-m) is x - m to the bit, so one product with (+1, -1) gives both signs.
+
+def _point_halves(x, epsilon, u, masks):
+    """(x + v, x - v) as two (samples * blocks, d) arrays of rows, for v = eps *
+    where(m_j, u_i, 0.0) over each row u_i of u (samples, 1, d) and block m_j
+    of masks (u_i whole without masks), by sample, then block.
+
+    x - v is x + (-v) to the bit, and the + half, built in place in v as
+    v + x, is x + v to the bit.
     """
-    moved = epsilon * (u if masks is None else np.where(masks, u, 0.0))
-    points = moved[..., None, :] * _SIGNS
-    points += x
-    return points.reshape(-1, x.size)
+    moved = epsilon * u if masks is None else np.where(masks, epsilon * u, 0.0)
+    moved = moved.reshape(-1, x.size)
+    minus = x - moved
+    moved += x
+    return moved, minus
 
 
 def zo_scalars(f, x, spec, q, step, counter=None, directions=None, partition=None):

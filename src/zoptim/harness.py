@@ -36,10 +36,13 @@ REQUIRED = object()  # field default: the key must be present
 OMIT = object()  # field default: an absent key is left out of what is read
 # Field kinds with a domain, beside int and float: kind -> (int or float, test, domain).
 SEED, COUNT, POSITIVE, NONNEG = "seed", "count", "positive", "nonneg"
+DECAY, DECAY0 = "decay", "decay0"  # an EMA decay rate; DECAY0 also takes 0 (no memory)
 NONEMPTY = "nonempty"  # [kind, NONEMPTY]: a list of kind with at least one entry
 _DOMAINS = {
     SEED: (int, lambda v: 0 <= v < 2**64, "in [0, 2**64)"), COUNT: (int, lambda v: v >= 1, ">= 1"),
     POSITIVE: (float, lambda v: v > 0, "> 0"), NONNEG: (float, lambda v: v >= 0, ">= 0"),
+    DECAY: (float, lambda v: 0 < v < 1, "in (0, 1)"),
+    DECAY0: (float, lambda v: 0 <= v < 1, "in [0, 1)"),
 }
 MAX_SEEDS = 100_000  # the largest integer seeds count; a longer run needs a seed list
 
@@ -88,9 +91,9 @@ def read_fields(raw, fields, where):
     """The fields of a config object, each read as its kind, or ConfigError.
 
     fields maps each key to (kind, default). A kind is int, float, bool,
-    SEED, COUNT, POSITIVE, NONNEG, a tuple of allowed values, object (any
-    value), [kind] (a list of that kind) or [kind, NONEMPTY] (such a list
-    with at least one entry). An absent key takes its default:
+    SEED, COUNT, POSITIVE, NONNEG, DECAY, DECAY0, a tuple of allowed values,
+    object (any value), [kind] (a list of that kind) or [kind, NONEMPTY]
+    (such a list with at least one entry). An absent key takes its default:
     REQUIRED makes it an error and OMIT leaves it out. Keys not in fields are an error. where
     names raw in messages.
     """
@@ -147,11 +150,10 @@ _OBJECTIVE_FIELDS = {
     },
     "chain": {"p": (int, REQUIRED), "widths": (object, REQUIRED), "seed": (SEED, 0)},
 }
-# eta may be left out: a sweep searches it. Method checks the betas' open
-# intervals, which no kind holds.
+# eta may be left out: a sweep searches it.
+_HYPER_KINDS = {"eta": POSITIVE, "zeta": POSITIVE, "beta": DECAY, "beta1": DECAY0, "beta2": DECAY}
 _OPTIMIZER_FIELDS = {
-    name: {key: (POSITIVE if key in ("eta", "zeta") else float, OMIT)
-           for key in ["eta", *sorted(Method.hyperparameters(name))]}
+    name: {key: (_HYPER_KINDS[key], OMIT) for key in ["eta", *sorted(Method.hyperparameters(name))]}
     for name in ("zo-sgd", "zo-adam", "radazo", "meazo", "meazo-grouped", "fzoo")
 }
 _X0_FIELDS = {
@@ -342,9 +344,6 @@ def _vhat_stats(state):
     vhat = getattr(state, "vhat", None)
     if vhat is None or state.t == 0:
         return 0.0, 0.0, 0.0
-    if isinstance(vhat, float):
-        vhat = float(vhat)
-        return vhat, vhat, vhat
     # The same bits as vhat.min(), .max() and .mean(), without their wrappers.
     return (float(np.minimum.reduce(vhat)), float(np.maximum.reduce(vhat)),
             float(np.add.reduce(vhat) / vhat.size))

@@ -10,6 +10,8 @@ The methods differ only in the state they keep and in their update rule.
 Method is the one place that maps an optimizer name to both; the harness,
 the collapse study and the bound checks build their state and take their
 steps through it. A state with a second moment exposes it as ``vhat``.
+meazo and meazo-grouped share MeazoState and meazo_step: one second moment
+per block, and MEAZO is the one-block case.
 """
 
 import math
@@ -31,7 +33,8 @@ from .perturb import PerturbationSpec, step_directions
 
 def _require_finite(arr, what):
     arr = np.asarray(arr, dtype=np.float64)
-    if not np.isfinite(arr).all():
+    # A sum is finite only if every term is; the terms are looked at only when it is not.
+    if not (math.isfinite(np.add.reduce(arr, axis=None)) or np.isfinite(arr).all()):
         raise NumericFailureError(f"non-finite {what}", value=arr)
     return arr
 
@@ -61,32 +64,13 @@ class SgdState:
 
 @dataclass
 class MeazoState:
-    """Scalar second-moment state: one EMA scalar regardless of dimension."""
+    """One EMA scalar per block, shared decay and step size, whatever the
+    dimension: p blocks for grouped MEAZO, and MEAZO itself is p = 1."""
 
     eta: float
     beta: float = 0.999
     zeta: float = 1e-8
-    v: float = 0.0
-    t: int = 0
-
-    def __post_init__(self):
-        _check_hyper(self.eta, self.zeta)
-        _check_beta(self.beta)
-
-    @property
-    def vhat(self):
-        """Bias-corrected second moment (the raw EMA divided by 1 - beta^t)."""
-        return self.v / (1.0 - self.beta ** max(self.t, 1))
-
-
-@dataclass
-class GroupedMeazoState:
-    """One EMA scalar per block, shared decay and step size."""
-
-    p: int
-    eta: float
-    beta: float = 0.999
-    zeta: float = 1e-8
+    p: int = 1
     v: np.ndarray = None
     t: int = 0
 
@@ -104,7 +88,7 @@ class GroupedMeazoState:
 
     @property
     def vhat(self):
-        """Bias-corrected per-block second moments."""
+        """Bias-corrected per-block second moments (the raw EMAs divided by 1 - beta^t)."""
         return self.v / (1.0 - self.beta ** max(self.t, 1))
 
 
@@ -187,53 +171,39 @@ def radazo_step(state, x, estimate):
     return np.asarray(x, dtype=np.float64) - state.eta * mhat / (np.sqrt(state.vhat) + state.zeta)
 
 
-def meazo_step(state, x, scalars, directions):
-    """Scalar-adaptive update.
+def meazo_step(state, x, scalars, directions, partition=None):
+    """Scalar-adaptive update, one second moment per block.
 
-    scalars are the q projected gradients (already divided by 2 eps, once);
-    directions holds the matching u_i: the step's (q, d) block from
+    scalars are the step's projected gradients (already divided by 2 eps,
+    once): (q,) without a partition, MEAZO's one block, and (q, p) with
+    one; directions holds the matching u_i: the step's (q, d) block from
     step_directions, or any iterable of q vectors. The persistent state
-    mutation is one scalar EMA plus the counter.
+    mutation is the (p,) EMA plus the counter. A one-block partition gives
+    the bits of none; only a partition makes the (q, d) per-coordinate
+    scalars.
     """
     scalars = _require_finite(scalars, "projected-gradient scalars")
-    if scalars.ndim != 1 or scalars.size < 1:
-        raise InvalidArgumentError("scalars must be a non-empty 1-D array")
-    q = scalars.size
-    g = float(np.add.reduce(scalars) / q)  # the bits of scalars.mean(), without its overhead
-    state.v = state.beta * state.v + (1.0 - state.beta) * g * g
-    state.t += 1
-
     x = np.asarray(x, dtype=np.float64)
-    upd = _direction_sum(scalars, directions, x.size) / q
-    return x - (state.eta / (math.sqrt(state.vhat) + state.zeta)) * upd
-
-
-def grouped_meazo_step(state, x, scalars, partition, directions):
-    """Per-block scalar-adaptive update; p=1 reproduces meazo_step exactly.
-
-    directions is the step's (q, d) block (or any iterable of q vectors).
-    """
-    scalars = _require_finite(scalars, "projected-gradient scalars")
-    if scalars.ndim != 2:
-        raise InvalidArgumentError("scalars must have shape (q, p)")
-    q, p = scalars.shape
-    if p != state.p or p != partition.p:
-        raise InvalidArgumentError(
-            f"block mismatch: scalars have {p}, state has {state.p}, partition has {partition.p}"
-        )
-    x = np.asarray(x, dtype=np.float64)
-    if partition.d != x.size:
+    p = 1 if partition is None else partition.p
+    q = len(scalars) if scalars.ndim else 0
+    if q < 1 or scalars.shape != ((q,) if partition is None else (q, p)):
+        raise InvalidArgumentError(f"scalars must have shape (q,), or (q, p) with a partition of "
+                                   f"p blocks, for q >= 1; got {scalars.shape}")
+    if p != state.p:
+        raise InvalidArgumentError(f"block mismatch: scalars have {p}, state has {state.p}")
+    if partition is not None and partition.d != x.size:
         raise InvalidArgumentError(f"partition is over {partition.d} coordinates, x has {x.size}")
 
     g = np.add.reduce(scalars, axis=0) / q  # the bits of scalars.mean(axis=0)
     state.v = state.beta * state.v + (1.0 - state.beta) * g * g
     state.t += 1
 
-    block = partition.block_of
-    # Each sample's scalar for each coordinate's block.
-    upd = _direction_sum(scalars.take(block, axis=1), directions, x.size) / q
     coef = state.eta / (np.sqrt(state.vhat) + state.zeta)
-    return x - coef.take(block) * upd
+    if partition is not None:
+        # Each sample's scalar and each coordinate's step size for its block.
+        scalars, coef = scalars.take(partition.block_of, axis=1), coef.take(partition.block_of)
+    upd = _direction_sum(scalars, directions, x.size) / q
+    return x - coef * upd
 
 
 def fzoo_step(f, x, state, step, counter=None):
@@ -271,8 +241,8 @@ _METHODS = {
     "meazo": (MeazoState, lambda m, x, t, s, u: meazo_step(m.state, x, s, u)),
     # Draws its block a second time for the update: the benchmark's tracer
     # tests pin perturb.regen_ratio == 2.0 on it (ROADMAP item 6).
-    "meazo-grouped": (GroupedMeazoState, lambda m, x, t, s, u: grouped_meazo_step(
-        m.state, x, s, m.partition, step_directions(m.spec, t, m.q, m.d))),
+    "meazo-grouped": (MeazoState, lambda m, x, t, s, u: meazo_step(
+        m.state, x, s, step_directions(m.spec, t, m.q, m.d), m.partition)),
     "fzoo": (FzooState, None),
     "fo-adam": (AdamState, None),
 }
@@ -296,9 +266,9 @@ class Method:
         if not isinstance(name, str) or name not in _METHODS:
             raise InvalidArgumentError(f"unknown optimizer {name!r}")
         cls, self._update = _METHODS[name]
-        if cls is GroupedMeazoState and partition is None:
+        if name == "meazo-grouped" and partition is None:
             raise InvalidArgumentError(f"{name} requires a partition")
-        if cls in (MeazoState, FzooState) and partition is not None:
+        if name in ("meazo", "fzoo") and partition is not None:
             raise InvalidArgumentError(f"{name} does not support a partition")
         if chain is not None and partition is not None and not np.array_equal(
                 partition.block_of, Partition.from_ranges(chain.d, chain.slices).block_of):

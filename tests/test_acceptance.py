@@ -315,7 +315,7 @@ def test_deterministic_traces_and_state_memory_shape(tmp_path):
         for t in range(5):
             scalars = zo_scalars(quad.value, x, spec, 2, t)
             x = meazo_step(state, x, scalars, step_directions(spec, t, 2, d))
-        assert isinstance(state.v, float)
+        assert state.v.shape == (1,)  # one second-moment scalar, whatever d
         adam = AdamState(dim=d, eta=1e-3)
         assert adam.m.size + adam.v.size == 2 * d
 

@@ -413,10 +413,13 @@ def test_fig2_checks_every_entry_before_the_first_step(tmp_path, monkeypatch, ca
         ({"max_steps": 2.5}, "config.max_steps must be an integer"),
         ({"tail": -3}, "config.tail must be >= 1"),
         ({"dims": [4, 0]}, "config.dims entry must be >= 1"),
+        ({"beta1": 1}, "config.beta1 must be in [0, 1)"),
+        ({"beta2": 1.5}, "config.beta2 must be in (0, 1)"),
+        ({"beta2": 0}, "config.beta2 must be in (0, 1)"),
     ],
     ids=["empty-dims", "empty-optimizers", "negative-x0-norm", "negative-threshold", "zero-eta",
          "zero-q", "negative-epsilon", "zero-zeta", "fractional-max-steps", "negative-tail",
-         "zero-d"],
+         "zero-d", "beta1-one", "beta2-past-one", "zero-beta2"],
 )
 def test_fig2_fields_outside_their_domain_exit_two_before_any_step(tmp_path, monkeypatch, capsys,
                                                                     over, named):
@@ -520,8 +523,15 @@ def test_out_of_domain_and_mistyped_fields_exit_two(tmp_path, over):
         ({"x0": {"norm": -1.0}}, "x0.norm must be >= 0"),
         ({"optimizer": {"name": "meazo", "eta": -1.0}}, "optimizer.eta must be > 0"),
         ({"optimizer": {"name": "meazo", "eta": 1e-3, "zeta": -3.0}}, "optimizer.zeta must be > 0"),
+        ({"optimizer": {"name": "meazo", "eta": 1e-3, "beta": 1}}, "optimizer.beta must be in (0, 1)"),
+        ({"optimizer": {"name": "meazo", "eta": 1e-3, "beta": 0}}, "optimizer.beta must be in (0, 1)"),
+        ({"optimizer": {"name": "zo-adam", "eta": 1e-3, "beta1": 1}},
+         "optimizer.beta1 must be in [0, 1)"),
+        ({"optimizer": {"name": "radazo", "eta": 1e-3, "beta2": -0.1}},
+         "optimizer.beta2 must be in (0, 1)"),
     ],
-    ids=["negative-x0-scale", "negative-x0-norm", "negative-eta", "negative-zeta"],
+    ids=["negative-x0-scale", "negative-x0-norm", "negative-eta", "negative-zeta", "beta-one",
+         "beta-zero", "beta1-one", "negative-beta2"],
 )
 def test_run_fields_outside_their_domain_exit_two_before_any_step(tmp_path, monkeypatch, capsys,
                                                                    over, named):
@@ -633,6 +643,8 @@ REDUCTION = bounds_cfg()["reduction"]
         ("verify-bounds", bounds_cfg(zosgd={"eta": 0.0, "T": 20}), "zosgd.eta must be > 0"),
         ("verify-bounds", bounds_cfg(meazo={"eta": 1e-4, "T": 20, "zeta": -3.0}),
          "meazo.zeta must be > 0"),
+        ("verify-bounds", bounds_cfg(meazo={"eta": 1e-4, "T": 20, "beta": 1}),
+         "meazo.beta must be in (0, 1)"),
         ("verify-moments", {"cases": [{"g": [1.0, 0.0], "n": 100}, {"g": [0.0, 0.0], "n": 100}]},
          "cases[1]: g predicts a zero second moment"),
         ("verify-moments", {"cases": [{"g": [1.0, 0.0], "q": 1.5, "n": 100}]},
@@ -640,7 +652,8 @@ REDUCTION = bounds_cfg()["reduction"]
     ],
     ids=["reduction-negative-f0", "reduction-fractional-d", "reduction-zero-T",
          "reduction-negative-L", "bounds-negative-f0", "bounds-zero-radius", "bounds-zero-d",
-         "meazo-negative-eta", "zosgd-zero-eta", "meazo-negative-zeta", "moments-zero-g",
+         "meazo-negative-eta", "zosgd-zero-eta", "meazo-negative-zeta", "meazo-beta-one",
+         "moments-zero-g",
          "moments-fractional-q"],
 )
 def test_out_of_domain_verify_fields_exit_two_naming_the_field(tmp_path, capsys, command,
@@ -653,6 +666,8 @@ def test_out_of_domain_verify_fields_exit_two_naming_the_field(tmp_path, capsys,
 
 
 CONTRACT_POOL = (None, True, "x", -1, 0, 0.5, 1.5, [], {}, [1], float("nan"), float("inf"))
+# A decay rate's edges: with the pool's 0 and 1.5, each side of both ends.
+DECAY_POOL = (1, -0.1)
 CONTRACT_BASE = {
     "objective": {
         "kind": "quadratic", "d": 4, "regime": "heterogeneous", "seed": 0,
@@ -700,13 +715,14 @@ CONTRACT_BASES = {
 
 # The kind each number, flag and named-choice field of CONTRACT_BASES is
 # read as: "int" and "count" (>= 1) and "seed" (>= 0) take integral numbers,
-# "float", "positive" (> 0) and "nonneg" (>= 0) any finite number, "flag" a
-# boolean, and "choice" one of its names, which no pool value is.
+# "float", "positive" (> 0), "nonneg" (>= 0), "decay" (in (0, 1)) and
+# "decay0" (in [0, 1)) any finite number, "flag" a boolean, and "choice" one
+# of its names, which no pool value is.
 CONTRACT_KINDS = {
     "run": {
         "objective.kind": "choice", "objective.d": "int", "objective.regime": "choice",
         "objective.seed": "seed", "objective.sigma": "nonneg", "objective.noise_seed": "seed",
-        "optimizer.name": "choice", "optimizer.eta": "positive", "optimizer.beta": "float",
+        "optimizer.name": "choice", "optimizer.eta": "positive", "optimizer.beta": "decay",
         "optimizer.zeta": "positive", "T": "count", "q": "count", "epsilon": "positive",
         "distribution": "choice", "eval_every": "count", "threshold": "positive",
         "stop_at_threshold": "flag", "x0.mode": "choice", "x0.scale": "nonneg",
@@ -716,7 +732,7 @@ CONTRACT_KINDS = {
         "d": "count", "regime": "choice", "quad_seed": "seed", "q": "count",
         "epsilon": "positive", "distribution": "choice", "sigma": "nonneg",
         "noise_seed": "seed", "f0": "nonneg", "radius": "positive", "seeds": "count",
-        "meazo.eta": "positive", "meazo.T": "count", "meazo.beta": "float",
+        "meazo.eta": "positive", "meazo.T": "count", "meazo.beta": "decay",
         "meazo.zeta": "positive", "zosgd.eta": "positive", "zosgd.T": "count",
         "reduction.d": "count", "reduction.q": "positive", "reduction.epsilon": "positive",
         "reduction.L": "positive", "reduction.sigma": "nonneg", "reduction.eta": "positive",
@@ -725,7 +741,7 @@ CONTRACT_KINDS = {
     "fig2": {
         "eta": "positive", "q": "count", "threshold": "positive", "max_steps": "count",
         "x0_norm": "positive", "seed": "seed", "regime": "choice", "quad_seed": "seed",
-        "tail": "count", "epsilon": "positive", "beta1": "float", "beta2": "float",
+        "tail": "count", "epsilon": "positive", "beta1": "decay0", "beta2": "decay",
         "zeta": "positive", "distribution": "choice", "series": "flag",
     },
     "verify-moments": {
@@ -743,6 +759,8 @@ def in_kind(value, kind):
         return False
     if kind in ("int", "count", "seed") and value != int(value):
         return False
+    if kind in ("decay", "decay0"):
+        return (0 < value if kind == "decay" else 0 <= value) and value < 1
     low = {"count": 1, "seed": 0, "nonneg": 0}.get(kind)
     return value > 0 if kind == "positive" else low is None or value >= low
 
@@ -772,7 +790,7 @@ def test_every_field_set_to_every_pool_value_exits_with_a_contract_code(tmp_path
             kind = kinds.get(".".join(map(str, path)))
             # Every field but a list or a section has a kind here.
             assert kind is not None or isinstance(base_value, (list, dict)), (command, path)
-            for value in CONTRACT_POOL:
+            for value in CONTRACT_POOL + (DECAY_POOL if kind in ("decay", "decay0") else ()):
                 raw = json.loads(json.dumps(base))
                 section = raw
                 for key in path[:-1]:

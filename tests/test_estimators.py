@@ -29,7 +29,6 @@ from zoptim import (
     zo_scalars,
 )
 from zoptim import estimators
-from zoptim.estimators import _SIGNS
 
 
 def affine(a, b=0.0):
@@ -483,12 +482,15 @@ def test_point_matrix_estimators_stop_at_the_first_nonfinite_point(grouped):
         assert got == want and got.full_forward_calls == k + 1
 
 
+SIGNS = np.array([[1.0], [-1.0]])
+
+
 def unchunked_points(x, spec, directions, partition):
     """Every point of a step as one array, the expression the chunks must reproduce."""
     u = directions[:, None]
     if partition is not None:
         u = np.where(partition.masks, u, 0.0)
-    return (x + (spec.epsilon * u)[:, :, None] * _SIGNS).reshape(-1, x.size)
+    return (x + (spec.epsilon * u)[:, :, None] * SIGNS).reshape(-1, x.size)
 
 
 COORDINATES = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-0.0, 0.0, math.inf, -math.inf,
@@ -517,13 +519,13 @@ def test_chunked_points_equal_the_unchunked_expression(data, d, q, blocks, seed,
         return math.nan if len(rows) - 1 == bad else values[len(rows) - 1]
 
     def recording(*args):
-        points = signed_points(*args)
-        chunks.append(points.size // 2)  # the chunk's moved directions
-        return points
+        halves = point_halves(*args)
+        chunks.append(halves[0].size)  # the chunk's moved directions
+        return halves
 
-    signed_points = estimators._signed_points
-    saved = estimators.STEP_BUFFER_BYTES, estimators._signed_points
-    estimators.STEP_BUFFER_BYTES, estimators._signed_points = budget, recording
+    point_halves = estimators._point_halves
+    saved = estimators.STEP_BUFFER_BYTES, estimators._point_halves
+    estimators.STEP_BUFFER_BYTES, estimators._point_halves = budget, recording
     counter = EvalCounter()
     try:
         if fail:
@@ -538,7 +540,7 @@ def test_chunked_points_equal_the_unchunked_expression(data, d, q, blocks, seed,
             assert scalars.shape == ((q, p) if partition else (q,))
             assert counter.full_forward_calls == len(want)
     finally:
-        estimators.STEP_BUFFER_BYTES, estimators._signed_points = saved
+        estimators.STEP_BUFFER_BYTES, estimators._point_halves = saved
     assert b"".join(r.tobytes() for r in rows) == want[:len(rows)].tobytes()
     # A chunk's moved directions and their two signed rows fit the budget, or are one pair.
     assert all(24 * size <= max(budget, 24 * d) for size in chunks)
