@@ -5,10 +5,13 @@
 For zo-sgd, meazo, zo-adam and meazo-grouped over P contiguous blocks, it
 builds ``Method`` on ``BlockQuadratic(D)`` with Q Gaussian directions, takes
 one warm-up step, and then reports the ``tracemalloc`` peak of one more
-``Method.step`` (the bytes Python allocates during the step, not RSS) and
-the bytes of the arrays the state carries from step to step. One throwaway
-traced step runs before the first row, so that row is a steady-state peak
-too, not one that includes the process's first traced allocations.
+``Method.step`` (the bytes Python allocates during the step, not RSS), the
+bytes of the arrays the state carries from step to step, and the chunks one
+step's points are built in (its ``estimators._evaluate`` calls, counted on a
+third, untraced step): the p = 8 and p = 32 rows go through the chunk loop.
+One throwaway traced step runs before the first row, so that row is a
+steady-state peak too, not one that includes the process's first traced
+allocations.
 
 Each tree is measured in a child process run as ``bench/ab.py`` sets out.
 Without ``--parent`` it measures the tree this script lives in and prints a
@@ -36,8 +39,22 @@ def step_peak(method, f, x):
         tracemalloc.stop()
 
 
+def step_chunks(method, f, x):
+    """The chunks of points one Method.step evaluates: its estimators._evaluate calls."""
+    from zoptim import estimators
+
+    evaluate, calls = estimators._evaluate, []
+    estimators._evaluate = lambda *args: calls.append(1) or evaluate(*args)
+    try:
+        method.step(f, x, 2)
+    finally:
+        estimators._evaluate = evaluate
+    return len(calls)
+
+
 def measure():
-    """{label: {"step_peak_bytes", "state_bytes"}} for one tree (the zoptim on sys.path)."""
+    """{label: {"step_peak_bytes", "state_bytes", "chunks"}} for one tree (the zoptim
+    on sys.path)."""
     import numpy as np
 
     from zoptim import BlockQuadratic, PerturbationSpec
@@ -55,7 +72,8 @@ def measure():
         method = Method(name, 1e-4, spec, Q, D, partition=partition)
         peak = step_peak(method, quad.value, x0)
         state = sum(v.nbytes for v in vars(method.state).values() if isinstance(v, np.ndarray))
-        out[label] = {"step_peak_bytes": peak, "state_bytes": state}
+        out[label] = {"step_peak_bytes": peak, "state_bytes": state,
+                      "chunks": step_chunks(method, quad.value, x0)}
     return out
 
 
@@ -64,9 +82,10 @@ def _kib(n):
 
 
 def table(rows):
-    lines = ["| method | step peak | state arrays |", "|---|---|---|"]
+    lines = ["| method | step peak | state arrays | chunks |", "|---|---|---|---|"]
     for label, r in rows.items():
-        lines.append(f"| {label} | {_kib(r['step_peak_bytes'])} | {r['state_bytes']} B |")
+        lines.append(f"| {label} | {_kib(r['step_peak_bytes'])} | {r['state_bytes']} B "
+                     f"| {r['chunks']} |")
     return "\n".join(lines)
 
 

@@ -52,10 +52,11 @@ def _mc_buffer_bytes(distribution, q, d, size):
 
     Per trial: the q directions (8 q d), their projections (8 q), the estimate
     row (8 d) and _draw's temporaries. Fixed: the estimate buffer's carry row,
-    the four (d,) sums, and at d = 1 the whole batch's estimates, which must be
+    the four (d,) sums, the four (d,) temporaries of the closing mean and
+    standard error, and at d = 1 the whole batch's estimates, which must be
     summed as one column.
     """
-    fixed = 8 * d * ((size if d == 1 else 0) + 1 + 4)
+    fixed = 8 * d * ((size if d == 1 else 0) + 1 + 4 + 4)
     per_trial = 8 * (q * d + q + (d if d > 1 else 0)) + _draw_scratch(distribution, q, d)
     return fixed, per_trial
 

@@ -13,19 +13,14 @@ import sys
 
 import numpy as np
 
-from . import analysis, harness
+from . import analysis, config, harness
 from .errors import ConfigError, InvalidArgumentError, PreconditionError, ZoptimError
-from .harness import (
-    COUNT, DECAY, DECAY0, NONEMPTY, NONNEG, OMIT, POSITIVE, REQUIRED, SEED, load_json, read_fields,
-    write_json,
-)
-from .objectives import REGIMES, BlockQuadratic, equal_energy_point
-from .perturb import DISTRIBUTIONS
+from .harness import write_json
+from .objectives import BlockQuadratic, equal_energy_point
 
 
 def cmd_run(args):
-    config = harness.load_config(args.config)
-    traces = harness.run(config)
+    traces = harness.run(harness.load_config(args.config))
     os.makedirs(args.out, exist_ok=True)
     for trace in traces:
         harness.write_trace_csv(trace, os.path.join(args.out, f"trace_seed{trace.seed}.csv"))
@@ -75,12 +70,6 @@ def cmd_robustness(args):
     return 0
 
 
-_MOMENT_CASE_FIELDS = {
-    "g": ([float], REQUIRED), "q": (COUNT, 1), "distribution": (DISTRIBUTIONS, "gaussian"),
-    "n": (COUNT, 200_000), "tol": (NONNEG, 0.05), "seed": (SEED, 0),
-}
-
-
 def _cpu_count():
     try:
         return len(os.sched_getaffinity(0))
@@ -100,18 +89,7 @@ def cmd_verify_moments(args):
     # Imported here: run, sweep and fig2 never need it.
     from concurrent.futures import ThreadPoolExecutor
 
-    raw = read_fields(load_json(args.config), {"cases": ([object], REQUIRED)}, "config")["cases"]
-    if not raw:
-        raise ConfigError("verify-moments config requires a non-empty 'cases' list")
-    cases = []
-    for i, case in enumerate(raw):
-        case = read_fields(case, _MOMENT_CASE_FIELDS, f"cases[{i}]")
-        case["g"] = np.asarray(case["g"], dtype=np.float64)
-        try:
-            analysis.checked_moment_prediction(case["g"], case["q"], case["distribution"])
-        except InvalidArgumentError as exc:
-            raise ConfigError(f"invalid moment case cases[{i}]: {exc}") from exc
-        cases.append(case)
+    cases = config.load_moment_cases(args.config)
 
     # Each case draws from its own generator and its numpy work releases the
     # GIL, so the cases run in parallel; map keeps the reports in case order.
@@ -144,23 +122,6 @@ def cmd_verify_moments(args):
         print("moment verification failed", file=sys.stderr)
         return 3
     return 0
-
-
-_BOUNDS_FIELDS = {
-    "d": (COUNT, REQUIRED), "regime": (REGIMES, "heterogeneous"), "quad_seed": (SEED, 0),
-    "q": (COUNT, 10), "epsilon": (POSITIVE, 1e-6), "distribution": (DISTRIBUTIONS, "gaussian"),
-    "sigma": (NONNEG, 0.0), "noise_seed": (SEED, 0), "f0": (NONNEG, REQUIRED),
-    "radius": (POSITIVE, REQUIRED), "seeds": (COUNT, 10), "meazo": (object, REQUIRED),
-    "zosgd": (object, REQUIRED), "reduction": (object, REQUIRED),
-}
-# zo-sgd keeps no second moment, so its side takes no beta or zeta.
-_ZOSGD_SIDE_FIELDS = {"eta": (POSITIVE, REQUIRED), "T": (COUNT, REQUIRED)}
-_MEAZO_SIDE_FIELDS = {**_ZOSGD_SIDE_FIELDS, "beta": (DECAY, 0.999), "zeta": (POSITIVE, 1.0)}
-_REDUCTION_FIELDS = {
-    "d": (COUNT, REQUIRED), "q": (POSITIVE, REQUIRED), "epsilon": (POSITIVE, REQUIRED),
-    "L": (POSITIVE, REQUIRED), "sigma": (NONNEG, REQUIRED), "eta": (POSITIVE, REQUIRED),
-    "T": (COUNT, REQUIRED), "f0": (NONNEG, REQUIRED), "tol": (NONNEG, 1e-6),
-}
 
 
 def _side_bound(cfg, quad, label, side):
@@ -207,16 +168,14 @@ def _side_report(cfg, quad, label, side, bound):
 
 
 def cmd_verify_bounds(args):
-    cfg = read_fields(load_json(args.config), _BOUNDS_FIELDS, "config")
+    cfg = config.load_bounds(args.config)
     try:
         quad = BlockQuadratic(d=cfg["d"], regime=cfg["regime"], seed=cfg["quad_seed"])
     except InvalidArgumentError as exc:
         raise ConfigError(f"invalid quadratic: {exc}") from exc
 
     # Every section is read and every bound computed before the first run.
-    sides = {"meazo": read_fields(cfg["meazo"], _MEAZO_SIDE_FIELDS, "meazo"),
-             "zo-sgd": read_fields(cfg["zosgd"], _ZOSGD_SIDE_FIELDS, "zosgd")}
-    r = read_fields(cfg["reduction"], _REDUCTION_FIELDS, "reduction")
+    sides, r = config.bound_sections(cfg)
     bounds = {label: _side_bound(cfg, quad, label, side) for label, side in sides.items()}
     try:
         zb = analysis.zosgd_bound(
@@ -251,21 +210,8 @@ def cmd_verify_bounds(args):
     return 0
 
 
-# Every key but series is a collapse_study argument; an absent one takes
-# collapse_study's default.
-_FIG2_FIELDS = {
-    "dims": ([COUNT, NONEMPTY], OMIT), "optimizers": ([object, NONEMPTY], OMIT),
-    "eta": (POSITIVE, OMIT), "q": (COUNT, OMIT), "threshold": (POSITIVE, OMIT),
-    "beta1": (DECAY0, OMIT), "beta2": (DECAY, OMIT), "zeta": (POSITIVE, OMIT),
-    "epsilon": (POSITIVE, OMIT), "distribution": (DISTRIBUTIONS, OMIT),
-    "x0_norm": (POSITIVE, OMIT), "seed": (SEED, OMIT), "max_steps": (COUNT, OMIT),
-    "tail": (COUNT, OMIT), "regime": (REGIMES, OMIT), "quad_seed": (SEED, OMIT),
-    "series": (bool, False),
-}
-
-
 def cmd_fig2(args):
-    study = read_fields(load_json(args.config), _FIG2_FIELDS, "config")
+    study = config.load_fig2(args.config)
     series = study.pop("series")
     try:
         results = analysis.collapse_study(**study)

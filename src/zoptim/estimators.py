@@ -178,10 +178,13 @@ def _point_values(f, x, epsilon, directions, masks, counter):
     The points of sample i and block j are x + v and x - v for v = eps *
     where(m_j, u_i, 0.0) (without masks, p = 1 and m_1 is every coordinate).
     The points are built and evaluated a chunk of (sample, block) pairs at a
-    time, each chunk in at most STEP_BUFFER_BYTES (or one pair's 24 d bytes):
-    its moved directions and their + and - rows. A chunk holds whole samples
-    when a sample's p pairs fit, and a run of one sample's blocks otherwise;
-    a step that fits one chunk skips the loop.
+    time, each chunk in at most STEP_BUFFER_BYTES (or one pair's 24 d bytes).
+    Per pair that is 8 d for its + row, 8 d for its - row and 8 d for what
+    lives beside them: epsilon * u before the mask, or the iterator buffer
+    numpy allocates to broadcast x or the masks over a chunk of n values,
+    8 * min(n, np.getbufsize()) bytes, so at most 8 d per pair. A chunk
+    holds whole samples when a sample's p pairs fit, and a run of one
+    sample's blocks otherwise; a step that fits one chunk skips the loop.
     """
     q, d = directions.shape
     p = 1 if masks is None else len(masks)

@@ -1,4 +1,4 @@
-"""Experiment harness: validated configs, deterministic trace files,
+"""Experiment harness: runs of checked configs, deterministic trace files,
 coarse-to-fine step-size sweeps that keep every step size's summary row but
 only the winner's traces, and robustness summaries.
 
@@ -9,12 +9,12 @@ unless wall_clock is requested; real wall time always lands in the summary.
 
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import ExperimentConfig, load_json
 from .errors import (
     ConfigError,
     DegenerateScaleError,
@@ -22,246 +22,15 @@ from .errors import (
     NumericFailureError,
 )
 from .estimators import EvalCounter, Partition
-from .objectives import REGIMES, BlockQuadratic, LayeredChain, equal_energy_point, noise_for_run
+from .objectives import BlockQuadratic, LayeredChain, equal_energy_point, noise_for_run
 from .optimizers import Method
-from .perturb import DISTRIBUTIONS, PerturbationSpec, keyed_generator
+from .perturb import PerturbationSpec, keyed_generator
 
 TRACE_HEADER = "step,loss,grad_norm_sq,v_min,v_max,v_mean,fn_evals,block_forwards,elapsed_s"
 COARSE_GRID = (1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1)
 DIVERGENCE_FACTOR = 1e6
 
 _X0_TAG = 0x0A0
-
-REQUIRED = object()  # field default: the key must be present
-OMIT = object()  # field default: an absent key is left out of what is read
-# Field kinds with a domain, beside int and float: kind -> (int or float, test, domain).
-SEED, COUNT, POSITIVE, NONNEG = "seed", "count", "positive", "nonneg"
-DECAY, DECAY0 = "decay", "decay0"  # an EMA decay rate; DECAY0 also takes 0 (no memory)
-NONEMPTY = "nonempty"  # [kind, NONEMPTY]: a list of kind with at least one entry
-_DOMAINS = {
-    SEED: (int, lambda v: 0 <= v < 2**64, "in [0, 2**64)"), COUNT: (int, lambda v: v >= 1, ">= 1"),
-    POSITIVE: (float, lambda v: v > 0, "> 0"), NONNEG: (float, lambda v: v >= 0, ">= 0"),
-    DECAY: (float, lambda v: 0 < v < 1, "in (0, 1)"),
-    DECAY0: (float, lambda v: 0 <= v < 1, "in [0, 1)"),
-}
-MAX_SEEDS = 100_000  # the largest integer seeds count; a longer run needs a seed list
-
-
-def _read(value, kind, name):
-    """A JSON value read as kind (see read_fields), or ConfigError.
-
-    Strings and booleans are never read as numbers, numbers never as
-    booleans; a number must be finite (an integer past the float range is
-    not), and an int field takes a float only when it is integral.
-    """
-    if kind is object:
-        return value
-    if isinstance(kind, tuple):
-        if value not in kind:
-            raise ConfigError(f"{name} must be one of {kind}, got {value!r}")
-        return value
-    if isinstance(kind, list):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{name} must be a list, got {value!r}")
-        if NONEMPTY in kind[1:] and not value:
-            raise ConfigError(f"{name} must list at least one entry")
-        return [_read(v, kind[0], f"{name} entry") for v in value]
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{name} must be true or false, got {value!r}")
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    base, test, domain = _DOMAINS.get(kind, (kind, None, None))
-    try:
-        real = float(value)
-    except OverflowError:  # an integer past the float range
-        real = math.inf
-    if not math.isfinite(real):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    if base is int and not (isinstance(value, numbers.Integral) or real.is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    value = real if base is float else int(value)
-    if test is not None and not test(value):
-        raise ConfigError(f"{name} must be {domain}, got {value}")
-    return value
-
-
-def read_fields(raw, fields, where):
-    """The fields of a config object, each read as its kind, or ConfigError.
-
-    fields maps each key to (kind, default). A kind is int, float, bool,
-    SEED, COUNT, POSITIVE, NONNEG, DECAY, DECAY0, a tuple of allowed values,
-    object (any value), [kind] (a list of that kind) or [kind, NONEMPTY]
-    (such a list with at least one entry). An absent key takes its default:
-    REQUIRED makes it an error and OMIT leaves it out. Keys not in fields are an error. where
-    names raw in messages.
-    """
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
-    out = {}
-    for key, (kind, default) in fields.items():
-        if key in raw:
-            out[key] = _read(raw[key], kind, f"{where}.{key}")
-        elif default is REQUIRED:
-            raise ConfigError(f"{where} requires {key!r}")
-        elif default is not OMIT:
-            out[key] = default
-    unknown = set(raw) - set(fields)
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-    return out
-
-
-def _read_tagged(raw, tag, tables, where):
-    """read_fields with the field table that raw[tag], one of tables' keys, names."""
-    name = raw.get(tag) if isinstance(raw, dict) else None
-    fields = tables.get(name, {}) if isinstance(name, str) else {}
-    return read_fields(raw, {tag: (tuple(tables), REQUIRED), **fields}, where)
-
-
-def _int_or_list(value, kind, name):
-    """value read as a list of kind if it is a list, else as an int."""
-    return _read(value, [kind] if isinstance(value, (list, tuple)) else int, name)
-
-
-_CONFIG_FIELDS = {
-    "objective": (object, REQUIRED),
-    "optimizer": (object, REQUIRED),
-    "T": (COUNT, REQUIRED),
-    "q": (COUNT, 1),
-    "epsilon": (POSITIVE, 1e-6),
-    "distribution": (DISTRIBUTIONS, "gaussian"),
-    "partition": (object, None),
-    "seeds": (object, 1),
-    "eval_every": (COUNT, 1),
-    "threshold": (POSITIVE, 1e-3),
-    "stop_at_threshold": (bool, False),
-    "x0": (object, {}),
-    "wall_clock": (bool, False),
-    "grouped_eval": (("naive", "efficient"), "naive"),
-    "metric": (("final", "best"), "final"),
-    "coarse_grid": ([POSITIVE], ()),
-}
-_OBJECTIVE_FIELDS = {
-    "quadratic": {
-        "d": (int, REQUIRED), "regime": (REGIMES, "heterogeneous"), "seed": (SEED, 0),
-        "sigma": (NONNEG, 0.0), "noise_seed": (SEED, 0),
-    },
-    "chain": {"p": (int, REQUIRED), "widths": (object, REQUIRED), "seed": (SEED, 0)},
-}
-# eta may be left out: a sweep searches it.
-_HYPER_KINDS = {"eta": POSITIVE, "zeta": POSITIVE, "beta": DECAY, "beta1": DECAY0, "beta2": DECAY}
-_OPTIMIZER_FIELDS = {
-    name: {key: (_HYPER_KINDS[key], OMIT) for key in ["eta", *sorted(Method.hyperparameters(name))]}
-    for name in ("zo-sgd", "zo-adam", "radazo", "meazo", "meazo-grouped", "fzoo")
-}
-_X0_FIELDS = {
-    "mode": (("gaussian", "equal_energy"), "gaussian"), "scale": (NONNEG, 0.1),
-    "norm": (NONNEG, OMIT), "f0": (NONNEG, OMIT),
-}
-
-
-@dataclass
-class ExperimentConfig:
-    """A checked experiment config. Building one, directly, by
-    dataclasses.replace or by from_dict, reads every field through its kind
-    and the objective, optimizer and x0 sections through their tables,
-    normalizes seeds, partition and coarse_grid, and applies the cross-field
-    rules; a config that breaks one raises ConfigError. Re-reading a built
-    config gives the same values."""
-
-    objective: dict
-    optimizer: dict
-    T: int
-    q: int
-    epsilon: float
-    distribution: str
-    partition: object
-    seeds: tuple
-    eval_every: int
-    threshold: float
-    stop_at_threshold: bool
-    x0: dict
-    wall_clock: bool
-    grouped_eval: str
-    metric: str
-    coarse_grid: tuple
-
-    @classmethod
-    def from_dict(cls, raw):
-        """The config a JSON object describes; an absent key takes its default."""
-        keys = {key: (object, default) for key, (_, default) in _CONFIG_FIELDS.items()}
-        return cls(**read_fields(raw, keys, "config"))
-
-    def __post_init__(self):
-        top = read_fields(vars(self), _CONFIG_FIELDS, "config")
-        obj = _read_tagged(top["objective"], "kind", _OBJECTIVE_FIELDS, "objective")
-        if obj["kind"] == "chain":
-            obj["widths"] = _int_or_list(obj["widths"], int, "objective.widths")
-
-        seeds = _int_or_list(top["seeds"], SEED, "config.seeds")
-        if not isinstance(seeds, list) and seeds > MAX_SEEDS:
-            raise ConfigError(f"a seeds count must be <= {MAX_SEEDS}, got {seeds}")
-        seeds = tuple(seeds if isinstance(seeds, list) else range(seeds))
-        if not seeds:
-            raise ConfigError(
-                f"config.seeds must be >= 1 or a non-empty list, got {top['seeds']!r}")
-
-        partition = top["partition"]
-        if isinstance(partition, str):
-            prefix, _, p = partition.partition(":")
-            if prefix != "layers" or not p.isdecimal():
-                raise ConfigError(f"string partition must look like 'layers:p', got {partition!r}")
-            if obj["kind"] != "chain":
-                raise ConfigError("'layers:p' partition requires a chain objective")
-        elif partition is not None:
-            partition = _read(partition, [[int]], "config.partition")
-            if not partition:
-                raise ConfigError("config.partition needs at least one [start, stop) range")
-            if any(len(r) != 2 for r in partition):
-                raise ConfigError(f"partition ranges must be [start, stop) pairs, got {partition}")
-
-        x0 = read_fields(top["x0"], _X0_FIELDS, "x0")
-        if x0["mode"] == "equal_energy":
-            if "f0" not in x0:
-                raise ConfigError("equal_energy x0 requires f0")
-            if obj["kind"] != "quadratic":
-                raise ConfigError("equal_energy x0 requires a quadratic objective")
-
-        grid = tuple(top["coarse_grid"])  # () means the default grid
-        if len(grid) == 1:
-            raise ConfigError("coarse_grid needs at least two step sizes")
-        if len(set(grid)) < len(grid):
-            raise ConfigError("coarse_grid entries must be distinct")
-
-        optimizer = _read_tagged(top["optimizer"], "name", _OPTIMIZER_FIELDS, "optimizer")
-        name = optimizer["name"]
-        if name == "meazo-grouped" and partition is None:
-            raise ConfigError("meazo-grouped requires a partition")
-        if name in ("meazo", "fzoo") and partition is not None:
-            raise ConfigError(f"{name} does not support a partition")
-        if name == "fzoo" and top["q"] < 2:
-            raise ConfigError(f"fzoo requires q >= 2, got {top['q']}")
-        if top["grouped_eval"] == "efficient":
-            if obj["kind"] != "chain":
-                raise ConfigError("efficient grouped evaluation requires a chain objective")
-            if not isinstance(partition, str):
-                raise ConfigError("efficient grouped evaluation requires partition 'layers:p'")
-        top.update(objective=obj, optimizer=optimizer, seeds=seeds, partition=partition, x0=x0,
-                   coarse_grid=grid)
-        vars(self).update(top)
-
-
-def load_json(path):
-    """A JSON config file's contents, or ConfigError."""
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def load_config(path):

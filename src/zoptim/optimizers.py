@@ -262,20 +262,34 @@ class Method:
         """The hyper-parameters besides eta that the named method's state takes."""
         return {f.name for f in fields(_METHODS[name][0])} & {"beta1", "beta2", "beta", "zeta"}
 
+    @staticmethod
+    def setup_error(name, q, partition):
+        """Why the named method cannot take q samples and partition (None for
+        none), or None: meazo-grouped needs a partition, meazo and fzoo take
+        none, and fzoo needs q >= 2. Method and ExperimentConfig both check
+        these rules here."""
+        if name == "meazo-grouped" and partition is None:
+            return f"{name} requires a partition"
+        if name in ("meazo", "fzoo") and partition is not None:
+            return f"{name} does not support a partition"
+        if name == "fzoo" and q < 2:
+            return f"fzoo requires q >= 2, got {q}"
+        return None
+
     def __init__(self, name, eta, spec, q, d=1, partition=None, chain=None, **consts):
         if not isinstance(name, str) or name not in _METHODS:
             raise InvalidArgumentError(f"unknown optimizer {name!r}")
         cls, self._update = _METHODS[name]
-        if name == "meazo-grouped" and partition is None:
-            raise InvalidArgumentError(f"{name} requires a partition")
-        if name in ("meazo", "fzoo") and partition is not None:
-            raise InvalidArgumentError(f"{name} does not support a partition")
+        args = {"eta": eta, "spec": spec, "q": q, "dim": d,
+                "p": partition.p if partition is not None else 1, **consts}
+        # The state checks its own fields first, fzoo's q among them.
+        self.state = cls(**{f.name: args[f.name] for f in fields(cls) if f.name in args})
+        error = Method.setup_error(name, q, partition)
+        if error is not None:
+            raise InvalidArgumentError(error)
         if chain is not None and partition is not None and not np.array_equal(
                 partition.block_of, Partition.from_ranges(chain.d, chain.slices).block_of):
             raise InvalidArgumentError("with a chain, the partition must be the chain's layers")
-        args = {"eta": eta, "spec": spec, "q": q, "dim": d,
-                "p": partition.p if partition is not None else 1, **consts}
-        self.state = cls(**{f.name: args[f.name] for f in fields(cls) if f.name in args})
         self.name, self.spec, self.q, self.d = name, spec, q, d
         self.partition, self.chain = partition, chain
 

@@ -229,12 +229,18 @@ def _draw(distribution, rng, shape, out=None):
         # np.linalg.norm's steps (x * x, add.reduce, sqrt) with one temporary, not two.
         z /= np.sqrt(np.add.reduce(np.square(z), axis=-1, keepdims=True))
         return z
-    if distribution == RADEMACHER:
-        z = np.multiply(rng.integers(0, 2, size=shape), 2.0, out=out)
-        z -= 1.0
-        return z
-    if distribution == TERNARY:
-        return np.subtract(rng.integers(0, 3, size=shape), 1.0, out=out)
+    if distribution == RADEMACHER or distribution == TERNARY:
+        ints = rng.integers(0, 2 if distribution == RADEMACHER else 3, size=shape)
+        # A plain cast: a ufunc on int64 and float64 operands would cast
+        # through numpy's iterator buffer, beside what _draw_scratch counts.
+        if out is None:
+            out = ints.astype(np.float64)
+        else:
+            np.copyto(out, ints)
+        if distribution == RADEMACHER:
+            out *= 2.0
+        out -= 1.0
+        return out
     raise InvalidArgumentError(f"unknown distribution {distribution!r}")
 
 

@@ -28,7 +28,9 @@ from zoptim import (
     vt_statistics,
     zosgd_bound,
 )
-from zoptim.perturb import DISTRIBUTIONS, GAUSSIAN, UNIFORM, batch_directions, keyed_generator
+from zoptim.perturb import (
+    DISTRIBUTIONS, GAUSSIAN, RADEMACHER, TERNARY, UNIFORM, batch_directions, keyed_generator,
+)
 
 
 def test_predicted_squared_moment_gaussian_hand_case():
@@ -207,6 +209,23 @@ def test_monte_carlo_moment_working_set_fits_the_buffer_budget(distribution, d, 
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * analysis.MC_BUFFER_BYTES, peak
+
+
+@pytest.mark.parametrize("distribution, q, d, n", [
+    (RADEMACHER, 2, 8, 10_000), (TERNARY, 2, 8, 10_000), (GAUSSIAN, 10, 1024, 30)])
+def test_monte_carlo_moment_peak_stays_within_the_buffer_budget(distribution, q, d, n):
+    # Several chunks each. Beside the counted arrays, only Python objects and
+    # numpy's iterator structs: the integer laws' casts make no iterator buffer,
+    # and the closing statistics' temporaries are counted.
+    g = np.random.default_rng(d).standard_normal(d)
+    mc_squared_moment(g, q, distribution, 10, seed=1)  # the generator's first-use allocations
+    tracemalloc.start()
+    try:
+        mc_squared_moment(g, q, distribution, n, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= analysis.MC_BUFFER_BYTES + 8 * 1024, peak
 
 
 @pytest.mark.parametrize("field", ["n", "q"])

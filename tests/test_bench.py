@@ -43,10 +43,13 @@ def test_a_bench_merge_keeps_the_other_keys(tmp_path):
 
 def test_outputs_diff_of_a_checkout_against_itself_finds_no_difference():
     proc = subprocess.run([sys.executable, str(ROOT / "bench" / "outputs_diff.py"),
-                           "--parent", str(ROOT), "--configs", "3"],
+                           "--parent", str(ROOT), "--configs", "4"],
                           capture_output=True, text=True, check=True, timeout=300,
                           env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"})
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert summary["parent_runs"] > 0 and summary["sweeps"] == 1
-    assert summary["differing_runs"] == summary["differing_sweeps"] == 0
+    assert summary["by_command"] == {"run": 4, "sweep": 1, "robustness": 1, "fig2": 1,
+                                     "verify-moments": 1, "verify-bounds": 1}
+    assert summary["configs_run"] == 9 and summary["parent_runs"] > 0
+    assert summary["differing_runs"] == 0
+    assert summary["differing_outputs"] == summary["differing_messages"] == {}
     assert summary["exit_codes_moved"] == {}

@@ -34,18 +34,20 @@ from zoptim import (
     write_trace_csv,
 )
 from zoptim import harness
-from zoptim.harness import (
+from zoptim.config import (
     COUNT,
-    DIVERGENCE_FACTOR,
     MAX_SEEDS,
     NONNEG,
     OMIT,
     POSITIVE,
     REQUIRED,
     SEED,
+    read_fields,
+)
+from zoptim.harness import (
+    DIVERGENCE_FACTOR,
     _X0_TAG,
     _seed_metric,
-    read_fields,
 )
 from zoptim.perturb import keyed_generator
 
