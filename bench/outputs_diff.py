@@ -16,7 +16,10 @@ in turn ``robustness`` (a sweep config of its own), ``fig2``,
 ``verify-moments`` and ``verify-bounds``: d <= 25, T and max_steps <= 50,
 n <= 20000, each subcommand from its own generator. A third of these carry
 one or two faults from a mutation generator: a value outside its field's
-domain or kind, an unknown key or a missing key, at any depth.
+domain or kind, an unknown key or a missing key, at any depth. The first
+three run configs are also run once more each with a file-level fault: the
+config path is a directory, the config is UTF-16 text with a byte-order
+mark (not UTF-8), or ``--out`` is an existing file.
 
 One child process per tree, run as ``bench/ab.py`` sets out, runs every
 config through ``zoptim.cli.main`` in this process with its standard error
@@ -47,20 +50,25 @@ MUTATE_EVERY = 3
 # Values a mutated field takes: out of most domains, or of the wrong JSON kind.
 POOL = (-1, 0, 0.5, 1, 1.5, 2, 10**30, -0.1, math.nan, math.inf, "x", True, None, [], {})
 
+FILE_FAULTS = ("config-dir", "config-utf16", "out-file")
+
 # Runs every config file of a directory, in name order, through the subcommand
-# its name carries (<index>.<command>.json), and records its exit code and the
-# first line it wrote to standard error. An exception that escapes main is
-# recorded by name instead of ending the loop.
+# its name carries (<index>.<command>.json, or <index>.<command>.<fault>.json
+# with a file fault), and records its exit code and the first line it wrote to
+# standard error. An exception that escapes main is recorded by name instead
+# of ending the loop. Each --out is relative to the working directory, so
+# that a message naming it reads the same on both sides.
 CHILD = r"""
 import contextlib, io, json, os, sys
 from zoptim import cli, harness
-configs, outputs = sys.argv[1], sys.argv[2]
+configs = sys.argv[1]
 codes, messages = {}, {}
 for name in sorted(os.listdir(configs)):
-    command = name.split(".")[1]
+    command, fault = name.split(".")[1:3]
+    if fault == "out-file":
+        open(name[:-5], "w").close()
     err = io.StringIO()
-    argv = [command, "--config", os.path.join(configs, name), "--out",
-            os.path.join(outputs, name[:-5])]
+    argv = [command, "--config", os.path.join(configs, name), "--out", name[:-5]]
     try:
         with contextlib.redirect_stderr(err):
             codes[name] = cli.main(argv)
@@ -260,14 +268,21 @@ def write_configs(directory, n, seed):
     mutate_rng = random.Random(f"{seed} mutate")
     counts = dict.fromkeys(("run", "sweep", *OTHERS), 0)
 
-    def write(i, command, config):
+    def write(i, command, config, fault=None):
         counts[command] += 1
-        with open(os.path.join(directory, f"{i:05d}.{command}.json"), "w") as fh:
+        name = f"{i:05d}.{command}.json" if fault is None else f"{i:05d}.{command}.{fault}.json"
+        path = os.path.join(directory, name)
+        if fault == "config-dir":
+            os.makedirs(path)
+            return
+        with open(path, "w", encoding="utf-16" if fault == "config-utf16" else "utf-8") as fh:
             json.dump(config, fh)
 
     for i in range(n):
         config = make_config(rng)
         write(i, "run", config)
+        if i < len(FILE_FAULTS):
+            write(i, "run", config, FILE_FAULTS[i])
         if i % SWEEP_EVERY == 0:
             write(i, "sweep", make_sweep(config, sweep_rng))
         command = OTHERS[i % len(OTHERS)]
@@ -292,8 +307,7 @@ def main():
         sides = {}
         for side, tree in ab.sides(args.parent).items():
             os.makedirs(os.path.join(tmp, side))
-            sides[side] = ab.run_json(tree, ["-c", CHILD, configs, os.path.join(tmp, side)],
-                                      cwd=os.path.join(tmp, side))
+            sides[side] = ab.run_json(tree, ["-c", CHILD, configs], cwd=os.path.join(tmp, side))
 
         factor = sides["parent"]["factor"]
         n_runs = differing = off = 0

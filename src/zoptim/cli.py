@@ -2,43 +2,46 @@
 
 Subcommands: run, sweep, robustness, verify-moments, verify-bounds, fig2.
 Every subcommand takes --config (JSON file) and --out (directory). Exit
-codes: 0 success, 2 bad config or arguments, 3 numeric failure or failed
-verification, 4 sweep in which every run diverged.
+codes: 0 success, 2 bad config or arguments or unwritable --out, 3 numeric
+failure or failed verification, 4 sweep in which every run diverged.
+
+Each cmd_* returns (files, failure): by file name, the callable that writes
+each output file at a path, and None or the (exit code, message) of a
+finished subcommand that failed. Only main creates --out and writes files,
+once the subcommand has finished, also when it failed; one that raised
+writes nothing.
 """
 
 import argparse
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
 from . import analysis, config, harness
-from .errors import ConfigError, InvalidArgumentError, PreconditionError, ZoptimError
-from .harness import write_json
+from .errors import ConfigError, PreconditionError, ZoptimError, invalid_config
 from .objectives import BlockQuadratic, equal_energy_point
+
+ALL_DIVERGED = (4, "every run diverged at every step size")
+
+
+def _trace_files(traces):
+    return {f"trace_seed{trace.seed}.csv": partial(harness.write_trace_csv, trace)
+            for trace in traces}
 
 
 def cmd_run(args):
     traces = harness.run(harness.load_config(args.config))
-    os.makedirs(args.out, exist_ok=True)
-    for trace in traces:
-        harness.write_trace_csv(trace, os.path.join(args.out, f"trace_seed{trace.seed}.csv"))
-    harness.write_summary(traces, os.path.join(args.out, "summary.json"))
+    files = {**_trace_files(traces), "summary.json": partial(harness.write_summary, traces)}
     if any(trace.diverged for trace in traces):
-        print("numeric failure: at least one seed diverged", file=sys.stderr)
-        return 3
-    return 0
-
-
-def _sweep(args):
-    sweep = harness.coarse_fine_sweep(harness.load_config(args.config))
-    os.makedirs(args.out, exist_ok=True)
-    return sweep
+        return files, (3, "numeric failure: at least one seed diverged")
+    return files, None
 
 
 def cmd_sweep(args):
-    sweep = _sweep(args)
+    sweep = harness.coarse_fine_sweep(harness.load_config(args.config))
     payload = {
         "metric": sweep.metric,
         "best_eta": sweep.best_eta,
@@ -46,28 +49,23 @@ def cmd_sweep(args):
         "all_diverged": sweep.all_diverged,
         "rows": sweep.rows,
     }
-    write_json(payload, os.path.join(args.out, "sweep.json"))
+    files = {"sweep.json": partial(harness.write_json, payload)}
     if sweep.all_diverged:
-        print("every run diverged at every step size", file=sys.stderr)
-        return 4
-    for trace in sweep.best_traces:
-        harness.write_trace_csv(trace, os.path.join(args.out, f"trace_seed{trace.seed}.csv"))
-    return 0
+        return files, ALL_DIVERGED
+    return {**files, **_trace_files(sweep.best_traces)}, None
 
 
 def cmd_robustness(args):
-    sweep = _sweep(args)
+    sweep = harness.coarse_fine_sweep(harness.load_config(args.config))
     if sweep.all_diverged:
-        write_json({"all_diverged": True}, os.path.join(args.out, "robustness.json"))
-        print("every run diverged at every step size", file=sys.stderr)
-        return 4
+        write = partial(harness.write_json, {"all_diverged": True})
+        return {"robustness.json": write}, ALL_DIVERGED
     payload = {
         "best_eta": sweep.best_eta,
         "curve": harness.robustness_curve(sweep),
         "width": harness.robust_log_width(sweep),
     }
-    write_json(payload, os.path.join(args.out, "robustness.json"))
-    return 0
+    return {"robustness.json": partial(harness.write_json, payload)}, None
 
 
 def _cpu_count():
@@ -78,11 +76,9 @@ def _cpu_count():
 
 
 def _moment_case_report(i, case):
-    try:
+    with invalid_config(f"moment case cases[{i}]"):
         return analysis.moment_report(case["g"], case["q"], case["distribution"], case["n"],
                                       seed=case["seed"])
-    except InvalidArgumentError as exc:
-        raise ConfigError(f"invalid moment case cases[{i}]: {exc}") from exc
 
 
 def cmd_verify_moments(args):
@@ -98,49 +94,40 @@ def cmd_verify_moments(args):
     with ThreadPoolExecutor(max_workers=min(len(cases), _cpu_count())) as pool:
         reports = list(pool.map(_moment_case_report, range(len(cases)), cases))
 
-    results = []
-    ok = True
-    for case, report in zip(cases, reports):
-        passed = report.max_rel_err <= case["tol"]
-        ok = ok and passed
-        results.append(
-            {
-                "g": case["g"].tolist(),
-                "q": case["q"],
-                "distribution": case["distribution"],
-                "n": report.n_trials,
-                "predicted": report.predicted.tolist(),
-                "empirical": report.empirical.tolist(),
-                "max_rel_err": report.max_rel_err,
-                "tol": case["tol"],
-                "pass": passed,
-            }
-        )
-    os.makedirs(args.out, exist_ok=True)
-    write_json({"cases": results, "all_pass": ok}, os.path.join(args.out, "moments.json"))
-    if not ok:
-        print("moment verification failed", file=sys.stderr)
-        return 3
-    return 0
+    results = [
+        {
+            "g": case["g"].tolist(),
+            "q": case["q"],
+            "distribution": case["distribution"],
+            "n": report.n_trials,
+            "predicted": report.predicted.tolist(),
+            "empirical": report.empirical.tolist(),
+            "max_rel_err": report.max_rel_err,
+            "tol": case["tol"],
+            "pass": report.max_rel_err <= case["tol"],
+        }
+        for case, report in zip(cases, reports)
+    ]
+    ok = all(result["pass"] for result in results)
+    files = {"moments.json": partial(harness.write_json, {"cases": results, "all_pass": ok})}
+    return files, None if ok else (3, "moment verification failed")
 
 
 def _side_bound(cfg, quad, label, side):
     """The stationarity bound one side's runs are checked against."""
     d, q, epsilon, sigma, L = quad.d, cfg["q"], cfg["epsilon"], cfg["sigma"], quad.smoothness
-    try:
+    with invalid_config(f"{label} bound setup"):
         if label == "meazo":
             constants = analysis.theorem_constants(
                 d, q, epsilon, L, sigma, L * cfg["radius"], side["beta"], side["zeta"],
             )
             return analysis.meazo_bound(constants, cfg["f0"], side["eta"], side["T"], epsilon, L)
         return analysis.zosgd_bound(d, q, epsilon, L, sigma, side["eta"], side["T"], cfg["f0"])
-    except InvalidArgumentError as exc:
-        raise ConfigError(f"invalid {label} bound setup: {exc}") from exc
 
 
 def _side_report(cfg, quad, label, side, bound):
     eta, T, n_seeds = side["eta"], side["T"], cfg["seeds"]
-    try:
+    with invalid_config(f"{label} bound setup"):
         runs = [
             analysis.bound_check_run(
                 quad, label, eta, cfg["q"], cfg["epsilon"], cfg["distribution"], cfg["sigma"],
@@ -149,8 +136,6 @@ def _side_report(cfg, quad, label, side, bound):
             )
             for seed in range(n_seeds)
         ]
-    except InvalidArgumentError as exc:
-        raise ConfigError(f"invalid {label} bound setup: {exc}") from exc
     empirical = float(np.mean([r["avg_grad_norm_sq"] for r in runs]))
     within = all(r.get("within_radius", False) and not r["diverged"] for r in runs)
     passed = within and math.isfinite(empirical) and empirical <= bound
@@ -169,56 +154,45 @@ def _side_report(cfg, quad, label, side, bound):
 
 def cmd_verify_bounds(args):
     cfg = config.load_bounds(args.config)
-    try:
+    with invalid_config("quadratic"):
         quad = BlockQuadratic(d=cfg["d"], regime=cfg["regime"], seed=cfg["quad_seed"])
-    except InvalidArgumentError as exc:
-        raise ConfigError(f"invalid quadratic: {exc}") from exc
 
     # Every section is read and every bound computed before the first run.
     sides, r = config.bound_sections(cfg)
     bounds = {label: _side_bound(cfg, quad, label, side) for label, side in sides.items()}
-    try:
+    with invalid_config("reduction setup"):
         zb = analysis.zosgd_bound(
             r["d"], r["q"], r["epsilon"], r["L"], r["sigma"], r["eta"], r["T"], r["f0"]
         )
         cb = analysis.classical_sgd_bound(r["L"], r["sigma"], r["eta"], r["T"], r["f0"])
-    except InvalidArgumentError as exc:
-        raise ConfigError(f"invalid reduction setup: {exc}") from exc
     rel = abs(zb - cb) / cb if cb else math.inf
     red_pass = rel <= r["tol"]
 
     reports = [_side_report(cfg, quad, label, side, bounds[label]) for label, side in sides.items()]
     ok = red_pass and all(s["pass"] for s in reports)
-
-    os.makedirs(args.out, exist_ok=True)
-    write_json(
-        {
-            "sides": reports,
-            "reduction": {
-                "two_point_bound": zb,
-                "classical_bound": cb,
-                "rel_err": rel,
-                "pass": red_pass,
-            },
-            "all_pass": ok,
+    payload = {
+        "sides": reports,
+        "reduction": {
+            "two_point_bound": zb,
+            "classical_bound": cb,
+            "rel_err": rel,
+            "pass": red_pass,
         },
-        os.path.join(args.out, "bounds.json"),
-    )
-    if not ok:
-        print("bound verification failed", file=sys.stderr)
-        return 3
-    return 0
+        "all_pass": ok,
+    }
+    failure = None if ok else (3, "bound verification failed")
+    return {"bounds.json": partial(harness.write_json, payload)}, failure
+
+
+FIG2_SERIES = ("step", "loss", "grad_norm_sq", "spread")
 
 
 def cmd_fig2(args):
     study = config.load_fig2(args.config)
     series = study.pop("series")
-    try:
+    with invalid_config("collapse study"):
         results = analysis.collapse_study(**study)
-    except InvalidArgumentError as exc:
-        raise ConfigError(f"invalid collapse study: {exc}") from exc
-    os.makedirs(args.out, exist_ok=True)
-    rows = []
+    files, rows = {}, []
     for res in results:
         vhat = res["vhat_final"]
         rows.append(
@@ -235,17 +209,10 @@ def cmd_fig2(args):
             }
         )
         if series:
-            path = os.path.join(args.out, f"fig2_{res['optimizer']}_d{res['d']}.csv")
-            with open(path, "w") as fh:
-                fh.write("step,loss,grad_norm_sq,spread\n")
-                s = res["series"]
-                for i in range(len(s["step"])):
-                    fh.write(
-                        f"{s['step'][i]},{s['loss'][i]!r},"
-                        f"{s['grad_norm_sq'][i]!r},{s['spread'][i]!r}\n"
-                    )
-    write_json({"rows": rows}, os.path.join(args.out, "fig2.json"))
-    return 0
+            files[f"fig2_{res['optimizer']}_d{res['d']}.csv"] = partial(
+                harness.write_csv, header=",".join(FIG2_SERIES),
+                columns=[res["series"][key] for key in FIG2_SERIES])
+    return {**files, "fig2.json": partial(harness.write_json, {"rows": rows})}, None
 
 
 def build_parser():
@@ -277,16 +244,25 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
-        return args.func(args)
+        files, failure = args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        failure = (2, f"config error: {exc}")
     except PreconditionError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return 3
+        failure = (3, f"precondition violated: {exc}")
     except ZoptimError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
+        failure = (3, f"numeric failure: {exc}")
+    else:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            for name, write in files.items():
+                write(os.path.join(args.out, name))
+        except OSError as exc:
+            failure = (2, f"output error: {exc}")
+    if failure is None:
+        return 0
+    code, message = failure
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import checked_moment_prediction
-from .errors import ConfigError, InvalidArgumentError
+from .errors import ConfigError, invalid_config
 from .objectives import REGIMES
 from .optimizers import Method
 from .perturb import DISTRIBUTIONS
@@ -118,13 +118,17 @@ def _int_or_list(value, kind, name):
 
 
 def load_json(path):
-    """A JSON config file's contents, or ConfigError."""
+    """A JSON config file's contents, or ConfigError: also for a path that is
+    a directory or cannot be read, bytes that are not text, and JSON nested
+    past the interpreter's recursion limit."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -219,6 +223,8 @@ class ExperimentConfig:
         if not seeds:
             raise ConfigError(
                 f"config.seeds must be >= 1 or a non-empty list, got {top['seeds']!r}")
+        if len(set(seeds)) < len(seeds):
+            raise ConfigError("config.seeds entries must be distinct")
 
         partition = top["partition"]
         if isinstance(partition, str):
@@ -280,10 +286,8 @@ def load_moment_cases(path):
     for i, case in enumerate(raw):
         case = read_fields(case, _MOMENT_CASE_FIELDS, f"cases[{i}]")
         case["g"] = np.asarray(case["g"], dtype=np.float64)
-        try:
+        with invalid_config(f"moment case cases[{i}]"):
             checked_moment_prediction(case["g"], case["q"], case["distribution"])
-        except InvalidArgumentError as exc:
-            raise ConfigError(f"invalid moment case cases[{i}]: {exc}") from exc
         cases.append(case)
     return cases
 
@@ -338,5 +342,15 @@ _FIG2_FIELDS = {
 
 
 def load_fig2(path):
-    """The fields of a fig2 config file, or ConfigError."""
-    return read_fields(load_json(path), _FIG2_FIELDS, "config")
+    """The fields of a fig2 config file, or ConfigError; dims and optimizers
+    each name every entry once."""
+    study = read_fields(load_json(path), _FIG2_FIELDS, "config")
+    dims = study.get("dims", ())
+    if len(set(dims)) < len(dims):
+        raise ConfigError("config.dims entries must be distinct")
+    # An optimizers entry is any JSON value until collapse_study checks it,
+    # so entries are compared with ==, not hashed.
+    optimizers = study.get("optimizers", ())
+    if any(name in optimizers[:i] for i, name in enumerate(optimizers)):
+        raise ConfigError("config.optimizers entries must be distinct")
+    return study

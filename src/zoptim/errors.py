@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the library."""
 
+from contextlib import contextmanager
+
 
 class ZoptimError(Exception):
     """Base class for all library errors."""
@@ -36,3 +38,12 @@ class StalePrefixError(InvalidArgumentError):
 
 class ConfigError(ZoptimError, ValueError):
     """An experiment configuration is malformed or inconsistent."""
+
+
+@contextmanager
+def invalid_config(what):
+    """Re-raise an InvalidArgumentError from the block as ConfigError("invalid <what>: ...")."""
+    try:
+        yield
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc

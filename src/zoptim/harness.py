@@ -20,6 +20,7 @@ from .errors import (
     DegenerateScaleError,
     InvalidArgumentError,
     NumericFailureError,
+    invalid_config,
 )
 from .estimators import EvalCounter, Partition
 from .objectives import BlockQuadratic, LayeredChain, equal_energy_point, noise_for_run
@@ -38,12 +39,10 @@ def load_config(path):
 
 
 def make_objective(obj):
-    try:
+    with invalid_config("objective"):
         if obj["kind"] == "quadratic":
             return BlockQuadratic(d=obj["d"], regime=obj["regime"], seed=obj["seed"])
         return LayeredChain(p=obj["p"], widths=obj["widths"], seed=obj["seed"])
-    except InvalidArgumentError as exc:
-        raise ConfigError(f"invalid objective: {exc}") from exc
 
 
 def resolve_partition(partition, objective):
@@ -58,10 +57,8 @@ def resolve_partition(partition, objective):
                 f"partition 'layers:{p}' does not match the chain's {objective.p} blocks"
             )
         return Partition.from_ranges(d, list(objective.slices))
-    try:
+    with invalid_config("partition"):
         return Partition.from_ranges(d, partition)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid partition: {exc}") from exc
 
 
 def make_x0(x0, objective, seed):
@@ -127,11 +124,9 @@ def _run_seed(cfg, base, partition, seed):
     if "eta" not in opt:
         raise ConfigError("optimizer.eta is required to run")
     chain = base if cfg.grouped_eval == "efficient" else None
-    try:
+    with invalid_config("optimizer"):
         method = Method(opt.pop("name"), spec=spec, q=cfg.q, d=base.d, partition=partition,
                         chain=chain, **opt)
-    except InvalidArgumentError as exc:
-        raise ConfigError(f"invalid optimizer: {exc}") from exc
     state = method.state
     obj = cfg.objective
     noisy = noise_for_run(base, obj.get("sigma", 0.0), obj.get("noise_seed", 0), seed)
@@ -204,15 +199,18 @@ def run(config):
     return [_run_seed(config, base, partition, seed) for seed in config.seeds]
 
 
-def write_trace_csv(trace, path):
-    lines = [TRACE_HEADER]
-    columns = (trace.steps, trace.losses, trace.grad_norm_sq, trace.v_min, trace.v_max,
-               trace.v_mean, trace.fn_evals, trace.block_forwards, trace.elapsed)
-    for step, *reals, fn_evals, block_forwards, elapsed in zip(*columns):
-        lines.append(",".join([str(step), *map(repr, reals), str(fn_evals),
-                               str(block_forwards), repr(elapsed)]))
+def write_csv(path, header, columns):
+    """columns, equal-length lists of Python ints and floats, as CSV rows under header;
+    a value is written as its str, for a float its repr, which reads back as the same float."""
+    lines = [header, *(",".join(map(str, row)) for row in zip(*columns))]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_trace_csv(trace, path):
+    write_csv(path, TRACE_HEADER, (trace.steps, trace.losses, trace.grad_norm_sq, trace.v_min,
+                                   trace.v_max, trace.v_mean, trace.fn_evals,
+                                   trace.block_forwards, trace.elapsed))
 
 
 def trace_summary(trace):

@@ -47,9 +47,12 @@ def test_outputs_diff_of_a_checkout_against_itself_finds_no_difference():
                           capture_output=True, text=True, check=True, timeout=300,
                           env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"})
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert summary["by_command"] == {"run": 4, "sweep": 1, "robustness": 1, "fig2": 1,
+    # Four run configs, three of them once more with a file-level fault each,
+    # which exits 2 (a generated run config is valid and exits 0 or 3).
+    assert summary["by_command"] == {"run": 7, "sweep": 1, "robustness": 1, "fig2": 1,
                                      "verify-moments": 1, "verify-bounds": 1}
-    assert summary["configs_run"] == 9 and summary["parent_runs"] > 0
+    assert summary["configs_run"] == 12 and summary["parent_runs"] > 0
+    assert summary["parent_exit_codes"]["run"]["2"] == 3
     assert summary["differing_runs"] == 0
     assert summary["differing_outputs"] == summary["differing_messages"] == {}
     assert summary["exit_codes_moved"] == {}

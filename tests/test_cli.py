@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, determinism, and exit codes."""
 
+import errno
 import json
 import math
 import os
@@ -378,6 +379,90 @@ def test_verify_bounds_zosgd_side_takes_no_second_moment_keys(tmp_path, monkeypa
     assert not (out / "bounds.json").exists()
 
 
+ALL_DIVERGED_SWEEP = {**LAST_STEP_BLOWUP, "optimizer": {"name": "zo-sgd"}, "seeds": 3,
+                      "coarse_grid": [1e2, 1e3]}
+
+
+# Each subcommand's outcome as main turns it into files, an exit code and a
+# first standard-error line: files are written only once a subcommand has
+# finished, also when it failed, and none when it raised (None: no --out).
+@pytest.mark.parametrize("command, payload, files, code, line", [
+    ("run", run_cfg(), {"trace_seed0.csv", "trace_seed1.csv", "summary.json"}, 0, None),
+    ("run", LAST_STEP_BLOWUP, {"trace_seed0.csv", "summary.json"}, 3,
+     "numeric failure: at least one seed diverged"),
+    ("sweep", ALL_DIVERGED_SWEEP, {"sweep.json"}, 4, "every run diverged at every step size"),
+    ("robustness", ALL_DIVERGED_SWEEP, {"robustness.json"}, 4,
+     "every run diverged at every step size"),
+    ("verify-moments", {"cases": [{"g": [1.0, 0.0], "n": 2000, "tol": 1e-9}]}, {"moments.json"},
+     3, "moment verification failed"),
+    ("verify-bounds", bounds_cfg(seeds=1, reduction={**bounds_cfg()["reduction"], "q": 1.0}),
+     {"bounds.json"}, 3, "bound verification failed"),
+    ("verify-bounds", bounds_cfg(meazo={"eta": 1e-4, "T": 50, "beta": 0.9}), None, 3,
+     "precondition violated: step-size condition violated: max(G(1+sigma1^2)sqrt(1-beta)/zeta, "
+     "L eta/(2 zeta)) > 1/4 (G=440.0, L=1100.0, sigma1_sq=3.5, beta=0.9, eta=0.0001, zeta=1.0)"),
+    ("fig2", {"dims": [4], "optimizers": ["meazo"], "max_steps": 5, "series": True},
+     {"fig2.json", "fig2_meazo_d4.csv"}, 0, None),
+    ("fig2", {"dims": [4], "whoops": True}, None, 2,
+     "config error: unknown config keys: ['whoops']"),
+], ids=["run-ok", "run-diverged", "sweep-all-diverged", "robustness-all-diverged",
+        "moments-failed", "bounds-failed", "bounds-precondition", "fig2-ok", "config-error"])
+def test_main_turns_each_outcome_into_files_an_exit_code_and_a_stderr_line(
+        tmp_path, capsys, command, payload, files, code, line):
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == code
+    assert (capsys.readouterr().err.splitlines() or [None])[0] == line
+    assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == (
+        None if files is None else sorted(files))
+    if command == "robustness":
+        assert json.loads((out / "robustness.json").read_text()) == {"all_diverged": True}
+
+
+def denied(path, *args, **kwargs):
+    """open as a file system without permission answers it; chmod does not deny root."""
+    raise PermissionError(errno.EACCES, "Permission denied", path)
+
+
+@pytest.mark.parametrize("fault", ["out-is-a-file", "out-under-a-file", "summary-is-a-directory",
+                                   "no-write-permission"])
+def test_outputs_that_cannot_be_written_exit_two(tmp_path, monkeypatch, capsys, fault):
+    cfg = write_cfg(tmp_path, run_cfg(T=2))
+    out = tmp_path / "out"
+    if fault == "out-is-a-file":
+        out.write_text("")
+    elif fault == "out-under-a-file":
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+    elif fault == "summary-is-a-directory":
+        (out / "summary.json").mkdir(parents=True)
+    else:
+        monkeypatch.setattr(cli.harness, "open", denied, raising=False)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("output error: ") and str(out) in err[0]
+
+
+@pytest.mark.parametrize("fault", ["directory", "no-read-permission", "utf16", "missing",
+                                   "nested-too-deep"])
+def test_config_files_that_cannot_be_read_exit_two(tmp_path, monkeypatch, capsys, fault):
+    path = tmp_path / "cfg.json"
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "no-read-permission":
+        monkeypatch.setattr(cli.config, "open", denied, raising=False)
+    elif fault == "utf16":  # UTF-16 with a byte-order mark: it starts with the bytes ff fe
+        path.write_bytes(b"\xff\xfe" + json.dumps(run_cfg()).encode("utf-16-le"))
+    elif fault == "nested-too-deep":  # past the recursion limit of Python's JSON reader
+        path.write_text("[" * 100_000 + "]" * 100_000)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    what = {"missing": "config file not found", "nested-too-deep": "invalid JSON in"}.get(
+        fault, "cannot read config file")
+    assert len(err) == 1 and err[0].startswith(f"config error: {what}") and str(path) in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "over, named",
     [
@@ -416,10 +501,15 @@ def test_fig2_checks_every_entry_before_the_first_step(tmp_path, monkeypatch, ca
         ({"beta1": 1}, "config.beta1 must be in [0, 1)"),
         ({"beta2": 1.5}, "config.beta2 must be in (0, 1)"),
         ({"beta2": 0}, "config.beta2 must be in (0, 1)"),
+        ({"dims": [4, 4]}, "config.dims entries must be distinct"),
+        ({"optimizers": ["meazo", "meazo"]}, "config.optimizers entries must be distinct"),
+        # Entries that are not names yet, and not hashable, are compared too.
+        ({"optimizers": [["meazo"], ["meazo"]]}, "config.optimizers entries must be distinct"),
     ],
     ids=["empty-dims", "empty-optimizers", "negative-x0-norm", "negative-threshold", "zero-eta",
          "zero-q", "negative-epsilon", "zero-zeta", "fractional-max-steps", "negative-tail",
-         "zero-d", "beta1-one", "beta2-past-one", "zero-beta2"],
+         "zero-d", "beta1-one", "beta2-past-one", "zero-beta2", "duplicate-dims",
+         "duplicate-optimizers", "duplicate-unhashable-optimizers"],
 )
 def test_fig2_fields_outside_their_domain_exit_two_before_any_step(tmp_path, monkeypatch, capsys,
                                                                     over, named):
@@ -529,9 +619,10 @@ def test_out_of_domain_and_mistyped_fields_exit_two(tmp_path, over):
          "optimizer.beta1 must be in [0, 1)"),
         ({"optimizer": {"name": "radazo", "eta": 1e-3, "beta2": -0.1}},
          "optimizer.beta2 must be in (0, 1)"),
+        ({"seeds": [3, 3]}, "config.seeds entries must be distinct"),
     ],
     ids=["negative-x0-scale", "negative-x0-norm", "negative-eta", "negative-zeta", "beta-one",
-         "beta-zero", "beta1-one", "negative-beta2"],
+         "beta-zero", "beta1-one", "negative-beta2", "duplicate-seeds"],
 )
 def test_run_fields_outside_their_domain_exit_two_before_any_step(tmp_path, monkeypatch, capsys,
                                                                    over, named):

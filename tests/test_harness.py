@@ -163,6 +163,7 @@ BAD_MUTATIONS = [
     {"partition": "layers:x:y"},
     {"grouped_eval": "sometimes"},
     {"partition": []},
+    {"seeds": [3, 3]},
 ]
 
 
