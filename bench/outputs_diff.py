@@ -16,10 +16,12 @@ in turn ``robustness`` (a sweep config of its own), ``fig2``,
 ``verify-moments`` and ``verify-bounds``: d <= 25, T and max_steps <= 50,
 n <= 20000, each subcommand from its own generator. A third of these carry
 one or two faults from a mutation generator: a value outside its field's
-domain or kind, an unknown key or a missing key, at any depth. The first
-three run configs are also run once more each with a file-level fault: the
-config path is a directory, the config is UTF-16 text with a byte-order
-mark (not UTF-8), or ``--out`` is an existing file.
+domain or kind, an unknown key or a missing key, at any depth. One fig2
+config in twenty takes a step size of 1e200, and one moment case in twenty
+a g entry near 1e200, so that inputs that overflow float64 are diffed too.
+The first three run configs are also run once more each with a file-level
+fault: the config path is a directory, the config is UTF-16 text with a
+byte-order mark (not UTF-8), or ``--out`` is an existing file.
 
 One child process per tree, run as ``bench/ab.py`` sets out, runs every
 config through ``zoptim.cli.main`` in this process with its standard error
@@ -51,6 +53,10 @@ MUTATE_EVERY = 3
 POOL = (-1, 0, 0.5, 1, 1.5, 2, 10**30, -0.1, math.nan, math.inf, "x", True, None, [], {})
 
 FILE_FAULTS = ("config-dir", "config-utf16", "out-file")
+# Share of fig2 configs whose step size overflows the iterate within a step
+# or two, and of moment cases with one g entry whose square overflows float64.
+BLOWUP_SHARE = 0.05
+BLOWUP_ETA = 1e200
 
 # Runs every config file of a directory, in name order, through the subcommand
 # its name carries (<index>.<command>.json, or <index>.<command>.<fault>.json
@@ -141,7 +147,8 @@ def make_fig2(rng):
         + ([10] if rng.random() < 0.1 else []),
         "optimizers": rng.sample(names[:4], rng.randint(1, 3))
         + ([rng.choice(names[4:])] if rng.random() < 0.1 else []),
-        "eta": 10.0 ** rng.uniform(-4, -1), "max_steps": rng.randint(1, 50),
+        "eta": BLOWUP_ETA if rng.random() < BLOWUP_SHARE else 10.0 ** rng.uniform(-4, -1),
+        "max_steps": rng.randint(1, 50),
         **_some(rng, {
             "q": rng.randint(1, 4), "threshold": rng.choice((1e-3, 1e-1)),
             "beta1": rng.choice((0.0, 0.9)), "beta2": rng.choice((0.9, 0.999)),
@@ -159,7 +166,10 @@ def make_moments(rng):
     cases = []
     for _ in range(rng.randint(1, 3)):
         d = rng.randint(1, 25)
-        cases.append({"g": [rng.gauss(0.0, 1.0) for _ in range(d)], **_some(rng, {
+        g = [rng.gauss(0.0, 1.0) for _ in range(d)]
+        if rng.random() < BLOWUP_SHARE:
+            g[rng.randrange(d)] = 1e200 * rng.uniform(0.5, 2.0)
+        cases.append({"g": g, **_some(rng, {
             "q": rng.randint(1, 4), "distribution": rng.choice(("gaussian", "uniform")),
             "n": rng.randint(1, 20_000), "tol": rng.choice((0.0, 0.05, 0.5)),
             "seed": rng.randrange(4)})})

@@ -27,7 +27,7 @@ def main():
     print("Hand cases, uniform directions on the sphere, g=(1,0):")
     for q, want in [(1, (1.5, 0.5)), (2, (1.25, 0.25))]:
         got = predicted_squared_moment(np.array([1.0, 0.0]), q, "uniform")
-        print(f"  q={q}: closed form {tuple(got)}  expected {want}")
+        print(f"  q={q}: closed form {tuple(got.tolist())}  expected {want}")
     print()
 
     rng = np.random.default_rng(7)

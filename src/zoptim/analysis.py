@@ -129,18 +129,24 @@ class MomentReport:
 
 def checked_moment_prediction(g, q, distribution):
     """predicted_squared_moment, or InvalidArgumentError if a coordinate's is
-    zero: the relative error against a zero moment is 0/0."""
-    predicted = predicted_squared_moment(g, q, distribution)
+    zero (the relative error against a zero moment is 0/0) or not finite
+    (g's squared norm overflows); computing it does not warn."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        predicted = predicted_squared_moment(g, q, distribution)
     if not predicted.all():
         raise InvalidArgumentError("g predicts a zero second moment")
+    if not np.isfinite(predicted).all():
+        raise InvalidArgumentError("g predicts a non-finite second moment")
     return predicted
 
 
 def moment_report(g, q, distribution, n, seed=0):
-    """Compare the Monte Carlo coordinate-wise second moment to the formula."""
+    """Compare the Monte Carlo coordinate-wise second moment to the formula.
+    A trial's est^2 or est^4 past float64's range fails it as inf, unwarned."""
     predicted = checked_moment_prediction(g, q, distribution)
-    empirical, se = mc_squared_moment(g, q, distribution, n, seed=seed)
-    rel = np.abs(empirical - predicted) / np.abs(predicted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        empirical, se = mc_squared_moment(g, q, distribution, n, seed=seed)
+        rel = np.abs(empirical - predicted) / np.abs(predicted)
     return MomentReport(
         empirical=empirical,
         predicted=predicted,
@@ -331,26 +337,23 @@ def _study_method(optimizer, eta, spec, q, d, beta1, beta2, zeta):
     return method
 
 
-def _run_one(objective, grad, optimizer, d, eta, q, epsilon, distribution, beta1, beta2,
-             zeta, x0, threshold, max_steps, tail, seed):
-    """Drive one optimizer until the loss threshold, recording v-hat spread."""
-    spec = PerturbationSpec(distribution=distribution, epsilon=epsilon, base_seed=seed)
-    method = _study_method(optimizer, eta, spec, q, d, beta1, beta2, zeta)
-    state = method.state
-
+def _run_one(quad, method, x0, threshold, max_steps, tail):
+    """Drive one built run on quad from x0 until the loss threshold, recording
+    v-hat spread; fo-adam steps on the analytic gradient."""
+    state, q = method.state, method.q
     x = x0.copy()
     target_errs = []
     series = {"step": [], "loss": [], "grad_norm_sq": [], "spread": []}
     hit = None
     for t in range(max_steps):
-        loss = float(objective(x))
-        gvec = grad(x)
+        loss = float(quad.value(x))
+        gvec = quad.gradient(x)
         gns = float(gvec @ gvec)
 
-        if optimizer == "fo-adam":
+        if method.name == "fo-adam":
             x = zo_adam_step(state, x, gvec)
         else:
-            x = method.step(objective, x, t)
+            x = method.step(quad.value, x, t)
 
         metric = vt_collapse_metric(state.vhat, gns, q) if gns > 0 else {
             "spread": 0.0, "theory_target_err": math.inf}
@@ -364,12 +367,12 @@ def _run_one(objective, grad, optimizer, d, eta, q, epsilon, distribution, beta1
             break
 
     return {
-        "optimizer": optimizer,
-        "d": d,
+        "optimizer": method.name,
+        "d": method.d,
         "steps_to_threshold": hit,
         "terminal_spread": float(np.mean(series["spread"][-tail:])),
         "terminal_target_err": float(np.mean(target_errs[-tail:])),
-        "final_loss": float(objective(x)),
+        "final_loss": float(quad.value(x)),
         "vhat_final": state.vhat,
         "series": series,
     }
@@ -384,29 +387,26 @@ def collapse_study(dims=(9, 25, 49, 100, 1024), optimizers=("fo-adam", "zo-adam"
     Every optimizer runs the same schedule on the same quadratic per
     dimension, started from a random point of fixed norm, and records the
     spread of the bias-corrected second moment over the last `tail`
-    recorded steps before the loss threshold is reached.
+    recorded steps before the loss threshold is reached. Every run is built
+    before the first step, so a bad dimension, then a bad optimizer in
+    config order, raises before any run steps.
     """
     if tail < 1 or max_steps < 1:
         raise InvalidArgumentError(f"tail and max_steps must be >= 1, got {tail} and {max_steps}")
-    # Every dimension and optimizer is checked before the first step.
     quads = [BlockQuadratic(d=d, regime=regime, seed=quad_seed) for d in dims]
     spec = PerturbationSpec(distribution=distribution, epsilon=epsilon, base_seed=seed)
-    for opt in optimizers:
-        _study_method(opt, eta, spec, q, 1, beta1, beta2, zeta)
-    results = []
+    runs = []
     for quad in quads:
-        d = quad.d
-        rng = keyed_generator(seed, 0xF162, d)
-        x0 = rng.standard_normal(d)
+        x0 = keyed_generator(seed, 0xF162, quad.d).standard_normal(quad.d)
         x0 *= x0_norm / np.linalg.norm(x0)
-        for opt in optimizers:
-            results.append(
-                _run_one(
-                    quad.value, quad.gradient, opt, d, eta, q, epsilon, distribution,
-                    beta1, beta2, zeta, x0, threshold, max_steps, tail, seed,
-                )
-            )
-    return results
+        runs += [(quad, _study_method(opt, eta, spec, q, quad.d, beta1, beta2, zeta), x0)
+                 for opt in optimizers]
+    # A diverging run overflows its squared gradient norm, and fo-adam its second
+    # moment, before a finiteness check raises; that error, not numpy's warnings,
+    # reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [_run_one(quad, method, x0, threshold, max_steps, tail)
+                for quad, method, x0 in runs]
 
 
 def bound_check_run(quad, optimizer, eta, q, epsilon, distribution, sigma, noise_seed,

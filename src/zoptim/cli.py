@@ -184,34 +184,21 @@ def cmd_verify_bounds(args):
     return {"bounds.json": partial(harness.write_json, payload)}, failure
 
 
-FIG2_SERIES = ("step", "loss", "grad_norm_sq", "spread")
-
-
 def cmd_fig2(args):
     study = config.load_fig2(args.config)
     series = study.pop("series")
     with invalid_config("collapse study"):
         results = analysis.collapse_study(**study)
-    files, rows = {}, []
-    for res in results:
-        vhat = res["vhat_final"]
-        rows.append(
-            {
-                "d": res["d"],
-                "optimizer": res["optimizer"],
-                "steps_to_threshold": res["steps_to_threshold"],
-                "terminal_spread": res["terminal_spread"],
-                "terminal_target_err": res["terminal_target_err"],
-                "final_loss": res["final_loss"],
-                "vhat_min": float(np.min(vhat)),
-                "vhat_max": float(np.max(vhat)),
-                "vhat_mean": float(np.mean(vhat)),
-            }
-        )
-        if series:
-            files[f"fig2_{res['optimizer']}_d{res['d']}.csv"] = partial(
-                harness.write_csv, header=",".join(FIG2_SERIES),
-                columns=[res["series"][key] for key in FIG2_SERIES])
+    rows = [{"d": res["d"], "optimizer": res["optimizer"],
+             "steps_to_threshold": res["steps_to_threshold"],
+             "terminal_spread": res["terminal_spread"],
+             "terminal_target_err": res["terminal_target_err"], "final_loss": res["final_loss"],
+             "vhat_min": float(np.min(res["vhat_final"])),
+             "vhat_max": float(np.max(res["vhat_final"])),
+             "vhat_mean": float(np.mean(res["vhat_final"]))} for res in results]
+    files = {f"fig2_{res['optimizer']}_d{res['d']}.csv": partial(
+        harness.write_csv, header=",".join(res["series"]), columns=list(res["series"].values()))
+        for res in results if series}
     return {**files, "fig2.json": partial(harness.write_json, {"rows": rows})}, None
 
 

@@ -26,6 +26,7 @@ one copy of each.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +36,20 @@ from .perturb import UNIFORM, step_directions
 from .perturb import sample_direction  # noqa: F401  (still importable from this module)
 
 
+_INTP = np.iinfo(np.intp)
+
+
 def _indices(values, what):
-    """values as an intp array, or InvalidArgumentError unless every entry is an integer."""
+    """values as an intp array, or InvalidArgumentError unless every entry is
+    an integer in intp's range. Unless numpy reads values as signed integers,
+    each entry is checked as given: numpy reads an integer past int64 as a
+    float or an object, and a cast would wrap it."""
     raw = np.asarray(values)
-    if raw.dtype.kind not in "iuf" or not (np.isfinite(raw).all() and (raw % 1 == 0).all()):
-        raise InvalidArgumentError(f"{what} must be integers, got {values!r}")
+    if raw.dtype.kind != "i" and not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and (isinstance(v, numbers.Integral) or (math.isfinite(v) and v % 1 == 0))
+            and _INTP.min <= v <= _INTP.max for v in values):
+        raise InvalidArgumentError(f"{what} must be signed {_INTP.bits}-bit integers, got {values!r}")
     return raw.astype(np.intp)
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -418,6 +419,52 @@ def test_main_turns_each_outcome_into_files_an_exit_code_and_a_stderr_line(
         assert json.loads((out / "robustness.json").read_text()) == {"all_diverged": True}
 
 
+# Inputs that pass float64's or int64's range on their way in: numpy's
+# warnings, made errors here, must not precede the one stderr line.
+@pytest.mark.parametrize("command, payload, code, line, files", [
+    ("run", run_cfg(optimizer={"name": "meazo-grouped", "eta": 1e-3}, partition=[[0, 2**63]]), 2,
+     "config error: invalid partition: range bounds must be signed 64-bit integers, "
+     "got (0, 9223372036854775808)", None),
+    ("verify-moments", {"cases": [{"g": [1e200, 1.0]}]}, 2,
+     "config error: invalid moment case cases[0]: g predicts a non-finite second moment", None),
+    # A finite prediction whose trials overflow: the case fails on its worker thread.
+    ("verify-moments", {"cases": [{"g": [1e153, 1.0], "n": 2000}]}, 3,
+     "moment verification failed", ["moments.json"]),
+    ("fig2", {"dims": [4], "optimizers": ["zo-adam"], "eta": 1e200, "max_steps": 5}, 3,
+     "numeric failure: objective returned non-finite value inf", None),
+], ids=["partition-past-int64", "moment-prediction-overflow", "moment-trial-overflow",
+        "fig2-overflow"])
+def test_overflowing_inputs_end_with_one_stderr_line(tmp_path, capsys, command, payload, code,
+                                                     line, files):
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == files
+
+
+def test_a_run_whose_first_step_raises_is_diverged_with_a_header_only_trace(tmp_path, capsys):
+    # At this scale fzoo's perturbed losses are all equal, so its step 0 raises.
+    cfg = write_cfg(tmp_path, run_cfg(optimizer={"name": "fzoo", "eta": 1e-3}, seeds=[0],
+                                      x0={"scale": 1e20}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == ["numeric failure: at least one seed diverged"]
+    assert (out / "trace_seed0.csv").read_text().splitlines() == [TRACE_HEADER]
+    [run] = json.loads((out / "summary.json").read_text())["runs"]
+    assert run["diverged"] is True and run["final_loss"] == math.inf
+
+
+def test_a_run_config_without_eta_exits_two(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, run_cfg(optimizer={"name": "meazo"}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["config error: optimizer.eta is required to run"]
+    assert not out.exists()
+
+
 def denied(path, *args, **kwargs):
     """open as a file system without permission answers it; chmod does not deny root."""
     raise PermissionError(errno.EACCES, "Permission denied", path)
@@ -620,9 +667,12 @@ def test_out_of_domain_and_mistyped_fields_exit_two(tmp_path, over):
         ({"optimizer": {"name": "radazo", "eta": 1e-3, "beta2": -0.1}},
          "optimizer.beta2 must be in (0, 1)"),
         ({"seeds": [3, 3]}, "config.seeds entries must be distinct"),
+        ({"objective": {"kind": "chain", "p": 2, "widths": 2},
+          "x0": {"mode": "equal_energy", "f0": 1.0}},
+         "equal_energy x0 requires a quadratic objective"),
     ],
     ids=["negative-x0-scale", "negative-x0-norm", "negative-eta", "negative-zeta", "beta-one",
-         "beta-zero", "beta1-one", "negative-beta2", "duplicate-seeds"],
+         "beta-zero", "beta1-one", "negative-beta2", "duplicate-seeds", "equal-energy-chain"],
 )
 def test_run_fields_outside_their_domain_exit_two_before_any_step(tmp_path, monkeypatch, capsys,
                                                                    over, named):

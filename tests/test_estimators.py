@@ -1,6 +1,7 @@
 """Finite-difference estimators: exactness, grouping, replay, and accounting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,19 @@ def test_partition_accepts_integral_floats_and_numpy_integers():
                  Partition.from_ranges(4, [(0, 2.0), (np.int64(2), 4)])):
         assert [b.tolist() for b in part.blocks] == want
         assert all(b.dtype == np.intp for b in part.blocks)
+
+
+# Integers past int64: numpy reads the first as a float and the others as
+# objects, so a cast to intp would wrap them.
+@pytest.mark.parametrize("huge", [2**63, 2**64, -2**63 - 1])
+@pytest.mark.parametrize("build", [lambda huge: Partition.from_ranges(4, [(0, huge)]),
+                                   lambda huge: Partition(4, [[0, 1], [2, 3, huge]])],
+                         ids=["from_ranges", "blocks"])
+def test_partition_names_an_index_past_int64_as_given(build, huge):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match=f"integers, got .*[^0-9]{huge}[^0-9]"):
+            build(huge)
 
 
 def test_grouped_estimator_masks_one_direction_per_sample():
