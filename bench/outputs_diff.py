@@ -63,9 +63,11 @@ BLOWUP_ETA = 1e200
 # with a file fault), and records its exit code and the first line it wrote to
 # standard error. An exception that escapes main is recorded by name instead
 # of ending the loop. Each --out is relative to the working directory, so
-# that a message naming it reads the same on both sides.
+# that a message naming it reads the same on both sides. Each config runs
+# with every warning shown, so a warning reaches the standard error of every
+# config that raises it, not only the first one at its source line.
 CHILD = r"""
-import contextlib, io, json, os, sys
+import contextlib, io, json, os, sys, warnings
 from zoptim import cli, harness
 configs = sys.argv[1]
 codes, messages = {}, {}
@@ -76,7 +78,8 @@ for name in sorted(os.listdir(configs)):
     err = io.StringIO()
     argv = [command, "--config", os.path.join(configs, name), "--out", name[:-5]]
     try:
-        with contextlib.redirect_stderr(err):
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("always")
             codes[name] = cli.main(argv)
     except Exception as exc:
         codes[name] = f"uncaught {type(exc).__name__}"

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import perturb
 from .errors import InvalidArgumentError, PreconditionError
 from .objectives import (
     BlockQuadratic,
@@ -25,7 +26,6 @@ from .perturb import (
 )
 
 MC_BATCH = 32768
-MC_BUFFER_BYTES = 1 << 20
 
 
 def predicted_squared_moment(g, q, distribution):
@@ -46,17 +46,17 @@ def predicted_squared_moment(g, q, distribution):
     )
 
 
-def _mc_buffer_bytes(distribution, q, d, size):
-    """(fixed, per_trial): with batches of size trials estimated rows at a time,
-    mc_squared_moment's working arrays take fixed + rows * per_trial bytes.
+def _mc_buffer_bytes(distribution, q, d):
+    """(fixed, per_trial): with a chunk of rows trials, mc_squared_moment's
+    working arrays take fixed + rows * per_trial bytes.
 
     Per trial: the q directions (8 q d), their projections (8 q), the estimate
     row (8 d) and _draw's temporaries. Fixed: the estimate buffer's carry row,
-    the four (d,) sums, the four (d,) temporaries of the closing mean and
-    standard error, and at d = 1 the whole batch's estimates, which must be
-    summed as one column.
+    the four (d,) sums and the four (d,) temporaries of the closing mean and
+    standard error. At d = 1 the estimate buffer is the whole batch's column,
+    which must be summed as one array; it is the one array left out.
     """
-    fixed = 8 * d * ((size if d == 1 else 0) + 1 + 4 + 4)
+    fixed = 8 * d * ((1 if d > 1 else 0) + 4 + 4)
     per_trial = 8 * (q * d + q + (d if d > 1 else 0)) + _draw_scratch(distribution, q, d)
     return fixed, per_trial
 
@@ -68,13 +68,14 @@ def mc_squared_moment(g, q, distribution, n, seed=0):
     derivative exactly, so the estimator reduces to closed-form linear
     algebra over the sampled directions. A batch of up to MC_BATCH trials
     is summed as one array but estimated a chunk of trials at a time in
-    reused buffers. A chunk holds as many trials as fit in MC_BUFFER_BYTES
-    across every working array (_mc_buffer_bytes), and at least one, so the
-    working set stays within max(MC_BUFFER_BYTES, one trial's bytes)
-    whatever n is. Row 0 carries the batch's sums of est^2 and est^4, as
-    numpy adds the rows of a C-contiguous (rows, d >= 2) array in order; a
-    (rows, 1) column is summed pairwise, so at d = 1 the estimate buffer
-    holds a whole batch, inside the same budget.
+    reused buffers. A chunk holds as many trials as fit in
+    perturb.BUFFER_BYTES across every working array (_mc_buffer_bytes), and
+    at least one, so the working set stays within max(BUFFER_BYTES, one
+    trial's bytes) whatever n is. Row 0 carries the batch's sums of est^2
+    and est^4, as numpy adds the rows of a C-contiguous (rows, d >= 2) array
+    in order; a (rows, 1) column is summed pairwise, so at d = 1 the
+    estimate buffer holds a whole batch, 8 (MC_BATCH + 1) bytes beside the
+    budget.
     """
     g = np.asarray(g, dtype=np.float64)
     d = g.size
@@ -83,8 +84,8 @@ def mc_squared_moment(g, q, distribution, n, seed=0):
             raise InvalidArgumentError(f"{name} must be >= 1, got {value}")
     rng = keyed_generator(seed, 0x3C0)
     size = min(MC_BATCH, n)
-    fixed, per_trial = _mc_buffer_bytes(distribution, q, d, size)
-    rows = min(size, max(1, (MC_BUFFER_BYTES - fixed) // per_trial))
+    fixed, per_trial = _mc_buffer_bytes(distribution, q, d)
+    rows = min(size, max(1, (perturb.BUFFER_BYTES - fixed) // per_trial))
     u = _empty((rows, q, d), "direction buffers")
     s = np.empty((rows, q))
     est = np.empty(((size if d == 1 else rows) + 1, d))

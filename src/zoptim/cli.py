@@ -89,8 +89,9 @@ def cmd_verify_moments(args):
 
     # Each case draws from its own generator and its numpy work releases the
     # GIL, so the cases run in parallel; map keeps the reports in case order.
-    # A running case's working arrays stay within analysis.MC_BUFFER_BYTES
-    # (or one trial's arrays) at any n, so the cases need no memory cap.
+    # A running case's working arrays stay within perturb.BUFFER_BYTES (or
+    # one trial's arrays), plus a d = 1 case's estimate column, at any n, so
+    # the cases need no memory cap.
     with ThreadPoolExecutor(max_workers=min(len(cases), _cpu_count())) as pool:
         reports = list(pool.map(_moment_case_report, range(len(cases)), cases))
 

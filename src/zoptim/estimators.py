@@ -16,7 +16,7 @@ a chain, gradient_estimate the d-vector estimate of scalars and directions,
 and zo_gradient the estimate of its own zo_scalars call. Only the
 vector-state step rules build an estimate. zo_scalars evaluates its 2 q p
 points a chunk of (sample, block) pairs at a time, each chunk within
-STEP_BUFFER_BYTES, so a grouped step's working set does not grow with p.
+perturb.BUFFER_BYTES, so a grouped step's working set does not grow with p.
 
 _evaluate is the one place where perturbed points are evaluated, counted
 and checked, projected_gradient's two included, so it is the one place a
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import perturb
 from .errors import InvalidArgumentError, NumericFailureError
 from .perturb import UNIFORM, step_directions
 from .perturb import sample_direction  # noqa: F401  (still importable from this module)
@@ -179,16 +180,13 @@ def _step_block(spec, step, q, d, directions):
     return directions
 
 
-STEP_BUFFER_BYTES = 1 << 18  # the bytes of one chunk of a step's points (_point_values)
-
-
 def _point_values(f, x, epsilon, directions, masks, counter):
     """f at the step's 2 q p points: by sample, then block, then + before -.
 
     The points of sample i and block j are x + v and x - v for v = eps *
     where(m_j, u_i, 0.0) (without masks, p = 1 and m_1 is every coordinate).
     The points are built and evaluated a chunk of (sample, block) pairs at a
-    time, each chunk in at most STEP_BUFFER_BYTES (or one pair's 24 d bytes).
+    time, each chunk in at most perturb.BUFFER_BYTES (or one pair's 24 d bytes).
     Per pair that is 8 d for its + row, 8 d for its - row and 8 d for what
     lives beside them: epsilon * u before the mask, or the iterator buffer
     numpy allocates to broadcast x or the masks over a chunk of n values,
@@ -198,7 +196,7 @@ def _point_values(f, x, epsilon, directions, masks, counter):
     """
     q, d = directions.shape
     p = 1 if masks is None else len(masks)
-    pairs = max(1, STEP_BUFFER_BYTES // (24 * d))
+    pairs = max(1, perturb.BUFFER_BYTES // (24 * d))
     if q * p <= pairs:
         return _evaluate(f, _point_rows(x, epsilon, directions[:, None], masks), counter)
     samples, blocks = (pairs // p, p) if pairs >= p else (1, pairs)

@@ -39,12 +39,18 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 
+# The bytes that one bulk working set may take: a Monte Carlo chunk
+# (analysis.mc_squared_moment) and a chunk of a step's points
+# (estimators._point_values). Read at call time, so a test can patch it.
+BUFFER_BYTES = 1 << 18
+
 # A key table holds _TABLE_KEYS keys of one block: every sample below the
 # thread's width (a power of two: the widest step drawn so far) for a chunk
-# of _TABLE_KEYS // width steps, so a chunk never crosses 2**32. Samples at
-# or above _MAX_SAMPLES get their keys one at a time. A thread keeps
-# _MAX_TABLES tables, 256 KiB at most.
-_TABLE_KEYS = 4096
+# of _TABLE_KEYS // width steps, so a chunk never crosses 2**32. Building one
+# peaks at about 90 KiB, so it also fits BUFFER_BYTES (a tracemalloc test
+# ties the two). Samples at or above _MAX_SAMPLES get their keys one at a
+# time. A thread keeps _MAX_TABLES tables, 64 KiB at most.
+_TABLE_KEYS = 1024
 _MAX_SAMPLES = 1024
 _MAX_TABLES = 4
 

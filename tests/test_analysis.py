@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zoptim import analysis
+from zoptim import analysis, perturb
 from zoptim import (
     BlockQuadratic,
     InvalidArgumentError,
@@ -130,9 +130,9 @@ def test_numpy_sums_a_row_block_in_row_order_and_a_column_pairwise():
     assert column.sum(axis=0)[0] != in_order[0]
 
 
-def buffer_for(rows, distribution, q, d, n):
-    """The MC_BUFFER_BYTES that makes mc_squared_moment estimate rows trials per chunk."""
-    fixed, per_trial = analysis._mc_buffer_bytes(distribution, q, d, min(analysis.MC_BATCH, n))
+def buffer_for(rows, distribution, q, d):
+    """The perturb.BUFFER_BYTES that makes mc_squared_moment estimate rows trials per chunk."""
+    fixed, per_trial = analysis._mc_buffer_bytes(distribution, q, d)
     return fixed + rows * per_trial
 
 
@@ -154,8 +154,7 @@ def test_chunked_monte_carlo_moment_is_bit_identical_to_the_reference(monkeypatc
     # Buffers of 1 and 5 trials split each batch into chunks; 16 and 40 do not.
     for rows in (1, 5, batch, 40):
         for n in (1, batch - 1, batch, batch + 1, 3 * batch + 5):
-            monkeypatch.setattr(analysis, "MC_BUFFER_BYTES",
-                                buffer_for(rows, distribution, q, d, n))
+            monkeypatch.setattr(perturb, "BUFFER_BYTES", buffer_for(rows, distribution, q, d))
             chunks.clear()
             _assert_moment_matches_reference(g, q, distribution, n)
             assert chunks[0] == min(rows, batch, n) and max(chunks) == chunks[0], (rows, n)
@@ -173,13 +172,30 @@ def test_chunked_monte_carlo_moment_is_bit_identical_to_the_reference(monkeypatc
 def test_monte_carlo_moment_equals_the_reference_for_any_buffer(distribution, d, q, batch, rows,
                                                                  n):
     g = np.random.default_rng(d).standard_normal(d)
-    saved = analysis.MC_BATCH, analysis.MC_BUFFER_BYTES
+    saved = analysis.MC_BATCH, perturb.BUFFER_BYTES
     analysis.MC_BATCH = batch
-    analysis.MC_BUFFER_BYTES = buffer_for(rows, distribution, q, d, n)
+    perturb.BUFFER_BYTES = buffer_for(rows, distribution, q, d)
     try:
         _assert_moment_matches_reference(g, q, distribution, n)
     finally:
-        analysis.MC_BATCH, analysis.MC_BUFFER_BYTES = saved
+        analysis.MC_BATCH, perturb.BUFFER_BYTES = saved
+
+
+@pytest.mark.parametrize("distribution, most", [
+    (GAUSSIAN, 3), (RADEMACHER, 4), (TERNARY, 4), (UNIFORM, 5)])
+def test_a_one_dimensional_batch_is_drawn_in_a_few_chunks(monkeypatch, distribution, most):
+    # A d = 1 batch's estimate column (256 KiB) lies beside the budget; counted
+    # inside it, the column alone would fill 256 KiB and leave one trial per chunk.
+    chunks = []
+
+    def recording(distribution, shape, d, rng, out=None):
+        chunks.append(shape[0])
+        return batch_directions(distribution, shape, d, rng, out)
+
+    monkeypatch.setattr(analysis, "batch_directions", recording)
+    mc_squared_moment(np.array([0.7]), 1, distribution, 2 * analysis.MC_BATCH, seed=1)
+    assert sum(chunks) == 2 * analysis.MC_BATCH
+    assert len(chunks) <= 2 * most, chunks
 
 
 def test_monte_carlo_moment_memory_does_not_grow_with_the_batch():
@@ -198,8 +214,9 @@ def test_monte_carlo_moment_memory_does_not_grow_with_the_batch():
 @pytest.mark.parametrize("d", [1, 2, 8, 64])
 @pytest.mark.parametrize("q", [1, 4])
 def test_monte_carlo_moment_working_set_fits_the_buffer_budget(distribution, d, q):
-    # Every working array counts: directions, projections, estimates (a whole
-    # batch at d = 1) and the draw's own temporaries.
+    # Every working array counts: directions, projections, estimates and the
+    # draw's own temporaries. At d = 1 a whole batch's estimate column lies
+    # beside the budget.
     g = np.random.default_rng(d).standard_normal(d)
     mc_squared_moment(g, q, distribution, 10, seed=1)  # the generator's first-use allocations
     tracemalloc.start()
@@ -208,7 +225,8 @@ def test_monte_carlo_moment_working_set_fits_the_buffer_budget(distribution, d, 
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * analysis.MC_BUFFER_BYTES, peak
+    column = 8 * (analysis.MC_BATCH + 1) if d == 1 else 0
+    assert peak <= 1.25 * perturb.BUFFER_BYTES + column, peak
 
 
 @pytest.mark.parametrize("distribution, q, d, n", [
@@ -225,7 +243,7 @@ def test_monte_carlo_moment_peak_stays_within_the_buffer_budget(distribution, q,
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= analysis.MC_BUFFER_BYTES + 8 * 1024, peak
+    assert peak <= perturb.BUFFER_BYTES + 8 * 1024, peak
 
 
 @pytest.mark.parametrize("field", ["n", "q"])

@@ -29,7 +29,7 @@ from zoptim import (
     zo_gradient,
     zo_scalars,
 )
-from zoptim import estimators
+from zoptim import estimators, perturb
 
 
 def affine(a, b=0.0):
@@ -538,8 +538,8 @@ def test_chunked_points_equal_the_unchunked_expression(data, d, q, blocks, seed,
         return halves
 
     point_halves = estimators._point_halves
-    saved = estimators.STEP_BUFFER_BYTES, estimators._point_halves
-    estimators.STEP_BUFFER_BYTES, estimators._point_halves = budget, recording
+    saved = perturb.BUFFER_BYTES, estimators._point_halves
+    perturb.BUFFER_BYTES, estimators._point_halves = budget, recording
     counter = EvalCounter()
     try:
         if fail:
@@ -554,7 +554,7 @@ def test_chunked_points_equal_the_unchunked_expression(data, d, q, blocks, seed,
             assert scalars.shape == ((q, p) if partition else (q,))
             assert counter.full_forward_calls == len(want)
     finally:
-        estimators.STEP_BUFFER_BYTES, estimators._point_halves = saved
+        perturb.BUFFER_BYTES, estimators._point_halves = saved
     assert b"".join(r.tobytes() for r in rows) == want[:len(rows)].tobytes()
     # A chunk's moved directions and their two signed rows fit the budget, or are one pair.
     assert all(24 * size <= max(budget, 24 * d) for size in chunks)

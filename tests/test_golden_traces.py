@@ -1,6 +1,6 @@
 """Golden hashes of trace CSV bytes, small runs of each optimizer, and of
-the drivers' results: a small collapse study, bound-check runs and
-coarse-to-fine sweeps.
+the drivers' results: a small collapse study, bound-check runs,
+coarse-to-fine sweeps and Monte Carlo second moments.
 
 Every run is deterministic, so the sha256 of its trace file (or of its
 results rendered as JSON) pins the whole trajectory. A hash may move only
@@ -23,6 +23,7 @@ from zoptim import (
     coarse_fine_sweep,
     collapse_study,
     equal_energy_point,
+    mc_squared_moment,
     run,
     write_trace_csv,
 )
@@ -186,3 +187,23 @@ def test_coarse_fine_sweep_matches_the_golden_hash(name):
     sweep = coarse_fine_sweep(
         ExperimentConfig.from_dict({"objective": QUAD, "optimizer": {"name": "zo-sgd"}, **raw}))
     assert _digest([sweep.rows, sweep.best_eta, sweep.bracket]) == want
+
+
+MOMENT_HASHES = {
+    "gaussian": "06dcfef213d03895e7c80b6e3f4bd6f07f9956a53e263b1ce5a947fd54bbce1d",
+    "uniform": "3a2dacd2d4d5163bf94da6551ed99cee2be41a633c6cc953eb4b0e3ab6d1dabe",
+    "rademacher": "fcf0a8477f195488ddd741bf4858a3b4d23053b3a366fd18fdaeec954826c5cf",
+    "ternary": "509eec2d2a0b0545c4c85646041da980d763e0238e92830f5440dbcf92c3de61",
+}
+
+
+@pytest.mark.parametrize("distribution", sorted(MOMENT_HASHES))
+def test_monte_carlo_moments_match_the_golden_hash(distribution):
+    # Two whole 32768-trial batches and part of a third; chunk sizes never
+    # reach the arithmetic, so no budget moves these bits.
+    out = []
+    for d in (1, 2, 8):
+        g = np.random.default_rng(d).standard_normal(d)
+        for q in (1, 4):
+            out.append(mc_squared_moment(g, q, distribution, 2 * 32768 + 5, seed=d + q))
+    assert _digest(out) == MOMENT_HASHES[distribution]

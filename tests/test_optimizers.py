@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import zoptim.optimizers
 import zoptim.perturb
-from zoptim import estimators
 from zoptim import (
     AdamState,
     BlockQuadratic,
@@ -615,7 +614,7 @@ def test_grouped_step_memory_does_not_grow_with_the_block_count(p):
     # The paper's claim: MEAZO's adaptivity at ZO-SGD's memory; a grouped
     # step's points are built a bounded chunk at a time (10 and 40 chunks at
     # p = 8 and 32). Beside one chunk, whose moved directions and numpy
-    # iterator buffers STEP_BUFFER_BYTES counts, a step holds its (q, d)
+    # iterator buffers perturb.BUFFER_BYTES counts, a step holds its (q, d)
     # direction block; its update's arrays take less than the two together.
     d, q = 1024, 10
     quad = BlockQuadratic(d, regime="heterogeneous", seed=0)
@@ -625,5 +624,5 @@ def test_grouped_step_memory_does_not_grow_with_the_block_count(p):
     grouped = step_peak(Method("meazo-grouped", 1e-4, spec, q, d,
                                partition=Partition.contiguous(d, p)), quad.value, x0)
     assert grouped <= 1.5 * plain, (grouped, plain)
-    assert grouped <= estimators.STEP_BUFFER_BYTES + 8 * q * d, grouped
+    assert grouped <= zoptim.perturb.BUFFER_BYTES + 8 * q * d, grouped
 

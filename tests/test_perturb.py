@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from zoptim import (
     step_directions,
 )
 from zoptim import perturb
-from zoptim.perturb import _draw, _philox_key
+from zoptim.perturb import _draw, _key_table, _philox_key
 
 
 @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
@@ -190,7 +191,7 @@ def test_bulk_philox_keys_equal_the_seed_sequence_keys(base_seed, step):
 
 WORD = 2**32 - 1
 SEEDS = st.integers(0, 2**64 - 1)
-# A key table covers 4096 // width steps, width a power of two up to 1024:
+# A key table covers 1024 // width steps, width a power of two up to 1024:
 # draw the first and last steps of such chunks as well as any step.
 STEPS = st.one_of(
     st.integers(0, WORD),
@@ -276,3 +277,20 @@ def test_threads_drawing_at_once_get_their_own_streams():
     finally:
         sys.setswitchinterval(interval)
     assert got == want
+
+
+def test_a_key_table_holds_a_whole_step_of_table_samples():
+    assert perturb._MAX_SAMPLES <= perturb._TABLE_KEYS
+
+
+@pytest.mark.parametrize("width", [1, 64, 1024])
+def test_a_key_table_build_fits_the_buffer_budget(width):
+    _key_table(perturb._Replay(), 0, 0, 1, 0)  # numpy.random's first-use allocations
+    tracemalloc.start()
+    try:
+        _key_table(perturb._Replay(), 2**64 - 1, 7, width, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= perturb.BUFFER_BYTES, peak
+
