@@ -17,22 +17,22 @@ environment ``env`` builds from the tree it measures:
 
 Rounds alternate which side runs first, the parent on even rounds. A child
 reports by printing one JSON object as the last line of its standard
-output. ``merge`` puts a result into a ``BENCH_*.json`` file next to the
+output. ``summarise`` is the one A/B summary of the paired values, and
+``merge`` puts a result into a ``BENCH_*.json`` file next to the
 machine facts, which one ``perfbench/setup_child.py facts`` child reads in
 the change side's environment; other keys of the file are kept.
 """
 
 import json
 import os
+import statistics
 import subprocess
 import sys
-import time
 
 CHANGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PYCACHE = os.path.join(".perfbench_out", "pycache")
-TARGET_S = 0.05  # the wall time of one calibrated repeat
 
 
 def sides(parent):
@@ -69,21 +69,23 @@ def alternate(rounds, run):
     return out
 
 
-def timed(fn, number):
-    """Wall seconds of number calls of fn()."""
-    started = time.perf_counter()
-    for _ in range(number):
-        fn()
-    return time.perf_counter() - started
-
-
-def calibrate(seconds):
-    """Calls per repeat: four times the first power of 4 whose seconds(calls)
-    reaches a quarter of TARGET_S, so a repeat takes at least TARGET_S."""
-    number = 1
-    while seconds(number) < TARGET_S / 4:
-        number *= 4
-    return number * 4
+def summarise(values, better="lower"):
+    """The A/B summary of {side: [value of round i]}: each side's median,
+    quartiles and minimum, the pairs the change won and lost (ties count for
+    neither), the median gap, the parent's IQR and change/parent - 1."""
+    row = {}
+    for side in SIDES:
+        v = values[side]
+        q1, _, q3 = statistics.quantiles(v, n=4) if len(v) > 1 else v * 3
+        row[side] = {"median": statistics.median(v), "q1": q1, "q3": q3, "min": min(v)}
+    sign = 1 if better == "lower" else -1
+    gains = [sign * (p - c) for p, c in zip(values["parent"], values["change"])]
+    parent, change = row["parent"]["median"], row["change"]["median"]
+    row.update(pairs=len(gains), change_wins=sum(g > 0 for g in gains),
+               change_losses=sum(g < 0 for g in gains), median_gap=abs(parent - change),
+               parent_iqr=row["parent"]["q3"] - row["parent"]["q1"],
+               change_vs_parent=change / parent - 1.0 if parent else None)
+    return row
 
 
 def machine():

@@ -15,9 +15,9 @@ change side is the tree this script lives in. Three configs are run:
 Each round runs ``python -m zoptim.cli verify-moments`` once per tree and
 config, as ``bench/ab.py`` sets out. For every run it records the wait4 peak
 RSS, wall time, user+sys CPU time and exit code, and whether
-``moments.json`` equals the other tree's byte for byte. Per side and config
-the summary gives the median and the range of each measure. The result goes
-under ``moments_memory`` in the output file.
+``moments.json`` equals the other tree's byte for byte. Per config each
+measure is summarised by ``ab.summarise`` over the rounds, and each side's exit
+codes are listed. The result goes under ``moments_memory`` in the output file.
 """
 
 import argparse
@@ -26,7 +26,6 @@ import json
 import math
 import os
 import random
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -36,6 +35,8 @@ import ab
 
 sys.path.insert(0, os.path.join(ab.CHANGE, "perfbench"))
 from workloads import _verify_inputs  # noqa: E402  (the verify workload's configs)
+
+MEASURES = ("peak_rss_mb", "wall_s", "cpu_s")
 
 
 def _unit(rng, d):
@@ -78,16 +79,6 @@ def run_side(tree, config, out):
             "wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime, "digest": digest}
 
 
-def summarise(runs):
-    out = {}
-    for measure in ("peak_rss_mb", "wall_s", "cpu_s"):
-        values = [r[measure] for r in runs]
-        out[measure] = {"median": statistics.median(values), "min": min(values),
-                        "max": max(values)}
-    out["exit_codes"] = sorted({r["exit_code"] for r in runs})
-    return out
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the commit to compare against")
@@ -109,9 +100,15 @@ def main():
             runs = ab.alternate(args.rounds, run)
             identical = [p["digest"] is not None and p["digest"] == c["digest"]
                          for p, c in zip(runs["parent"], runs["change"])]
-            result[name] = {"rounds": args.rounds, "moments_json_identical": identical,
-                            **{side: {**summarise(r), "runs": r} for side, r in runs.items()}}
-    print(json.dumps({name: {side: r[side]["peak_rss_mb"]["median"] for side in ab.SIDES}
+            result[name] = {
+                "rounds": args.rounds, "moments_json_identical": identical,
+                "exit_codes": {side: sorted({r["exit_code"] for r in rs})
+                               for side, rs in runs.items()},
+                **{measure: ab.summarise({side: [r[measure] for r in rs]
+                                          for side, rs in runs.items()})
+                   for measure in MEASURES},
+                "runs": runs}
+    print(json.dumps({name: {side: r["peak_rss_mb"][side]["median"] for side in ab.SIDES}
                       for name, r in result.items()}))
     ab.merge(args.out, {"seed": args.seed, **result}, "moments_memory")
 

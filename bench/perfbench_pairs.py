@@ -9,10 +9,10 @@ change side is the tree this script lives in. Pair i runs
 side, in each side's own directory, as ``bench/ab.py`` sets out: the parent
 first on even pairs and the change first on odd ones, and each side with its
 own bytecode cache, so ``setup_s`` and ``peak_rss_mb`` leave out compiling
-zoptim. For every end-to-end metric of BENCHMARK.json the summary gives each
-side's median and quartiles over the pairs, the pairs the change won (ties
-count for neither side), and the failed checks. The per-pair values are kept
-too. The result goes under ``perfbench.<workload>`` in the output file.
+zoptim. For every end-to-end metric of BENCHMARK.json the summary is
+``ab.summarise`` of the pairs, next to the metric's bound, and the failed
+checks are counted per side. The per-pair values are kept too. The result
+goes under ``perfbench.<workload>`` in the output file.
 
 With ``--traced`` it instead runs ``--trace 1`` once per side (parent first)
 with seed ``--seed`` and stores both sides' per-layer metrics under
@@ -22,7 +22,6 @@ with seed ``--seed`` and stores both sides' per-layer metrics under
 import argparse
 import json
 import os
-import statistics
 import sys
 
 import ab
@@ -33,39 +32,6 @@ def run_side(tree, workload, seed, seconds, trace=0):
                                 "--seconds", str(seconds), "--trace", str(trace)], cwd=tree)
     return {"failed": result["failed"], "attempted": result["attempted"],
             **{name: m["value"] for name, m in result["metrics"].items()}}
-
-
-def quartiles(values):
-    if len(values) < 2:
-        return values[0], values[0]
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return q1, q3
-
-
-def summarise(runs, metrics):
-    out = {}
-    for metric in metrics:
-        name = metric["name"]
-        sign = 1 if metric["better"] == "lower" else -1
-        row = {}
-        for side in ab.SIDES:
-            values = [r[side][name] for r in runs]
-            q1, q3 = quartiles(values)
-            row[side] = {"median": statistics.median(values), "q1": q1, "q3": q3}
-        gains = [sign * (r["parent"][name] - r["change"][name]) for r in runs]
-        parent, change = row["parent"], row["change"]
-        row.update({
-            "change_wins": sum(g > 0 for g in gains),
-            "change_losses": sum(g < 0 for g in gains),
-            "pairs": len(runs),
-            "median_gap": abs(parent["median"] - change["median"]),
-            "parent_iqr": parent["q3"] - parent["q1"],
-            "change_vs_parent": change["median"] / parent["median"] - 1.0
-            if parent["median"] else None,
-            "bound": metric["bound"],
-        })
-        out[name] = row
-    return out
 
 
 def main():
@@ -106,7 +72,9 @@ def main():
                    "--trace 0",
         "seeds": [r["seed"] for r in runs],
         "failed": {side: sum(r[side]["failed"] for r in runs) for side in ab.SIDES},
-        "summary": summarise(runs, metrics),
+        "summary": {m["name"]: {**ab.summarise({side: [r[m["name"]] for r in values]
+                                                for side, values in sides.items()}, m["better"]),
+                                "bound": m["bound"]} for m in metrics},
         "pairs": runs,
     }, "perfbench", args.workload)
 

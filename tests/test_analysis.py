@@ -446,3 +446,57 @@ def test_bound_check_run_tracks_the_trust_region():
             T=20,
             seed=0,
         )
+
+
+CONSTANTS = (9, 1, 1e-3, 1.0, 0.0, 1.0, 0.9, 1.0)  # d, q, epsilon, L, sigma, G, beta, zeta
+ZOSGD = (9, 1, 1e-3, 1.0, 0.0, 1e-3, 10, 1.0)  # d, q, epsilon, L, sigma, eta, T, f0 - f*
+
+
+def _with(args, i, value):
+    return args[:i] + (value,) + args[i + 1:]
+
+
+@pytest.mark.parametrize("fn, args, error, match", [
+    *[(theorem_constants, _with(CONSTANTS, i, 0), InvalidArgumentError, "d and q must be >= 1")
+      for i in (0, 1)],
+    *[(theorem_constants, _with(CONSTANTS, i, v), InvalidArgumentError,
+       "epsilon, L, zeta, G must be > 0") for i in (2, 3, 5, 7) for v in (0.0, -1.0)],
+    *[(theorem_constants, _with(CONSTANTS, 6, v), InvalidArgumentError, "beta must lie in")
+      for v in (0.0, 1.0)],
+    (theorem_constants, _with(CONSTANTS, 4, -1.0), InvalidArgumentError, "sigma must be >= 0"),
+    (meazo_bound, (theorem_constants(*CONSTANTS), 1.0, 1e-3, 0, 1e-3, 1.0),
+     InvalidArgumentError, "T must be >= 1"),
+    (meazo_bound, (theorem_constants(*CONSTANTS), 1.0, 0.0, 10, 1e-3, 1.0),
+     InvalidArgumentError, "eta must be > 0"),
+    *[(zosgd_bound, _with(ZOSGD, i, 0), InvalidArgumentError, "T and d must be >= 1")
+      for i in (0, 6)],
+    *[(zosgd_bound, _with(ZOSGD, i, 0.0), InvalidArgumentError, "q, L and eta must be > 0")
+      for i in (1, 3, 5)],
+    (zosgd_bound, _with(ZOSGD, 5, 1.0), PreconditionError, "eta must be below"),
+    (classical_sgd_bound, (1.0, 0.0, 1e-3, 0, 1.0), InvalidArgumentError, "T must be >= 1"),
+    (classical_sgd_bound, (0.0, 0.0, 1e-3, 10, 1.0), InvalidArgumentError,
+     "L and eta must be > 0"),
+    (classical_sgd_bound, (1.0, 0.0, 0.0, 10, 1.0), InvalidArgumentError,
+     "L and eta must be > 0"),
+    (classical_sgd_bound, (1.0, 0.0, 2.0, 10, 1.0), PreconditionError, "eta must be below 2/L"),
+    (check_smoothing_inequalities, (BlockQuadratic(4, "homogeneous", 0), 0.0, "ball", []),
+     InvalidArgumentError, "epsilon must be > 0"),
+    (vt_statistics, ([],), InvalidArgumentError, "empty second-moment vector"),
+    (vt_collapse_metric, ([], 1.0, 1), InvalidArgumentError, "empty second-moment vector"),
+    (vt_collapse_metric, ([1.0], None, 1), InvalidArgumentError, "grad_norm_sq is required"),
+    (vt_collapse_metric, ([1.0], 1.0, 0), InvalidArgumentError, "q must be >= 1"),
+    (lambda: collapse_study(dims=(4,), tail=0), (), InvalidArgumentError,
+     "tail and max_steps must be >= 1"),
+    (lambda: collapse_study(dims=(4,), max_steps=0), (), InvalidArgumentError,
+     "tail and max_steps must be >= 1"),
+])
+def test_analysis_rejects_each_out_of_domain_argument(fn, args, error, match):
+    with pytest.raises(error, match=match):
+        fn(*args)
+
+
+def test_bound_check_run_reports_an_iterate_that_overflows_in_one_step_as_diverged():
+    quad = BlockQuadratic(9, "heterogeneous", 0)
+    with np.errstate(over="ignore"):
+        out = bound_check_run(quad, "zo-sgd", 1e308, 2, 1e-6, GAUSSIAN, 0.0, 0, np.ones(9), 5, 0)
+    assert out == {"avg_grad_norm_sq": math.inf, "max_point_norm": math.inf, "diverged": True}

@@ -1,10 +1,13 @@
-"""The parent/change runner that every bench/ script measures through."""
+"""The parent/change runner, summary and per-call runner of bench/."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
@@ -56,3 +59,48 @@ def test_outputs_diff_of_a_checkout_against_itself_finds_no_difference():
     assert summary["differing_runs"] == 0
     assert summary["differing_outputs"] == summary["differing_messages"] == {}
     assert summary["exit_codes_moved"] == {}
+
+
+def test_a_summary_counts_ties_for_neither_side_and_flips_wins_when_higher_is_better():
+    values = {"parent": [1.0, 2.0, 3.0, 4.0], "change": [0.5, 2.0, 3.5, 2.5]}
+    lower = ab.summarise(values)
+    assert (lower["pairs"], lower["change_wins"], lower["change_losses"]) == (4, 2, 1)
+    assert lower["parent"] == {"median": 2.5, "q1": 1.25, "q3": 3.75, "min": 1.0}
+    assert lower["change"]["median"] == 2.25 and lower["change"]["min"] == 0.5
+    assert lower["median_gap"] == 0.25 and lower["parent_iqr"] == 2.5
+    assert lower["change_vs_parent"] == pytest.approx(-0.1)
+    higher = ab.summarise(values, better="higher")
+    assert (higher["change_wins"], higher["change_losses"]) == (1, 2)
+
+
+def test_a_summary_of_one_pair_has_both_quartiles_at_its_value():
+    row = ab.summarise({"parent": [3.0], "change": [2.0]})
+    assert row["parent"] == {"median": 3.0, "q1": 3.0, "q3": 3.0, "min": 3.0}
+    assert row["parent_iqr"] == 0.0 and row["change_wins"] == 1
+
+
+def micro_chain(parent, out):
+    return subprocess.run([sys.executable, str(ROOT / "bench" / "micro.py"), "chain", "--parent",
+                           str(parent), "--rounds", "1", "--repeats", "1", "--out", str(out)],
+                          capture_output=True, text=True, timeout=300,
+                          env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"})
+
+
+def test_micro_merges_a_row_whose_digests_agree_between_the_trees(tmp_path):
+    proc = micro_chain(ROOT, tmp_path / "BENCH.json")
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads((tmp_path / "BENCH.json").read_text())["micro"]["chain"]["rows"]
+    assert list(rows) == ["p=8 q=4 width=16"]
+    row = rows["p=8 q=4 width=16"]
+    assert row["digests_equal"] and row["pairs"] == 1 and row["change"]["min"] > 0
+
+
+def test_micro_exits_non_zero_naming_a_row_whose_digests_differ(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "zoptim" / "__init__.py", "a") as fh:
+        fh.write("\n_eval = efficient_grouped_eval\n\n\n"
+                 "def efficient_grouped_eval(*args):\n    return -_eval(*args)\n")
+    proc = micro_chain(tmp_path, tmp_path / "BENCH.json")
+    assert proc.returncode != 0
+    assert proc.stderr.splitlines()[-1].endswith("differ between rounds or trees on: "
+                                                 "p=8 q=4 width=16")

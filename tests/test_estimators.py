@@ -585,3 +585,20 @@ def test_gradient_estimate_rejects_scalars_of_the_wrong_shape():
                            (None, (3, 4)), (None, (2,))):
         with pytest.raises(InvalidArgumentError, match="scalars must have shape"):
             gradient_estimate(np.ones(bad), dirs, GAUSSIAN, partition)
+
+
+CHAIN = LayeredChain(2, 3, seed=0)
+SPEC = PerturbationSpec(GAUSSIAN, 1e-4, 0)
+
+
+@pytest.mark.parametrize("fn, args, match", [
+    (Partition, (0, [[0]]), "dimension must be >= 1"),
+    (EvalCounter().add_full, (-1,), "counts only increase"),
+    (EvalCounter().add_block, (-1,), "counts only increase"),
+    (efficient_grouped_eval, (CHAIN, np.zeros(CHAIN.d), SPEC, 0, 0), "q must be >= 1"),
+    (efficient_grouped_eval, (CHAIN, np.zeros(CHAIN.d + 1), SPEC, 2, 0),
+     f"chain has {CHAIN.d} parameters, x has {CHAIN.d + 1}"),
+])
+def test_estimators_reject_each_out_of_domain_argument(fn, args, match):
+    with pytest.raises(InvalidArgumentError, match=match):
+        fn(*args)

@@ -547,6 +547,11 @@ def test_fine_candidates_hand_cases():
     assert bracket == (5e-7, 5e-6)
     np.testing.assert_allclose(cands, [6e-7, 7e-7, 8e-7, 9e-7, 2e-6, 3e-6, 4e-6], rtol=1e-12)
 
+    # An edge off the 1-5 ladder takes the x5 neighbour.
+    cands, bracket = fine_candidates([2e-3, 3e-3], 3e-3)
+    assert bracket == (2e-3, 1.5e-2)
+    np.testing.assert_allclose(cands, [4e-3, 5e-3, 6e-3, 7e-3, 8e-3, 9e-3, 1e-2], rtol=1e-12)
+
     with pytest.raises(InvalidArgumentError):
         fine_candidates(COARSE_GRID, 2e-4)
 

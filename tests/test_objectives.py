@@ -316,3 +316,9 @@ def test_equal_energy_point_rejects_negative_level():
     quad = BlockQuadratic(4, regime="homogeneous", seed=0)
     with pytest.raises(InvalidArgumentError):
         equal_energy_point(quad, -1.0, seed=0)
+
+
+@pytest.mark.parametrize("fn", [smoothed_value, smoothed_gradient])
+def test_smoothing_rejects_a_negative_epsilon(fn):
+    with pytest.raises(InvalidArgumentError, match="epsilon must be >= 0"):
+        fn(BlockQuadratic(4, "homogeneous", 0), np.zeros(4), -1.0)

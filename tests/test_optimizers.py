@@ -626,3 +626,15 @@ def test_grouped_step_memory_does_not_grow_with_the_block_count(p):
     assert grouped <= 1.5 * plain, (grouped, plain)
     assert grouped <= zoptim.perturb.BUFFER_BYTES + 8 * q * d, grouped
 
+
+
+@pytest.mark.parametrize("fn, args, match", [
+    (lambda: MeazoState(eta=0.1, p=0), (), "block count must be >= 1"),
+    (lambda: FzooState(eta=0.0, spec=PerturbationSpec("gaussian", 1e-4, 0), q=2), (),
+     "eta must be > 0"),
+    (meazo_step, (MeazoState(eta=0.1, p=2), np.zeros(4), np.ones((1, 2)), np.ones((1, 4)),
+                  Partition.contiguous(6, 2)), "partition is over 6 coordinates, x has 4"),
+])
+def test_optimizers_reject_each_out_of_domain_argument(fn, args, match):
+    with pytest.raises(InvalidArgumentError, match=match):
+        fn(*args)

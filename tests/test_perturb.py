@@ -294,3 +294,13 @@ def test_a_key_table_build_fits_the_buffer_budget(width):
         tracemalloc.stop()
     assert peak <= perturb.BUFFER_BYTES, peak
 
+
+
+@pytest.mark.parametrize("fn, args, match", [
+    (batch_directions, (GAUSSIAN, (2,), 0, np.random.default_rng(0)), "dimension must be >= 1"),
+    (batch_directions, ("cauchy", (2,), 3, np.random.default_rng(0)), "unknown distribution"),
+    (second_moment_scale, ("cauchy",), "unknown distribution"),
+])
+def test_perturb_rejects_each_out_of_domain_argument(fn, args, match):
+    with pytest.raises(InvalidArgumentError, match=match):
+        fn(*args)
