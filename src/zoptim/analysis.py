@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import perturb
-from .errors import InvalidArgumentError, PreconditionError
+from .errors import DegenerateScaleError, InvalidArgumentError, NumericFailureError, PreconditionError
 from .objectives import (
     BlockQuadratic,
     noise_for_run,
@@ -413,7 +413,8 @@ def collapse_study(dims=(9, 25, 49, 100, 1024), optimizers=("fo-adam", "zo-adam"
 def bound_check_run(quad, optimizer, eta, q, epsilon, distribution, sigma, noise_seed,
                     x0, T, seed, beta=0.999, zeta=1.0, radius=None):
     """Run T steps and return the trajectory-average squared gradient norm
-    of the noiseless objective, for comparison against a stationarity bound."""
+    of the noiseless objective, for comparison against a stationarity bound.
+    A step that overflows its iterate or its losses reports inf and diverged."""
     if T < 1:
         raise InvalidArgumentError(f"T must be >= 1, got {T}")
     spec = PerturbationSpec(distribution=distribution, epsilon=epsilon, base_seed=seed)
@@ -423,14 +424,18 @@ def bound_check_run(quad, optimizer, eta, q, epsilon, distribution, sigma, noise
     x = np.asarray(x0, dtype=np.float64).copy()
     total = 0.0
     max_norm = 0.0
+    diverged = {"avg_grad_norm_sq": math.inf, "max_point_norm": math.inf, "diverged": True}
     for t in range(T):
         g = quad.gradient(x)
         total += float(g @ g)
         max_norm = max(max_norm, float(np.linalg.norm(x)))
         fn = noisy.objective_at(t) if noisy is not None else quad.value
-        x = method.step(fn, x, t)
+        try:
+            x = method.step(fn, x, t)
+        except (NumericFailureError, DegenerateScaleError):
+            return diverged
         if not np.all(np.isfinite(x)):
-            return {"avg_grad_norm_sq": math.inf, "max_point_norm": math.inf, "diverged": True}
+            return diverged
     out = {
         "avg_grad_norm_sq": total / T,
         "max_point_norm": max_norm,

@@ -88,8 +88,10 @@ class Partition:
     def from_ranges(cls, d, ranges):
         """Partition from half-open [start, stop) index ranges within [0, d)."""
         blocks = []
-        for a, b in ranges:
-            a, b = _indices((a, b), "range bounds").tolist()
+        for pair in ranges:
+            if np.ndim(pair) != 1 or np.size(pair) != 2:
+                raise InvalidArgumentError(f"each range must be a [start, stop) pair, got {pair!r}")
+            a, b = _indices(tuple(pair), "range bounds").tolist()
             if not 0 <= a < b <= d:
                 raise InvalidArgumentError(
                     f"range [{a}, {b}) must satisfy 0 <= start < stop <= {d}"

@@ -276,7 +276,7 @@ class Method:
             return f"fzoo requires q >= 2, got {q}"
         return None
 
-    def __init__(self, name, eta, spec, q, d=1, partition=None, chain=None, **consts):
+    def __init__(self, name, eta, spec, q, d, partition=None, chain=None, **consts):
         if not isinstance(name, str) or name not in _METHODS:
             raise InvalidArgumentError(f"unknown optimizer {name!r}")
         cls, self._update = _METHODS[name]

@@ -44,14 +44,13 @@ _MIX_MULT_R = np.uint32(0x4973F715)
 # (estimators._point_values). Read at call time, so a test can patch it.
 BUFFER_BYTES = 1 << 18
 
-# A key table holds _TABLE_KEYS keys of one block: every sample below the
-# thread's width (a power of two: the widest step drawn so far) for a chunk
+# A key table holds _TABLE_KEYS keys of block 0: every sample below the
+# thread's width (a power of two: the last step's q, rounded up) for a chunk
 # of _TABLE_KEYS // width steps, so a chunk never crosses 2**32. Building one
 # peaks at about 90 KiB, so it also fits BUFFER_BYTES (a tracemalloc test
-# ties the two). Samples at or above _MAX_SAMPLES get their keys one at a
-# time. A thread keeps _MAX_TABLES tables, 64 KiB at most.
+# ties the two). Any other key is derived alone. A thread keeps _MAX_TABLES
+# tables, 64 KiB at most.
 _TABLE_KEYS = 1024
-_MAX_SAMPLES = 1024
 _MAX_TABLES = 4
 
 
@@ -169,9 +168,9 @@ class _Replay(threading.local):
 _REPLAY = _Replay()
 
 
-def _key_table(replay, base_seed, block_index, width, chunk):
-    """Keys of chunk's steps x width samples of one block, as a (steps, width, 2) array."""
-    key = (base_seed, block_index, width, chunk)
+def _key_table(replay, base_seed, width, chunk):
+    """Keys of chunk's steps x width samples of block 0, as a (steps, width, 2) array."""
+    key = (base_seed, width, chunk)
     table = replay.tables.pop(key, None)
     if table is None:
         n_steps = _TABLE_KEYS // width
@@ -183,7 +182,7 @@ def _key_table(replay, base_seed, block_index, width, chunk):
             np.random.SeedSequence(base_seed).pool,
             steps[:, None],
             np.arange(width, dtype=np.uint32)[None, :],
-            np.full((1, 1), block_index, dtype=np.uint32),
+            np.zeros((1, 1), dtype=np.uint32),
         )
         if len(replay.tables) >= _MAX_TABLES:
             del replay.tables[next(iter(replay.tables))]
@@ -195,20 +194,18 @@ def _philox_key(base_seed, step, sample_index, block_index):
     """The Philox key [k0, k1] of one replay coordinate."""
     replay = _REPLAY
     row = replay.row
-    if replay.row_id == (base_seed, step, block_index) and sample_index < len(row):
+    if replay.row_id == (base_seed, step) and sample_index < len(row) and not block_index:
         return row[sample_index]
     base_seed, step = int(base_seed), int(step)
-    sample_index, block_index = int(sample_index), int(block_index)
-    if sample_index >= _MAX_SAMPLES:
+    width = replay.width
+    if sample_index >= width or block_index:
         ss = np.random.SeedSequence(entropy=base_seed,
                                     spawn_key=(step, sample_index, block_index))
         return ss.generate_state(2, np.uint64).tolist()
-    if sample_index >= replay.width:
-        replay.width = 1 << sample_index.bit_length()
-    chunk, offset = divmod(step, _TABLE_KEYS // replay.width)
-    table = _key_table(replay, base_seed, block_index, replay.width, chunk)
+    chunk, offset = divmod(step, _TABLE_KEYS // width)
+    table = _key_table(replay, base_seed, width, chunk)
     replay.row = table[offset].tolist()
-    replay.row_id = (base_seed, step, block_index)
+    replay.row_id = (base_seed, step)
     return replay.row[sample_index]
 
 
@@ -290,6 +287,8 @@ def step_directions(spec, step, q, d):
     """
     if q < 1:
         raise InvalidArgumentError(f"q must be >= 1, got {q}")
+    if not (width := _REPLAY.width) >> 1 < q <= width:  # width is q rounded up to a power of two
+        _REPLAY.width = min(1 << (int(q) - 1).bit_length(), _TABLE_KEYS)
     out = _empty((int(q), int(d)), "directions")
     for i in range(q):
         out[i] = sample_direction(spec, ReplayCoordinate(step, i, 0), d)

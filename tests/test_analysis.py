@@ -500,3 +500,13 @@ def test_bound_check_run_reports_an_iterate_that_overflows_in_one_step_as_diverg
     with np.errstate(over="ignore"):
         out = bound_check_run(quad, "zo-sgd", 1e308, 2, 1e-6, GAUSSIAN, 0.0, 0, np.ones(9), 5, 0)
     assert out == {"avg_grad_norm_sq": math.inf, "max_point_norm": math.inf, "diverged": True}
+
+
+def test_bound_check_run_reports_a_step_whose_loss_overflows_as_diverged():
+    # The iterate stays finite for a step, then the next step's perturbed
+    # loss overflows inside the estimator.
+    quad = BlockQuadratic(9, "heterogeneous", 0)
+    with np.errstate(over="ignore"):
+        out = bound_check_run(quad, "zo-sgd", 1e300, 2, 1e-6, GAUSSIAN, 0.0, 0,
+                              np.full(9, 0.1), 5, 0)
+    assert out == {"avg_grad_norm_sq": math.inf, "max_point_norm": math.inf, "diverged": True}

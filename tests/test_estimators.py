@@ -598,6 +598,9 @@ SPEC = PerturbationSpec(GAUSSIAN, 1e-4, 0)
     (efficient_grouped_eval, (CHAIN, np.zeros(CHAIN.d), SPEC, 0, 0), "q must be >= 1"),
     (efficient_grouped_eval, (CHAIN, np.zeros(CHAIN.d + 1), SPEC, 2, 0),
      f"chain has {CHAIN.d} parameters, x has {CHAIN.d + 1}"),
+    (Partition.from_ranges, (4, [[0, 1, 2]]), r"range must be a \[start, stop\) pair"),
+    (Partition.from_ranges, (4, [[0]]), r"range must be a \[start, stop\) pair"),
+    (Partition.from_ranges, (4, [5]), r"range must be a \[start, stop\) pair"),
 ])
 def test_estimators_reject_each_out_of_domain_argument(fn, args, match):
     with pytest.raises(InvalidArgumentError, match=match):

@@ -207,12 +207,14 @@ SAMPLES = st.one_of(st.integers(0, 1023), st.integers(1024, WORD),
        block_index=st.integers(0, WORD))
 def test_bulk_philox_keys_equal_seed_sequence_keys_for_any_coordinate(base_seed, step, warm,
                                                                       sample_index, block_index):
-    # Start from an empty cache, then widen the key tables to fit sample warm.
+    # Start from an empty cache, then set the key-table width to fit sample
+    # warm through a step of warm + 1 samples.
     perturb._REPLAY.__init__()
-    for sample in (warm, sample_index):
-        ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(step, sample, block_index))
+    step_directions(PerturbationSpec(GAUSSIAN, 1e-6, base_seed), step, warm + 1, 1)
+    for sample, block in ((warm, 0), (sample_index, 0), (sample_index, block_index)):
+        ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(step, sample, block))
         want = ss.generate_state(2, np.uint64).tolist()
-        assert _philox_key(base_seed, step, sample, block_index) == want
+        assert _philox_key(base_seed, step, sample, block) == want
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -279,21 +281,59 @@ def test_threads_drawing_at_once_get_their_own_streams():
     assert got == want
 
 
-def test_a_key_table_holds_a_whole_step_of_table_samples():
-    assert perturb._MAX_SAMPLES <= perturb._TABLE_KEYS
-
-
 @pytest.mark.parametrize("width", [1, 64, 1024])
 def test_a_key_table_build_fits_the_buffer_budget(width):
-    _key_table(perturb._Replay(), 0, 0, 1, 0)  # numpy.random's first-use allocations
+    _key_table(perturb._Replay(), 0, 1, 0)  # numpy.random's first-use allocations
     tracemalloc.start()
     try:
-        _key_table(perturb._Replay(), 2**64 - 1, 7, width, 5)
+        _key_table(perturb._Replay(), 2**64 - 1, width, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= perturb.BUFFER_BYTES, peak
 
+
+def table_builds(draws):
+    """Key tables built while draws() runs on a fresh thread."""
+    builds = []
+    build = perturb._spawn_keys
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    thread = threading.Thread(target=draws)
+    perturb._spawn_keys = counted
+    try:
+        thread.start()
+        thread.join(timeout=60)
+    finally:
+        perturb._spawn_keys = build
+    assert not thread.is_alive()
+    return len(builds)
+
+
+SPEC = PerturbationSpec(GAUSSIAN, 1e-6, 5)
+
+
+def test_a_first_step_of_a_thread_builds_one_key_table():
+    assert table_builds(lambda: step_directions(SPEC, 0, 10, 9)) == 1
+
+
+def test_narrow_steps_after_a_wide_one_share_a_table():
+    def draws():
+        step_directions(SPEC, 0, 600, 2)
+        for t in range(1, 301):
+            step_directions(SPEC, t, 1, 2)
+
+    assert table_builds(draws) <= 2
+
+
+def test_a_key_of_a_block_other_than_zero_builds_no_table():
+    got = []
+    assert table_builds(lambda: got.append(_philox_key(3, 40, 0, 1))) == 0
+    ss = np.random.SeedSequence(entropy=3, spawn_key=(40, 0, 1))
+    assert got == [ss.generate_state(2, np.uint64).tolist()]
 
 
 @pytest.mark.parametrize("fn, args, match", [
