@@ -11,7 +11,9 @@ work. For each row the child first digests the result of ``call(0)``, then
 calibrates once and times ``--repeats`` repeats, every call on an input
 number not used before, so a draw never repeats a step it drew while
 calibrating. A pair's value is the round's minimum microseconds per unit, and
-each row is summarised by ``ab.summarise`` over the rounds. The result goes
+each row is summarised by ``ab.summarise`` over the rounds, under ``rows``.
+The case is also summarised as one row, ``pooled``, whose value for a round
+is the geometric mean over the rows of that round's values. The result goes
 under ``micro.<case>`` in the output file. A row whose digest differs between
 rounds or trees is recorded with ``digests_equal`` false, and the script then
 exits non-zero naming it.
@@ -21,6 +23,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import sys
 import time
 
@@ -143,7 +146,17 @@ def main():
         if not equal:
             refused.append(label)
         print(f"{label}: {values}, digests equal: {equal}", file=sys.stderr)
-    ab.merge(args.out, {"rounds": args.rounds, "repeats": args.repeats, "rows": rows},
+    # Hosts swing whole rounds at once, so one value per round, the geometric
+    # mean over the rows, is steadier than any single row.
+    pooled = {side: [math.prod(row["pairs_us"][side][i] ** (1 / len(rows))
+                               for row in rows.values()) for i in range(args.rounds)]
+              for side in ab.SIDES}
+    summary = ab.summarise(pooled)
+    print(f"pooled: {pooled}, medians: parent {summary['parent']['median']}, "
+          f"change {summary['change']['median']}, parent IQR {summary['parent_iqr']}",
+          file=sys.stderr)
+    ab.merge(args.out, {"rounds": args.rounds, "repeats": args.repeats,
+                        "pooled": {**summary, "pairs_us": pooled}, "rows": rows},
              "micro", args.case)
     if refused:
         raise SystemExit(f"the results differ between rounds or trees on: {', '.join(refused)}")

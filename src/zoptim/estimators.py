@@ -54,6 +54,14 @@ def _indices(values, what):
     return raw.astype(np.intp)
 
 
+def _ndim(values):
+    """np.ndim(values), or -1 for a ragged nesting that numpy cannot shape."""
+    try:
+        return np.ndim(values)
+    except ValueError:
+        return -1
+
+
 class Partition:
     """Disjoint coordinate blocks covering {0..d-1}."""
 
@@ -63,7 +71,7 @@ class Partition:
             raise InvalidArgumentError(f"dimension must be >= 1, got {d}")
         clean = []
         for block in blocks:
-            if np.ndim(block) != 1 or np.size(block) == 0:
+            if _ndim(block) != 1 or np.size(block) == 0:
                 raise InvalidArgumentError("each block must be a non-empty 1-D index set")
             clean.append(_indices(block, "block indices"))
         if not clean:
@@ -89,7 +97,7 @@ class Partition:
         """Partition from half-open [start, stop) index ranges within [0, d)."""
         blocks = []
         for pair in ranges:
-            if np.ndim(pair) != 1 or np.size(pair) != 2:
+            if _ndim(pair) != 1 or np.size(pair) != 2:
                 raise InvalidArgumentError(f"each range must be a [start, stop) pair, got {pair!r}")
             a, b = _indices(tuple(pair), "range bounds").tolist()
             if not 0 <= a < b <= d:

@@ -39,9 +39,13 @@ def _require_finite(arr, what):
     return arr
 
 
-def _check_hyper(eta, zeta):
+def _check_eta(eta):
     if not eta > 0:
         raise InvalidArgumentError(f"eta must be > 0, got {eta}")
+
+
+def _check_hyper(eta, zeta):
+    _check_eta(eta)
     if not zeta > 0:
         raise InvalidArgumentError(f"zeta must be > 0, got {zeta}")
 
@@ -58,8 +62,7 @@ class SgdState:
     eta: float
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise InvalidArgumentError(f"eta must be > 0, got {self.eta}")
+        _check_eta(self.eta)
 
 
 @dataclass
@@ -133,8 +136,7 @@ class FzooState:
     sigma: float = None  # the loss scale sigma_t of the latest step
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise InvalidArgumentError(f"eta must be > 0, got {self.eta}")
+        _check_eta(self.eta)
         if self.q < 2:
             raise InvalidArgumentError(f"q must be >= 2, got {self.q}")
 
@@ -145,8 +147,7 @@ class FzooState:
 
 def zo_sgd_step(x, estimate, eta):
     """x' = x - eta * estimate."""
-    if not eta > 0:
-        raise InvalidArgumentError(f"eta must be > 0, got {eta}")
+    _check_eta(eta)
     estimate = _require_finite(estimate, "gradient estimate")
     return np.asarray(x, dtype=np.float64) - eta * estimate
 

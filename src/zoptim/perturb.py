@@ -48,8 +48,8 @@ BUFFER_BYTES = 1 << 18
 # thread's width (a power of two: the last step's q, rounded up) for a chunk
 # of _TABLE_KEYS // width steps, so a chunk never crosses 2**32. Building one
 # peaks at about 90 KiB, so it also fits BUFFER_BYTES (a tracemalloc test
-# ties the two). Any other key is derived alone. A thread keeps _MAX_TABLES
-# tables, 64 KiB at most.
+# ties the two). Any other key is derived alone. A thread keeps the
+# _MAX_TABLES tables it built last, 64 KiB at most: the first built goes first.
 _TABLE_KEYS = 1024
 _MAX_TABLES = 4
 
@@ -161,8 +161,6 @@ class _Replay(threading.local):
                       "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         self.tables = {}
         self.width = 1
-        self.row_id = None
-        self.row = ()
 
 
 _REPLAY = _Replay()
@@ -171,7 +169,7 @@ _REPLAY = _Replay()
 def _key_table(replay, base_seed, width, chunk):
     """Keys of chunk's steps x width samples of block 0, as a (steps, width, 2) array."""
     key = (base_seed, width, chunk)
-    table = replay.tables.pop(key, None)
+    table = replay.tables.get(key)
     if table is None:
         n_steps = _TABLE_KEYS // width
         steps = np.arange(n_steps, dtype=np.uint32) + np.uint32(chunk * n_steps)
@@ -186,42 +184,20 @@ def _key_table(replay, base_seed, width, chunk):
         )
         if len(replay.tables) >= _MAX_TABLES:
             del replay.tables[next(iter(replay.tables))]
-    replay.tables[key] = table
+        replay.tables[key] = table
     return table
 
 
 def _philox_key(base_seed, step, sample_index, block_index):
     """The Philox key [k0, k1] of one replay coordinate."""
-    replay = _REPLAY
-    row = replay.row
-    if replay.row_id == (base_seed, step) and sample_index < len(row) and not block_index:
-        return row[sample_index]
     base_seed, step = int(base_seed), int(step)
-    width = replay.width
+    width = _REPLAY.width
     if sample_index >= width or block_index:
         ss = np.random.SeedSequence(entropy=base_seed,
                                     spawn_key=(step, sample_index, block_index))
         return ss.generate_state(2, np.uint64).tolist()
     chunk, offset = divmod(step, _TABLE_KEYS // width)
-    table = _key_table(replay, base_seed, width, chunk)
-    replay.row = table[offset].tolist()
-    replay.row_id = (base_seed, step)
-    return replay.row[sample_index]
-
-
-def _replay_generator(base_seed, step, sample_index, block_index):
-    """The thread's Philox generator, re-keyed to one coordinate's fresh stream.
-
-    Equal in state to keyed_generator(base_seed, step, sample_index,
-    block_index); it is reused by the next draw, so use it at once.
-    """
-    replay = _REPLAY
-    replay.key_state["key"] = _philox_key(base_seed, step, sample_index, block_index)
-    if replay.bit_generator is None:
-        replay.bit_generator = np.random.Philox(0)
-        replay.generator = np.random.Generator(replay.bit_generator)
-    replay.bit_generator.state = replay.state
-    return replay.generator
+    return _key_table(_REPLAY, base_seed, width, chunk)[offset, sample_index].tolist()
 
 
 def _draw(distribution, rng, shape, out=None):
@@ -265,8 +241,15 @@ def sample_direction(spec, coord, d):
     """
     if d < 1:
         raise InvalidArgumentError(f"dimension must be >= 1, got {d}")
-    rng = _replay_generator(spec.base_seed, coord.step, coord.sample_index, coord.block_index)
-    return _draw(spec.distribution, rng, int(d))
+    # The thread's Philox, re-keyed to the coordinate's fresh stream.
+    replay = _REPLAY
+    replay.key_state["key"] = _philox_key(spec.base_seed, coord.step, coord.sample_index,
+                                          coord.block_index)
+    if replay.bit_generator is None:
+        replay.bit_generator = np.random.Philox(0)
+        replay.generator = np.random.Generator(replay.bit_generator)
+    replay.bit_generator.state = replay.state
+    return _draw(spec.distribution, replay.generator, int(d))
 
 
 def _empty(shape, what):

@@ -89,10 +89,13 @@ def micro_chain(parent, out):
 def test_micro_merges_a_row_whose_digests_agree_between_the_trees(tmp_path):
     proc = micro_chain(ROOT, tmp_path / "BENCH.json")
     assert proc.returncode == 0, proc.stderr
-    rows = json.loads((tmp_path / "BENCH.json").read_text())["micro"]["chain"]["rows"]
+    micro = json.loads((tmp_path / "BENCH.json").read_text())["micro"]["chain"]
+    rows = micro["rows"]
     assert list(rows) == ["p=8 q=4 width=16"]
     row = rows["p=8 q=4 width=16"]
     assert row["digests_equal"] and row["pairs"] == 1 and row["change"]["min"] > 0
+    # The geometric mean of one row is that row.
+    assert micro["pooled"] == {k: v for k, v in row.items() if k not in ("calls", "digests_equal")}
 
 
 def test_micro_exits_non_zero_naming_a_row_whose_digests_differ(tmp_path):

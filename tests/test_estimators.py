@@ -601,6 +601,8 @@ SPEC = PerturbationSpec(GAUSSIAN, 1e-4, 0)
     (Partition.from_ranges, (4, [[0, 1, 2]]), r"range must be a \[start, stop\) pair"),
     (Partition.from_ranges, (4, [[0]]), r"range must be a \[start, stop\) pair"),
     (Partition.from_ranges, (4, [5]), r"range must be a \[start, stop\) pair"),
+    (Partition.from_ranges, (4, [[0, [1, 2]]]), r"range must be a \[start, stop\) pair"),
+    (Partition, (4, [[0, [1, 2]], [3]]), "each block must be a non-empty 1-D index set"),
 ])
 def test_estimators_reject_each_out_of_domain_argument(fn, args, match):
     with pytest.raises(InvalidArgumentError, match=match):

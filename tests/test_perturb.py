@@ -294,7 +294,8 @@ def test_a_key_table_build_fits_the_buffer_budget(width):
 
 
 def table_builds(draws):
-    """Key tables built while draws() runs on a fresh thread."""
+    """Key tables built while draws(builds) runs on a fresh thread; builds
+    lists each build so far."""
     builds = []
     build = perturb._spawn_keys
 
@@ -302,7 +303,7 @@ def table_builds(draws):
         builds.append(args)
         return build(*args)
 
-    thread = threading.Thread(target=draws)
+    thread = threading.Thread(target=draws, args=(builds,))
     perturb._spawn_keys = counted
     try:
         thread.start()
@@ -317,11 +318,11 @@ SPEC = PerturbationSpec(GAUSSIAN, 1e-6, 5)
 
 
 def test_a_first_step_of_a_thread_builds_one_key_table():
-    assert table_builds(lambda: step_directions(SPEC, 0, 10, 9)) == 1
+    assert table_builds(lambda _: step_directions(SPEC, 0, 10, 9)) == 1
 
 
 def test_narrow_steps_after_a_wide_one_share_a_table():
-    def draws():
+    def draws(_):
         step_directions(SPEC, 0, 600, 2)
         for t in range(1, 301):
             step_directions(SPEC, t, 1, 2)
@@ -331,9 +332,59 @@ def test_narrow_steps_after_a_wide_one_share_a_table():
 
 def test_a_key_of_a_block_other_than_zero_builds_no_table():
     got = []
-    assert table_builds(lambda: got.append(_philox_key(3, 40, 0, 1))) == 0
+    assert table_builds(lambda _: got.append(_philox_key(3, 40, 0, 1))) == 0
     ss = np.random.SeedSequence(entropy=3, spawn_key=(40, 0, 1))
     assert got == [ss.generate_state(2, np.uint64).tolist()]
+
+
+# Steps on both sides of the chunk edges of every width up to 64, and samples
+# past that width, so that tables are revisited, dropped and rebuilt in any
+# order. A "width" op sets the width through a step of q samples.
+OP_SEEDS = st.sampled_from([0, 2**64 - 1])
+OP_STEPS = st.sampled_from([0, 15, 16, 1023, 1024, WORD])
+OPS = st.one_of(
+    st.tuples(st.just("key"), OP_SEEDS, OP_STEPS,
+              st.one_of(st.integers(0, 63), st.sampled_from([64, 1024, WORD])),
+              st.sampled_from([0, 1])),
+    st.tuples(st.just("width"), OP_SEEDS, OP_STEPS, st.integers(1, 40), st.just(0)),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(ops=st.lists(OPS, min_size=1, max_size=60))
+def test_interleaved_keys_equal_seed_sequence_keys_and_reuse_the_tables_built_last(ops):
+    seen = []  # per op: its key (None for a width op), the thread's tables, builds so far
+
+    def draws(builds):
+        for kind, base_seed, step, arg, block in ops:
+            key = None
+            if kind == "width":
+                step_directions(PerturbationSpec(GAUSSIAN, 1e-6, base_seed), step, arg, 1)
+            else:
+                key = _philox_key(base_seed, step, arg, block)
+            seen.append((key, len(perturb._REPLAY.tables), len(builds)))
+
+    table_builds(draws)
+    assert len(seen) == len(ops)
+    width, built, read, before = 1, {}, [], 0
+    for (kind, base_seed, step, arg, block), (key, tables, builds) in zip(ops, seen):
+        assert tables <= perturb._MAX_TABLES
+        sample = arg
+        if kind == "width":
+            width, sample = min(1 << (arg - 1).bit_length(), perturb._TABLE_KEYS), 0
+        else:
+            ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(step, arg, block))
+            assert key == ss.generate_state(2, np.uint64).tolist()
+        if sample < width and not block:
+            table = (base_seed, width, step // (perturb._TABLE_KEYS // width))
+            # A table with at most three others read since it was built is
+            # still among the last four built, and among the last four read.
+            if table in built and len(set(read[built[table] + 1:]) - {table}) < perturb._MAX_TABLES:
+                assert builds == before, (table, read)
+            if builds > before:
+                built[table] = len(read)
+            read.append(table)
+        before = builds
 
 
 @pytest.mark.parametrize("fn, args, match", [
