@@ -80,7 +80,22 @@ def tilt(z):
     yield "d=9", 1, z.NoisySample(z.BlockQuadratic(9, "heterogeneous", 0), 2e-6, 12345).tilt
 
 
-CASES = {case.__name__: case for case in (directions, oracle, chain, estimator, tilt)}
+def step(z):
+    """Method.step on BlockQuadratic.value at fresh steps of one Method, at
+    bcgd-sweep's shape (d=9, q=1; fzoo at q=2) and collapse-d1024's (d=1024, q=10)."""
+    spec = z.PerturbationSpec("gaussian", 1e-6, 7)
+    thirds = z.Partition.from_ranges(9, [[0, 3], [3, 6], [6, 9]])
+    for name, d, q, partition in (("zo-sgd", 9, 1, None), ("zo-adam", 9, 1, None),
+                                  ("radazo", 9, 1, None), ("meazo", 9, 1, None),
+                                  ("fzoo", 9, 2, None), ("meazo-grouped", 9, 1, thirds),
+                                  ("zo-adam", 1024, 10, None), ("meazo", 1024, 10, None)):
+        quad = z.BlockQuadratic(d, "heterogeneous", 0)
+        x = np.random.default_rng(d).standard_normal(d) * 0.1
+        method = z.Method(name, 1e-3, spec, q, d, partition=partition)
+        yield f"{name} d={d} q={q}", 1, lambda t: method.step(quad.value, x, t)
+
+
+CASES = {case.__name__: case for case in (directions, oracle, chain, estimator, tilt, step)}
 
 
 def digest(result):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import perturb
-from .errors import DegenerateScaleError, InvalidArgumentError, NumericFailureError, PreconditionError
+from .errors import DegenerateScaleError, InvalidArgumentError, NumericFailureError, PreconditionError, integer
 from .objectives import (
     BlockQuadratic,
     noise_for_run,
@@ -79,9 +79,7 @@ def mc_squared_moment(g, q, distribution, n, seed=0):
     """
     g = np.asarray(g, dtype=np.float64)
     d = g.size
-    for name, value in (("n", n), ("q", q)):
-        if value < 1:
-            raise InvalidArgumentError(f"{name} must be >= 1, got {value}")
+    n, q = integer(n, "n", 1), integer(q, "q", 1)
     rng = keyed_generator(seed, 0x3C0)
     size = min(MC_BATCH, n)
     fixed, per_trial = _mc_buffer_bytes(distribution, q, d)
@@ -392,8 +390,7 @@ def collapse_study(dims=(9, 25, 49, 100, 1024), optimizers=("fo-adam", "zo-adam"
     before the first step, so a bad dimension, then a bad optimizer in
     config order, raises before any run steps.
     """
-    if tail < 1 or max_steps < 1:
-        raise InvalidArgumentError(f"tail and max_steps must be >= 1, got {tail} and {max_steps}")
+    tail, max_steps = integer(tail, "tail", 1), integer(max_steps, "max_steps", 1)
     quads = [BlockQuadratic(d=d, regime=regime, seed=quad_seed) for d in dims]
     spec = PerturbationSpec(distribution=distribution, epsilon=epsilon, base_seed=seed)
     runs = []
@@ -415,8 +412,7 @@ def bound_check_run(quad, optimizer, eta, q, epsilon, distribution, sigma, noise
     """Run T steps and return the trajectory-average squared gradient norm
     of the noiseless objective, for comparison against a stationarity bound.
     A step that overflows its iterate or its losses reports inf and diverged."""
-    if T < 1:
-        raise InvalidArgumentError(f"T must be >= 1, got {T}")
+    T = integer(T, "T", 1)
     spec = PerturbationSpec(distribution=distribution, epsilon=epsilon, base_seed=seed)
     method = Method(optimizer, eta, spec, q, quad.d, beta=beta, zeta=zeta)
     noisy = noise_for_run(quad, sigma, noise_seed, seed)

@@ -1,5 +1,7 @@
-"""Exception hierarchy shared across the library."""
+"""Exception hierarchy shared across the library, and its one integer rule."""
 
+import math
+import numbers
 from contextlib import contextmanager
 
 
@@ -47,3 +49,19 @@ def invalid_config(what):
         yield
     except InvalidArgumentError as exc:
         raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
+def integer(value, what, lo=None, hi=None):
+    """value as an int in [lo, hi), or InvalidArgumentError naming what; no
+    bound when lo is None and none above when hi is None. A Python or numpy
+    integer is an integer, and so is a finite real with no fractional part;
+    a bool, a string and None are not."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+                isinstance(value, numbers.Integral) or (math.isfinite(value) and value % 1 == 0)):
+            raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
+        value = int(value)
+    if lo is not None and not (lo <= value and (hi is None or value < hi)):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+        raise InvalidArgumentError(f"{what} must be {bound}, got {value}")
+    return value

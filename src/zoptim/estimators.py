@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import perturb
-from .errors import InvalidArgumentError, NumericFailureError
+from .errors import InvalidArgumentError, NumericFailureError, integer
 from .perturb import UNIFORM, step_directions
 from .perturb import sample_direction  # noqa: F401  (still importable from this module)
 
@@ -66,9 +66,7 @@ class Partition:
     """Disjoint coordinate blocks covering {0..d-1}."""
 
     def __init__(self, d, blocks):
-        d = int(d)
-        if d < 1:
-            raise InvalidArgumentError(f"dimension must be >= 1, got {d}")
+        d = integer(d, "dimension", 1)
         clean = []
         for block in blocks:
             if _ndim(block) != 1 or np.size(block) == 0:
@@ -110,9 +108,8 @@ class Partition:
     @classmethod
     def contiguous(cls, d, p):
         """Split {0..d-1} into p near-equal contiguous blocks."""
-        if p < 1 or p > d:
-            raise InvalidArgumentError(f"need 1 <= p <= d, got p={p}, d={d}")
-        return cls(d, np.array_split(np.arange(d), p))
+        d = integer(d, "dimension", 1)
+        return cls(d, np.array_split(np.arange(d), integer(p, "p", 1, d + 1)))
 
 
 @dataclass
@@ -123,14 +120,10 @@ class EvalCounter:
     block_forward_calls: int = 0
 
     def add_full(self, n=1):
-        if n < 0:
-            raise InvalidArgumentError("counts only increase")
-        self.full_forward_calls += int(n)
+        self.full_forward_calls += integer(n, "n", 0)
 
     def add_block(self, n):
-        if n < 0:
-            raise InvalidArgumentError("counts only increase")
-        self.block_forward_calls += int(n)
+        self.block_forward_calls += integer(n, "n", 0)
 
 
 def _finite_or_raise(value, point):
@@ -248,8 +241,7 @@ def zo_scalars(f, x, spec, q, step, counter=None, directions=None, partition=Non
     block, then + before -, one f call each, up to the first non-finite
     value, which NumericFailureError names.
     """
-    if q < 1:
-        raise InvalidArgumentError(f"q must be >= 1, got {q}")
+    q = integer(q, "q", 1)
     x = np.asarray(x, dtype=np.float64)
     d = x.size
     if partition is not None and partition.d != d:
@@ -304,8 +296,7 @@ def efficient_grouped_eval(chain, x, spec, q, step, counter=None, directions=Non
     chain's layers partition on the same replay stream bit for bit.
     directions is the step's (q, d) block, drawn here when omitted.
     """
-    if q < 1:
-        raise InvalidArgumentError(f"q must be >= 1, got {q}")
+    q = integer(q, "q", 1)
     if not (hasattr(chain, "forward") and hasattr(chain, "slices")):
         raise InvalidArgumentError("objective does not expose per-block sequential structure")
     if counter is None:

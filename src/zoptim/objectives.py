@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, StalePrefixError
+from .errors import InvalidArgumentError, StalePrefixError, integer
 from .perturb import _empty, keyed_generator
 
 HETEROGENEOUS = "heterogeneous"
@@ -43,9 +43,7 @@ class BlockQuadratic:
     """F(x) = 0.5 x^T H x with block-diagonal H: known gradient, smoothness and optimum."""
 
     def __init__(self, d, regime, seed):
-        d = int(d)
-        if d < 1:
-            raise InvalidArgumentError(f"dimension must be >= 1, got {d}")
+        d = integer(d, "dimension", 1)
         root = math.isqrt(d)
         if root * root != d:
             raise InvalidArgumentError(f"d must be a perfect square for the block construction, got {d}")
@@ -54,7 +52,7 @@ class BlockQuadratic:
 
         self.d = d
         self.regime = regime
-        self.seed = int(seed)
+        self.seed = integer(seed, "seed", 0)
         self.n_blocks = root
         self.block_size = root
         # Only the diagonal blocks are stored, first as the largest array: an
@@ -160,11 +158,11 @@ class NoisySample:
             raise InvalidArgumentError(f"sigma must be >= 0, got {sigma}")
         self.base = base
         self.sigma = float(sigma)
-        self.xi_seed = int(xi_seed)
+        self.xi_seed = integer(xi_seed, "xi_seed", 0)
         self.d = base.d
 
     def tilt(self, xi):
-        rng = keyed_generator(self.xi_seed, _TILT_TAG, int(xi))
+        rng = keyed_generator(self.xi_seed, _TILT_TAG, xi)
         return rng.standard_normal(self.d) * (self.sigma / math.sqrt(self.d))
 
     def objective_at(self, xi):
@@ -183,7 +181,7 @@ def noise_for_run(base, sigma, noise_seed, seed):
     still draw their own streams, keyed by (noise_seed, seed)."""
     if sigma == 0:
         return None
-    xi_seed = int(np.random.SeedSequence(entropy=(noise_seed, seed)).generate_state(1)[0])
+    xi_seed = np.random.SeedSequence(entropy=(noise_seed, seed)).generate_state(1)[0]
     return NoisySample(base, sigma, xi_seed)
 
 
@@ -205,20 +203,18 @@ class LayeredChain:
     """
 
     def __init__(self, p, widths, seed):
-        p = int(p)
-        if p < 1:
-            raise InvalidArgumentError(f"block count must be >= 1, got {p}")
-        if isinstance(widths, int):
+        p = integer(p, "block count", 1)
+        if not isinstance(widths, (list, tuple, np.ndarray)):
             widths = [widths] * (p + 1)
-        widths = [int(w) for w in widths]
+        widths = [integer(w, "each width") for w in widths]
         if len(widths) != p + 1:
             raise InvalidArgumentError(f"widths must have p+1 = {p + 1} entries (h_0..h_p), got {len(widths)}")
-        if any(w < 1 for w in widths):
+        if min(widths) < 1:  # one message for every width, as a config error prints it
             raise InvalidArgumentError("all widths must be >= 1")
 
         self.p = p
         self.widths = widths
-        self.seed = int(seed)
+        self.seed = integer(seed, "seed", 0)
 
         slices = []
         start = 0
@@ -375,7 +371,7 @@ def equal_energy_point(quad, f0, seed):
     """Point with F(x) = f0 and equal energy f0/d in every Hessian eigenmode."""
     if f0 < 0:
         raise InvalidArgumentError(f"f0 must be >= 0, got {f0}")
-    rng = keyed_generator(int(seed), 0xE4E6)
+    rng = keyed_generator(seed, 0xE4E6)
     signs = rng.integers(0, 2, size=quad.d) * 2.0 - 1.0
     y = signs * np.sqrt(2.0 * f0 / (quad.d * quad.eigenvalues))
     x = np.empty(quad.d)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateScaleError, InvalidArgumentError, NumericFailureError
+from .errors import DegenerateScaleError, InvalidArgumentError, NumericFailureError, integer
 from .estimators import (
     Partition,
     _direction_sum,
@@ -78,8 +78,7 @@ class MeazoState:
     t: int = 0
 
     def __post_init__(self):
-        if self.p < 1:
-            raise InvalidArgumentError(f"block count must be >= 1, got {self.p}")
+        self.p = integer(self.p, "block count", 1)
         _check_hyper(self.eta, self.zeta)
         _check_beta(self.beta)
         if self.v is None:
@@ -109,8 +108,7 @@ class AdamState:
     t: int = 0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidArgumentError(f"dimension must be >= 1, got {self.dim}")
+        self.dim = integer(self.dim, "dimension", 1)
         _check_hyper(self.eta, self.zeta)
         if not 0.0 <= self.beta1 < 1.0:
             raise InvalidArgumentError(f"beta1 must lie in [0, 1), got {self.beta1}")
@@ -137,8 +135,7 @@ class FzooState:
 
     def __post_init__(self):
         _check_eta(self.eta)
-        if self.q < 2:
-            raise InvalidArgumentError(f"q must be >= 2, got {self.q}")
+        self.q = integer(self.q, "q", 2)
 
     @property
     def epsilon(self):
@@ -281,9 +278,10 @@ class Method:
         if not isinstance(name, str) or name not in _METHODS:
             raise InvalidArgumentError(f"unknown optimizer {name!r}")
         cls, self._update = _METHODS[name]
+        q, d = integer(q, "q", 1), integer(d, "dimension", 1)
         args = {"eta": eta, "spec": spec, "q": q, "dim": d,
                 "p": partition.p if partition is not None else 1, **consts}
-        # The state checks its own fields first, fzoo's q among them.
+        # The state checks its own fields next, fzoo's q >= 2 among them.
         self.state = cls(**{f.name: args[f.name] for f in fields(cls) if f.name in args})
         error = Method.setup_error(name, q, partition)
         if error is not None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, integer
 
 GAUSSIAN = "gaussian"
 UNIFORM = "uniform"
@@ -69,8 +69,7 @@ class PerturbationSpec:
             )
         if not np.isfinite(self.epsilon) or self.epsilon <= 0:
             raise InvalidArgumentError(f"epsilon must be a positive finite real, got {self.epsilon}")
-        if not (0 <= int(self.base_seed) < 2**64):
-            raise InvalidArgumentError(f"base_seed must fit in 64 unsigned bits, got {self.base_seed}")
+        object.__setattr__(self, "base_seed", integer(self.base_seed, "base_seed", 0, 2**64))
 
 
 @dataclass(frozen=True)
@@ -82,21 +81,18 @@ class ReplayCoordinate:
     block_index: int = 0
 
     def __post_init__(self):
-        try:
-            if (0 <= self.step < _MAX_KEY and 0 <= self.sample_index < _MAX_KEY
-                    and 0 <= self.block_index < _MAX_KEY):
-                return
-        except TypeError:
-            pass
-        for name in ("step", "sample_index", "block_index"):
-            value = getattr(self, name)
-            if not (0 <= int(value) < _MAX_KEY):
-                raise InvalidArgumentError(f"{name} must be a non-negative 32-bit integer, got {value}")
+        # Every draw builds one, so three in-range Python ints pass one test.
+        if not (type(self.step) is type(self.sample_index) is type(self.block_index) is int
+                and 0 <= self.step < _MAX_KEY and 0 <= self.sample_index < _MAX_KEY
+                and 0 <= self.block_index < _MAX_KEY):
+            for name in ("step", "sample_index", "block_index"):
+                object.__setattr__(self, name, integer(getattr(self, name), name, 0, _MAX_KEY))
 
 
 def keyed_generator(base_seed, *key):
     """Counter-based generator for the stream identified by (base_seed, *key)."""
-    ss = np.random.SeedSequence(entropy=int(base_seed), spawn_key=tuple(int(k) for k in key))
+    ss = np.random.SeedSequence(entropy=integer(base_seed, "seed", 0),
+                                spawn_key=tuple(integer(k, "key word", 0) for k in key))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -190,7 +186,6 @@ def _key_table(replay, base_seed, width, chunk):
 
 def _philox_key(base_seed, step, sample_index, block_index):
     """The Philox key [k0, k1] of one replay coordinate."""
-    base_seed, step = int(base_seed), int(step)
     width = _REPLAY.width
     if sample_index >= width or block_index:
         ss = np.random.SeedSequence(entropy=base_seed,
@@ -239,8 +234,7 @@ def sample_direction(spec, coord, d):
     keyed_generator(base_seed, step, sample_index, block_index); distinct
     coordinates give statistically independent draws.
     """
-    if d < 1:
-        raise InvalidArgumentError(f"dimension must be >= 1, got {d}")
+    d = integer(d, "dimension", 1)
     # The thread's Philox, re-keyed to the coordinate's fresh stream.
     replay = _REPLAY
     replay.key_state["key"] = _philox_key(spec.base_seed, coord.step, coord.sample_index,
@@ -249,7 +243,7 @@ def sample_direction(spec, coord, d):
         replay.bit_generator = np.random.Philox(0)
         replay.generator = np.random.Generator(replay.bit_generator)
     replay.bit_generator.state = replay.state
-    return _draw(spec.distribution, replay.generator, int(d))
+    return _draw(spec.distribution, replay.generator, d)
 
 
 def _empty(shape, what):
@@ -268,11 +262,10 @@ def step_directions(spec, step, q, d):
     A step draws this block once and hands it to its estimator and its
     update; it lives for that step only.
     """
-    if q < 1:
-        raise InvalidArgumentError(f"q must be >= 1, got {q}")
+    q, d = integer(q, "q", 1), integer(d, "dimension", 1)
     if not (width := _REPLAY.width) >> 1 < q <= width:  # width is q rounded up to a power of two
-        _REPLAY.width = min(1 << (int(q) - 1).bit_length(), _TABLE_KEYS)
-    out = _empty((int(q), int(d)), "directions")
+        _REPLAY.width = min(1 << (q - 1).bit_length(), _TABLE_KEYS)
+    out = _empty((q, d), "directions")
     for i in range(q):
         out[i] = sample_direction(spec, ReplayCoordinate(step, i, 0), d)
     return out
@@ -286,9 +279,7 @@ def batch_directions(distribution, shape, d, rng, out=None):
     ``out``, a float64 array of that shape, the directions are written into
     it and it is returned; the draws are the same as without it.
     """
-    if d < 1:
-        raise InvalidArgumentError(f"dimension must be >= 1, got {d}")
-    full = tuple(shape) + (int(d),)
+    full = tuple(shape) + (integer(d, "dimension", 1),)
     if out is not None and (out.shape != full or out.dtype != np.float64):
         raise InvalidArgumentError(
             f"out must be a float64 array of shape {full}, got {out.dtype} {out.shape}"

@@ -486,9 +486,21 @@ def _with(args, i, value):
     (vt_collapse_metric, ([1.0], None, 1), InvalidArgumentError, "grad_norm_sq is required"),
     (vt_collapse_metric, ([1.0], 1.0, 0), InvalidArgumentError, "q must be >= 1"),
     (lambda: collapse_study(dims=(4,), tail=0), (), InvalidArgumentError,
-     "tail and max_steps must be >= 1"),
+     "tail must be >= 1, got 0"),
     (lambda: collapse_study(dims=(4,), max_steps=0), (), InvalidArgumentError,
-     "tail and max_steps must be >= 1"),
+     "max_steps must be >= 1, got 0"),
+    # Counts and loop lengths go through errors.integer.
+    (mc_squared_moment, (np.ones(2), 1.5, GAUSSIAN, 10), InvalidArgumentError,
+     "q must be an integer, got 1.5"),
+    (mc_squared_moment, (np.ones(2), 1, GAUSSIAN, 10.5), InvalidArgumentError,
+     "n must be an integer, got 10.5"),
+    (lambda: collapse_study(dims=(4,), tail=1.5, max_steps=5), (), InvalidArgumentError,
+     "tail must be an integer, got 1.5"),
+    (lambda: collapse_study(dims=(4,), max_steps=2.5), (), InvalidArgumentError,
+     "max_steps must be an integer, got 2.5"),
+    (lambda: bound_check_run(BlockQuadratic(4, "heterogeneous", 0), "zo-sgd", 1e-3, 1, 1e-6,
+                             GAUSSIAN, 0.0, 0, np.ones(4), 2.5, 0), (), InvalidArgumentError,
+     "T must be an integer, got 2.5"),
 ])
 def test_analysis_rejects_each_out_of_domain_argument(fn, args, error, match):
     with pytest.raises(error, match=match):
@@ -510,3 +522,13 @@ def test_bound_check_run_reports_a_step_whose_loss_overflows_as_diverged():
         out = bound_check_run(quad, "zo-sgd", 1e300, 2, 1e-6, GAUSSIAN, 0.0, 0,
                               np.full(9, 0.1), 5, 0)
     assert out == {"avg_grad_norm_sq": math.inf, "max_point_norm": math.inf, "diverged": True}
+
+
+def test_collapse_study_from_the_optimum_records_a_zero_gradient_step():
+    # x0 = 0 is the minimum: step 0 meets the threshold with a zero gradient,
+    # whose spread is 0 and whose target error is inf (its target norm^2 / q is 0).
+    for row in collapse_study(dims=(4,), optimizers=("meazo", "zo-adam"), x0_norm=0.0):
+        assert row["steps_to_threshold"] == 0
+        assert row["terminal_spread"] == 0.0
+        assert row["terminal_target_err"] == math.inf
+        assert row["series"]["grad_norm_sq"] == [0.0]

@@ -79,23 +79,30 @@ def test_a_summary_of_one_pair_has_both_quartiles_at_its_value():
     assert row["parent_iqr"] == 0.0 and row["change_wins"] == 1
 
 
-def micro_chain(parent, out):
-    return subprocess.run([sys.executable, str(ROOT / "bench" / "micro.py"), "chain", "--parent",
+def micro(case, parent, out):
+    return subprocess.run([sys.executable, str(ROOT / "bench" / "micro.py"), case, "--parent",
                            str(parent), "--rounds", "1", "--repeats", "1", "--out", str(out)],
                           capture_output=True, text=True, timeout=300,
                           env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"})
 
 
 def test_micro_merges_a_row_whose_digests_agree_between_the_trees(tmp_path):
-    proc = micro_chain(ROOT, tmp_path / "BENCH.json")
+    proc = micro("chain", ROOT, tmp_path / "BENCH.json")
     assert proc.returncode == 0, proc.stderr
-    micro = json.loads((tmp_path / "BENCH.json").read_text())["micro"]["chain"]
-    rows = micro["rows"]
+    chain = json.loads((tmp_path / "BENCH.json").read_text())["micro"]["chain"]
+    rows = chain["rows"]
     assert list(rows) == ["p=8 q=4 width=16"]
     row = rows["p=8 q=4 width=16"]
     assert row["digests_equal"] and row["pairs"] == 1 and row["change"]["min"] > 0
     # The geometric mean of one row is that row.
-    assert micro["pooled"] == {k: v for k, v in row.items() if k not in ("calls", "digests_equal")}
+    assert chain["pooled"] == {k: v for k, v in row.items() if k not in ("calls", "digests_equal")}
+    proc = micro("step", ROOT, tmp_path / "BENCH.json")
+    assert proc.returncode == 0, proc.stderr
+    step = json.loads((tmp_path / "BENCH.json").read_text())["micro"]["step"]["rows"]
+    assert list(step) == [*(f"{name} d=9 q=1" for name in ("zo-sgd", "zo-adam", "radazo", "meazo")),
+                          "fzoo d=9 q=2", "meazo-grouped d=9 q=1",
+                          "zo-adam d=1024 q=10", "meazo d=1024 q=10"]
+    assert all(row["digests_equal"] and row["change"]["min"] > 0 for row in step.values())
 
 
 def test_micro_exits_non_zero_naming_a_row_whose_digests_differ(tmp_path):
@@ -103,7 +110,7 @@ def test_micro_exits_non_zero_naming_a_row_whose_digests_differ(tmp_path):
     with open(tmp_path / "src" / "zoptim" / "__init__.py", "a") as fh:
         fh.write("\n_eval = efficient_grouped_eval\n\n\n"
                  "def efficient_grouped_eval(*args):\n    return -_eval(*args)\n")
-    proc = micro_chain(tmp_path, tmp_path / "BENCH.json")
+    proc = micro("chain", tmp_path, tmp_path / "BENCH.json")
     assert proc.returncode != 0
     assert proc.stderr.splitlines()[-1].endswith("differ between rounds or trees on: "
                                                  "p=8 q=4 width=16")

@@ -286,6 +286,11 @@ def test_moment_workers_are_one_per_case_up_to_the_cores(tmp_path, monkeypatch, 
     assert pools == [workers]
 
 
+def test_cpu_count_falls_back_to_the_os_count_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert cli._cpu_count() == (os.cpu_count() or 1)
+
+
 def test_verify_moments_rejects_unknown_top_level_keys(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -405,8 +410,18 @@ ALL_DIVERGED_SWEEP = {**LAST_STEP_BLOWUP, "optimizer": {"name": "zo-sgd"}, "seed
      {"fig2.json", "fig2_meazo_d4.csv"}, 0, None),
     ("fig2", {"dims": [4], "whoops": True}, None, 2,
      "config error: unknown config keys: ['whoops']"),
+    # Objective sizes a config reaches the library with: errors.integer must not move these.
+    ("run", run_cfg(objective={"kind": "quadratic", "d": 0}), None, 2,
+     "config error: invalid objective: dimension must be >= 1, got 0"),
+    ("run", run_cfg(objective={"kind": "chain", "p": 0, "widths": 2}), None, 2,
+     "config error: invalid objective: block count must be >= 1, got 0"),
+    ("run", run_cfg(objective={"kind": "chain", "p": 2, "widths": [2, 0, 2]}), None, 2,
+     "config error: invalid objective: all widths must be >= 1"),
+    ("run", run_cfg(objective={"kind": "chain", "p": 2, "widths": -1}), None, 2,
+     "config error: invalid objective: all widths must be >= 1"),
 ], ids=["run-ok", "run-diverged", "sweep-all-diverged", "robustness-all-diverged",
-        "moments-failed", "bounds-failed", "bounds-precondition", "fig2-ok", "config-error"])
+        "moments-failed", "bounds-failed", "bounds-precondition", "fig2-ok", "config-error",
+        "quadratic-d-zero", "chain-p-zero", "chain-width-zero", "chain-widths-negative"])
 def test_main_turns_each_outcome_into_files_an_exit_code_and_a_stderr_line(
         tmp_path, capsys, command, payload, files, code, line):
     cfg = write_cfg(tmp_path, payload)

@@ -593,8 +593,8 @@ SPEC = PerturbationSpec(GAUSSIAN, 1e-4, 0)
 
 @pytest.mark.parametrize("fn, args, match", [
     (Partition, (0, [[0]]), "dimension must be >= 1"),
-    (EvalCounter().add_full, (-1,), "counts only increase"),
-    (EvalCounter().add_block, (-1,), "counts only increase"),
+    (EvalCounter().add_full, (-1,), "n must be >= 0, got -1"),
+    (EvalCounter().add_block, (-1,), "n must be >= 0, got -1"),
     (efficient_grouped_eval, (CHAIN, np.zeros(CHAIN.d), SPEC, 0, 0), "q must be >= 1"),
     (efficient_grouped_eval, (CHAIN, np.zeros(CHAIN.d + 1), SPEC, 2, 0),
      f"chain has {CHAIN.d} parameters, x has {CHAIN.d + 1}"),
@@ -603,6 +603,15 @@ SPEC = PerturbationSpec(GAUSSIAN, 1e-4, 0)
     (Partition.from_ranges, (4, [5]), r"range must be a \[start, stop\) pair"),
     (Partition.from_ranges, (4, [[0, [1, 2]]]), r"range must be a \[start, stop\) pair"),
     (Partition, (4, [[0, [1, 2]], [3]]), "each block must be a non-empty 1-D index set"),
+    # Sizes and counts go through errors.integer.
+    (Partition, (4.5, [[0, 1, 2, 3]]), "dimension must be an integer, got 4.5"),
+    (Partition.contiguous, (4, 1.5), "p must be an integer, got 1.5"),
+    (Partition.contiguous, (4, 5), r"p must be in \[1, 5\), got 5"),
+    (EvalCounter().add_full, (1.5,), "n must be an integer, got 1.5"),
+    (EvalCounter().add_block, (True,), "n must be an integer, got True"),
+    (zo_scalars, (CHAIN.value, np.zeros(CHAIN.d), SPEC, 1.5, 0), "q must be an integer, got 1.5"),
+    (efficient_grouped_eval, (CHAIN, np.zeros(CHAIN.d), SPEC, "2", 0),
+     "q must be an integer, got '2'"),
 ])
 def test_estimators_reject_each_out_of_domain_argument(fn, args, match):
     with pytest.raises(InvalidArgumentError, match=match):

@@ -322,3 +322,24 @@ def test_equal_energy_point_rejects_negative_level():
 def test_smoothing_rejects_a_negative_epsilon(fn):
     with pytest.raises(InvalidArgumentError, match="epsilon must be >= 0"):
         fn(BlockQuadratic(4, "homogeneous", 0), np.zeros(4), -1.0)
+
+
+QUAD = BlockQuadratic(4, "heterogeneous", 0)
+
+
+# Sizes, seeds and stream keys go through errors.integer.
+@pytest.mark.parametrize("fn, args, match", [
+    (BlockQuadratic, (9.7, "heterogeneous", 0), "dimension must be an integer, got 9.7"),
+    (BlockQuadratic, (9, "heterogeneous", 0.9), "seed must be an integer, got 0.9"),
+    (BlockQuadratic, (9, "heterogeneous", -1), "seed must be >= 0, got -1"),
+    (NoisySample, (QUAD, 1.0, None), "xi_seed must be an integer, got None"),
+    (NoisySample(QUAD, 1.0, 0).tilt, (1.5,), "key word must be an integer, got 1.5"),
+    (LayeredChain, (1.5, 2, 0), "block count must be an integer, got 1.5"),
+    (LayeredChain, (2, 2.5, 0), "each width must be an integer, got 2.5"),
+    (LayeredChain, (2, [2, 2.5, 2], 0), "each width must be an integer, got 2.5"),
+    (LayeredChain, (2, 2, "0"), "seed must be an integer, got '0'"),
+    (equal_energy_point, (QUAD, 1.0, -1), "seed must be >= 0, got -1"),
+])
+def test_objectives_reject_each_out_of_domain_argument(fn, args, match):
+    with pytest.raises(InvalidArgumentError, match=match):
+        fn(*args)

@@ -637,6 +637,15 @@ def test_grouped_step_memory_does_not_grow_with_the_block_count(p):
     (lambda: SgdState(eta=0.0), (), "eta must be > 0, got 0.0"),
     (lambda: AdamState(dim=1, eta=0.0), (), "eta must be > 0, got 0.0"),
     (zo_sgd_step, (np.zeros(1), np.zeros(1), 0.0), "eta must be > 0, got 0.0"),
+    # Sizes and counts go through errors.integer.
+    (lambda: MeazoState(eta=1e-3, p=1.5), (), "block count must be an integer, got 1.5"),
+    (lambda: AdamState(dim=2.5, eta=1e-3), (), "dimension must be an integer, got 2.5"),
+    (lambda: FzooState(eta=1e-3, spec=PerturbationSpec("gaussian", 1e-4, 0), q=2.5), (),
+     "q must be an integer, got 2.5"),
+    (Method, ("zo-sgd", 1e-3, PerturbationSpec("gaussian", 1e-4, 0), 1.5, 4),
+     "q must be an integer, got 1.5"),
+    (Method, ("zo-sgd", 1e-3, PerturbationSpec("gaussian", 1e-4, 0), 1, None),
+     "dimension must be an integer, got None"),
 ])
 def test_optimizers_reject_each_out_of_domain_argument(fn, args, match):
     with pytest.raises(InvalidArgumentError, match=match):

@@ -391,6 +391,25 @@ def test_interleaved_keys_equal_seed_sequence_keys_and_reuse_the_tables_built_la
     (batch_directions, (GAUSSIAN, (2,), 0, np.random.default_rng(0)), "dimension must be >= 1"),
     (batch_directions, ("cauchy", (2,), 3, np.random.default_rng(0)), "unknown distribution"),
     (second_moment_scale, ("cauchy",), "unknown distribution"),
+    # Seeds, stream keys and sizes go through errors.integer.
+    (PerturbationSpec, (GAUSSIAN, 1e-6, "7"), "base_seed must be an integer, got '7'"),
+    (PerturbationSpec, (GAUSSIAN, 1e-6, 2.5), "base_seed must be an integer, got 2.5"),
+    (ReplayCoordinate, (True, 0, 0), "step must be an integer, got True"),
+    (ReplayCoordinate, (2.5, 0, 0), "step must be an integer, got 2.5"),
+    (ReplayCoordinate, (0, 1.5, 0), "sample_index must be an integer, got 1.5"),
+    (ReplayCoordinate, (0, 0, None), "block_index must be an integer, got None"),
+    (keyed_generator, (-1,), "seed must be >= 0, got -1"),
+    (keyed_generator, (0, 1.5), "key word must be an integer, got 1.5"),
+    (sample_direction, (PerturbationSpec(GAUSSIAN, 1e-6), ReplayCoordinate(0), 2.5),
+     "dimension must be an integer, got 2.5"),
+    (step_directions, (PerturbationSpec(GAUSSIAN, 1e-6), 1.5, 2, 3),
+     "step must be an integer, got 1.5"),
+    (step_directions, (PerturbationSpec(GAUSSIAN, 1e-6), 0, 2.5, 3),
+     "q must be an integer, got 2.5"),
+    (step_directions, (PerturbationSpec(GAUSSIAN, 1e-6), 0, 2, "3"),
+     "dimension must be an integer, got '3'"),
+    (batch_directions, (GAUSSIAN, (2,), None, np.random.default_rng(0)),
+     "dimension must be an integer, got None"),
 ])
 def test_perturb_rejects_each_out_of_domain_argument(fn, args, match):
     with pytest.raises(InvalidArgumentError, match=match):
